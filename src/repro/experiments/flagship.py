@@ -30,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import resource
 import sys
 import time
@@ -38,7 +39,12 @@ from typing import Dict, List, Optional
 from repro.core.fingerprint import Fingerprint
 from repro.obs import tracing
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import build_run_report, print_summary, write_run_report
+from repro.obs.report import (
+    CollectorWatch,
+    build_run_report,
+    print_summary,
+    write_run_report,
+)
 from repro.obs.spans import phase, reset_spans, span
 from repro.salad.records import SaladRecord
 from repro.salad.salad import (
@@ -290,17 +296,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     # in-process run left behind so the report covers exactly this run.
     reset_spans()
     start = time.time()
-    facts = run_flagship(
-        args.leaves,
-        args.records,
-        seed=args.seed,
-        db_backend=args.db_backend,
-        db_dir=args.db_dir,
-        shard_workers=args.shard_workers,
-        eager_width=args.eager_width,
-        reference_width=args.reference_width,
-        registry=registry,
-    )
+    collector = CollectorWatch() if args.metrics_out else None
+    with collector or contextlib.nullcontext():
+        facts = run_flagship(
+            args.leaves,
+            args.records,
+            seed=args.seed,
+            db_backend=args.db_backend,
+            db_dir=args.db_dir,
+            shard_workers=args.shard_workers,
+            eager_width=args.eager_width,
+            reference_width=args.reference_width,
+            registry=registry,
+        )
     elapsed = time.time() - start
     print(
         f"flagship: {facts['alive_leaves']:,} leaves, "
@@ -352,6 +360,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if trace_rate > 0.0
                 else None
             ),
+            collector=collector,
         )
         write_run_report(args.metrics_out, report)
         print_summary(report)

@@ -13,6 +13,7 @@ sweep per Lambda; Figs. 14 and 15 come from one growth run per Lambda.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -40,7 +41,12 @@ from repro.experiments import (
 )
 from repro.experiments.growth import growth_sample_points, run_growth_suite
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import build_run_report, print_summary, write_run_report
+from repro.obs.report import (
+    CollectorWatch,
+    build_run_report,
+    print_summary,
+    write_run_report,
+)
 from repro.obs.spans import reset_spans, span
 from repro.perf import set_default_workers
 from repro.experiments.scales import PAPER_LAMBDAS, SCALES, get_scale
@@ -408,12 +414,15 @@ def main(argv: List[str] = None) -> int:
     # so the report's phase tree covers exactly this run.
     reset_spans()
     start = time.time()
-    if args.json:
-        raw = run_experiments(
+    # With a report, also watch the cyclic collector (environment.gc): its
+    # time is otherwise invisible, charged to whichever frame allocated.
+    collector = CollectorWatch() if args.metrics_out else None
+    with collector or contextlib.nullcontext():
+        results = run_experiments(
             names,
             args.scale,
             seed=args.seed,
-            raw=True,
+            raw=bool(args.json),
             db_backend=args.db_backend,
             db_dir=args.db_dir,
             shard_workers=args.shard_workers,
@@ -422,28 +431,18 @@ def main(argv: List[str] = None) -> int:
             traffic=args.traffic,
             replication_factor=args.replication_factor,
         )
-        outputs = {name: result.render() for name, result in raw.items()}
+    if args.json:
+        outputs = {name: result.render() for name, result in results.items()}
         payload = {
             "scale": args.scale,
             "seed": args.seed,
-            "results": {name: _jsonable(result) for name, result in raw.items()},
+            "results": {name: _jsonable(result) for name, result in results.items()},
         }
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=1)
         print(f"raw results written to {args.json}")
     else:
-        outputs = run_experiments(
-            names,
-            args.scale,
-            seed=args.seed,
-            db_backend=args.db_backend,
-            db_dir=args.db_dir,
-            shard_workers=args.shard_workers,
-            registry=registry,
-            topology=args.topology,
-            traffic=args.traffic,
-            replication_factor=args.replication_factor,
-        )
+        outputs = results
     for name in names:
         print(f"\n{'=' * 72}\n[{name}]")
         print(outputs[name])
@@ -477,6 +476,7 @@ def main(argv: List[str] = None) -> int:
                 if trace_rate > 0.0
                 else None
             ),
+            collector=collector,
         )
         write_run_report(args.metrics_out, report)
         print_summary(report)

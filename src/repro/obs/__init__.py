@@ -18,6 +18,7 @@ from repro.obs.registry import (
 )
 from repro.obs.report import (
     SCHEMA,
+    CollectorWatch,
     build_run_report,
     print_summary,
     summary_table,
@@ -48,6 +49,7 @@ __all__ = [
     "enabled",
     "get_registry",
     "SCHEMA",
+    "CollectorWatch",
     "build_run_report",
     "print_summary",
     "summary_table",

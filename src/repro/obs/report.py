@@ -7,7 +7,9 @@ given, the run ends by serializing
   gauges, histograms),
 - the phase tree drained from :mod:`repro.obs.spans`,
 - the environment (python, platform, cpu_count, git SHA, plus
-  caller-supplied extras such as backend and shard_workers), and
+  caller-supplied extras such as backend and shard_workers, and -- when the
+  run was wrapped in a :class:`CollectorWatch` -- what CPython's cyclic
+  collector did meanwhile), and
 - optionally a per-shard breakdown (one registry dump per worker of a
   :class:`~repro.salad.sharded.ShardedSimulation`)
 
@@ -23,6 +25,7 @@ saved report (CI runs it on the smoke artifact after the trend step).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -75,6 +78,58 @@ def environment(extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     return env
 
 
+class CollectorWatch:
+    """What CPython's cyclic collector did while a report session ran.
+
+    A context manager around the measured part of a run::
+
+        with CollectorWatch() as collector:
+            run()
+        build_run_report(registry, collector=collector)
+
+    Collections and objects freed per generation are ``gc.get_stats()``
+    deltas; collector seconds come from a ``gc.callbacks`` start/stop pair
+    that is installed only between enter and exit.  Outside-in tracers and
+    cProfile cannot see the collector: a collection runs inside whichever
+    allocation tripped the threshold, so its time is charged to that frame
+    (``Network.send`` carried seconds of it once).  This entry is where it
+    shows instead.  Covers this process only, not pool or shard workers.
+    """
+
+    def __init__(self) -> None:
+        self.collections: List[int] = []
+        self.collected: List[int] = []
+        self.seconds = 0.0
+        self._before: List[dict] = []
+        self._started: Optional[float] = None
+
+    def __enter__(self) -> "CollectorWatch":
+        self._before = gc.get_stats()
+        gc.callbacks.append(self._on_collection)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        gc.callbacks.remove(self._on_collection)
+        after = gc.get_stats()
+        generations = list(zip(self._before, after))
+        self.collections = [b["collections"] - a["collections"] for a, b in generations]
+        self.collected = [b["collected"] - a["collected"] for a, b in generations]
+
+    def _on_collection(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.seconds += time.perf_counter() - self._started
+            self._started = None
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "collections": self.collections,
+            "collected": self.collected,
+            "seconds": self.seconds,
+        }
+
+
 def build_run_report(
     registry: MetricsRegistry,
     phases: Optional[Sequence[Span]] = None,
@@ -82,6 +137,7 @@ def build_run_report(
     shards: Optional[List[dict]] = None,
     shard_phases: Optional[List[List[dict]]] = None,
     traces: Optional[dict] = None,
+    collector: Optional[CollectorWatch] = None,
 ) -> dict:
     """Assemble the report dict.
 
@@ -95,6 +151,8 @@ def build_run_report(
     *traces*, when given, becomes the schema-v2 ``traces`` section --
     ``{"sample_rate": float, "events": [...]}``  with the causal-trace
     events drained from :mod:`repro.obs.tracing` (both engines' shapes).
+    *collector*, an exited :class:`CollectorWatch`, becomes the optional
+    ``environment.gc`` entry.
     """
     if phases is None:
         phases = take_phases()
@@ -114,6 +172,8 @@ def build_run_report(
                 entry["phases"] = list(worker_tree)
     if traces is not None:
         report["traces"] = traces
+    if collector is not None:
+        report["environment"]["gc"] = collector.to_dict()
     return report
 
 
@@ -151,6 +211,23 @@ def validate_run_report(data: Any) -> List[str]:
     if check(isinstance(env, dict), "environment missing"):
         for key in ("python", "platform", "machine", "cpu_count"):
             check(key in env, f"environment.{key} missing")
+        if "gc" in env:
+            collector = env["gc"]
+            if check(isinstance(collector, dict), "environment.gc is not an object"):
+                for key in ("collections", "collected"):
+                    check(
+                        isinstance(collector.get(key), list)
+                        and all(
+                            isinstance(n, int) and not isinstance(n, bool)
+                            for n in collector[key]
+                        ),
+                        f"environment.gc.{key} is not a list of counts",
+                    )
+                check(
+                    isinstance(collector.get("seconds"), (int, float))
+                    and not isinstance(collector.get("seconds"), bool),
+                    "environment.gc.seconds missing",
+                )
 
     metrics = data.get("metrics")
     if check(isinstance(metrics, dict), "metrics missing"):
@@ -280,11 +357,20 @@ def summary_table(report: dict, top_counters: int = 20) -> str:
     extras = {
         k: v
         for k, v in env.items()
-        if k not in ("python", "platform", "machine", "cpu_count", "git_sha")
+        if k not in ("python", "platform", "machine", "cpu_count", "git_sha", "gc")
         and v is not None
     }
     if extras:
         lines.append("  " + "  ".join(f"{k}={v}" for k, v in sorted(extras.items())))
+    collector = env.get("gc")
+    if collector:
+        lines.append(
+            "gc: collections "
+            + "/".join(f"{n:,}" for n in collector["collections"])
+            + " (gen 0/1/2)  freed "
+            + f"{sum(collector['collected']):,} objects"
+            + f"  {collector['seconds']:.3f}s in the collector"
+        )
 
     phases = report.get("phases", [])
     if phases:

@@ -154,11 +154,6 @@ class SaladLeaf(SimMachine):
         # reference path keeps the seed's per-axis coordinate scan alive as
         # the golden-trace oracle (message-for-message identical).
         self.reference_routing = reference_routing
-        self._route_record = (
-            self._route_record_reference
-            if reference_routing
-            else self._route_record_indexed
-        )
 
         # Telemetry: plain attributes bumped on the hot paths, harvested
         # into a MetricsRegistry at report time (repro.salad.telemetry).
@@ -406,11 +401,45 @@ class SaladLeaf(SimMachine):
         return len(pairs)
 
     def _on_record(self, message: Message) -> None:
+        """One record off the wire (most record traffic): routed directly.
+
+        Same decision, counters and send order as handing
+        ``[(record, hops)]`` to :meth:`_process_batch` (the routing
+        equivalence property test holds the two together), without the
+        one-element list and the ``forwards`` dict per arrival: nothing can
+        coalesce with a single record, so each target in the cached next-hop
+        tuple gets its RECORD straight away.
+        """
         record, hops = message.payload
         tracer = _tracing.ACTIVE
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_hop(record, hops, message.sender, self.identifier)
-        self._process_batch([(record, hops)])
+        if self.reference_routing:
+            self._process_batch([(record, hops)])
+            return
+        rid = record._rid  # precomputed routing_id; property skipped
+        cell = rid & self._cell_mask
+        targets = self._next_hop_cache.get(cell)
+        if targets is None:
+            targets = self._compute_next_hop(rid)
+            self._next_hop_cache[cell] = targets
+            self.next_hop_misses += 1
+        else:
+            self.next_hop_hits += 1
+        if targets is _LOCAL:
+            # Only a hand-built hops == 0 arrival of my own record makes
+            # _store replicate to cellmates; engine forwards carry hops >= 1.
+            forwards: Dict[int, List[tuple]] = {}
+            self._store(record, hops, forwards)
+            if forwards:
+                self._send_forwards(forwards)
+            return
+        if hops >= 2 * self.dimensions:
+            return  # hop budget exhausted: the record is lost
+        forwarded = (record, hops + 1)
+        send = self.send
+        for target in targets:
+            send(target, protocol.RECORD, forwarded)
 
     def _on_record_batch(self, message: Message) -> None:
         tracer = _tracing.ACTIVE
@@ -419,9 +448,9 @@ class SaladLeaf(SimMachine):
             for record, hops in message.payload:
                 if tracer.sampled(record._rid):
                     tracer.record_hop(record, hops, sender, self.identifier)
-        self._process_batch(list(message.payload))
+        self._process_batch(message.payload)
 
-    def _process_batch(self, pairs: List[tuple]) -> None:
+    def _process_batch(self, pairs: Iterable[tuple]) -> None:
         """Route/store a batch of ``(record, hops)`` pairs, coalescing forwards.
 
         Each record follows the Fig. 4 procedure independently; the batch
@@ -431,11 +460,14 @@ class SaladLeaf(SimMachine):
         """
         forwards: Dict[int, List[tuple]] = {}
         if self.reference_routing:
-            route = self._route_record
+            route = self._route_record_reference
             for record, hops in pairs:
                 route(record, hops, forwards)
         else:
             self._route_batch_indexed(pairs, forwards)
+        self._send_forwards(forwards)
+
+    def _send_forwards(self, forwards: Dict[int, List[tuple]]) -> None:
         for target, batch in forwards.items():
             if len(batch) == 1:
                 self.send(target, protocol.RECORD, batch[0])
@@ -464,7 +496,8 @@ class SaladLeaf(SimMachine):
 
         This is the seed's implementation -- per-axis coordinate extraction
         on every record, no caching.  It stays in-tree as the oracle the
-        golden-trace tests compare :meth:`_route_record_indexed` against.
+        golden-trace tests compare the next-hop-cache paths
+        (:meth:`_route_batch_indexed`, :meth:`_on_record`) against.
         """
         routing_id = record.routing_id
         for d in range(self.dimensions):
@@ -478,8 +511,8 @@ class SaladLeaf(SimMachine):
                 return
         self._store(record, hops, forwards)
 
-    def _route_record_indexed(
-        self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
+    def _route_batch_indexed(
+        self, pairs: Iterable[tuple], forwards: Dict[int, List[tuple]]
     ) -> None:
         """Fig. 4 routing through the next-hop cache (default path).
 
@@ -491,34 +524,12 @@ class SaladLeaf(SimMachine):
         cleared whenever the leaf table gains or loses an entry or the width
         changes (see :meth:`_index_add` / :meth:`_rebuild_index`), which are
         exactly the events that can alter any cell's next hop.
-        """
-        cell = record.routing_id & self._cell_mask
-        targets = self._next_hop_cache.get(cell)
-        if targets is None:
-            targets = self._compute_next_hop(record.routing_id)
-            self._next_hop_cache[cell] = targets
-            self.next_hop_misses += 1
-        else:
-            self.next_hop_hits += 1
-        if targets is _LOCAL:
-            self._store(record, hops, forwards)
-            return
-        if hops >= 2 * self.dimensions:
-            return  # hop budget exhausted: the record is lost
-        for target in targets:
-            forwards.setdefault(target, []).append((record, hops + 1))
 
-    def _route_batch_indexed(
-        self, pairs: List[tuple], forwards: Dict[int, List[tuple]]
-    ) -> None:
-        """Batch form of :meth:`_route_record_indexed` with locals bound.
-
-        Per-record behavior is identical (same cache, same order, same
-        counters); hoisting the cache/mask/budget lookups out of the loop
-        matters because this loop runs once per record per hop.  The cache
-        dict cannot be invalidated mid-batch: routing only stores records
-        and sends messages (sends are scheduled, never synchronous), and
-        only leaf-table/width changes clear the cache.
+        The cache/mask/budget lookups are hoisted out of the loop because it
+        runs once per record per hop.  The cache dict cannot be invalidated
+        mid-batch: routing only stores records and sends messages (sends are
+        scheduled, never synchronous), and only leaf-table/width changes
+        clear the cache.
         """
         cache = self._next_hop_cache
         mask = self._cell_mask

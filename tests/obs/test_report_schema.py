@@ -6,6 +6,7 @@ directions -- a freshly built report validates clean, and each kind of
 corruption is caught.
 """
 
+import gc
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.report import (
     ACCEPTED_SCHEMAS,
     SCHEMA,
+    CollectorWatch,
     build_run_report,
     environment,
     main as report_main,
@@ -130,6 +132,68 @@ class TestBuildAndValidate:
         report = _report(traces=None)
         assert "traces" not in report
         assert validate_run_report(report) == []
+
+
+class TestCollectorEntry:
+    """``environment.gc``: the cyclic collector made visible in a report."""
+
+    @staticmethod
+    def _watched():
+        with CollectorWatch() as collector:
+            cycle = []
+            cycle.append(cycle)
+            del cycle
+            gc.collect()
+        return collector
+
+    def test_watch_counts_collections_freed_objects_and_time(self):
+        collector = self._watched()
+        assert len(collector.collections) == len(gc.get_stats())
+        assert collector.collections[-1] >= 1  # the full collection above
+        assert sum(collector.collected) >= 1  # ... which freed the cycle
+        assert collector.seconds > 0.0
+
+    def test_callback_is_installed_only_inside_the_session(self):
+        before = list(gc.callbacks)
+        with CollectorWatch() as collector:
+            assert collector._on_collection in gc.callbacks
+        assert gc.callbacks == before
+        with pytest.raises(RuntimeError):
+            with CollectorWatch():
+                raise RuntimeError("run failed")
+        assert gc.callbacks == before
+
+    def test_entry_builds_validates_and_prints_one_line(self):
+        report = _report(collector=self._watched())
+        entry = report["environment"]["gc"]
+        assert set(entry) == {"collections", "collected", "seconds"}
+        assert validate_run_report(report) == []
+        assert validate_run_report(json.loads(json.dumps(report))) == []
+        lines = [line for line in summary_table(report).splitlines() if line.startswith("gc:")]
+        assert len(lines) == 1
+        assert "(gen 0/1/2)" in lines[0] and "s in the collector" in lines[0]
+
+    def test_entry_is_optional(self):
+        report = _report()
+        assert "gc" not in report["environment"]
+        assert validate_run_report(report) == []
+        assert "gc:" not in summary_table(report)
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda e: e.update(gc=[1, 2, 3]), "environment.gc"),
+            (lambda e: e["gc"].pop("collections"), "gc.collections"),
+            (lambda e: e["gc"].update(collected=[0, "x", 0]), "gc.collected"),
+            (lambda e: e["gc"].pop("seconds"), "gc.seconds"),
+            (lambda e: e["gc"].update(seconds=True), "gc.seconds"),
+        ],
+    )
+    def test_corrupt_entry_is_caught(self, mutate, fragment):
+        report = _report(collector=self._watched())
+        mutate(report["environment"])
+        problems = validate_run_report(report)
+        assert any(fragment in p for p in problems), problems
 
 
 class TestCorruptionDetection:

@@ -6,6 +6,8 @@ oracle -- via the ``sched_cls`` fixture; the :class:`TestCalendarQueueEdges`
 cases target bucket/heap interactions specific to the calendar engine.
 """
 
+import gc
+
 import pytest
 
 from repro.sim.events import EventScheduler, ReferenceEventScheduler, SimulationError
@@ -209,3 +211,74 @@ class TestCalendarQueueEdges:
             return log
 
         assert drive(EventScheduler) == drive(ReferenceEventScheduler)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector_state(request):
+    """Enter the test with the collector in the given state; undo afterwards."""
+    found = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if found else gc.disable)()
+
+
+class TestCollectorPolicy:
+    """``EventScheduler.run`` drains with the cyclic collector paused and
+    hands the collector back exactly as it found it, on every exit path.
+
+    (The pause is safe because the engine builds no reference cycles --
+    ``tests/salad/test_no_cycles.py`` -- and worth it because a drain's
+    allocations otherwise trigger full collections that free nothing.)
+    """
+
+    def test_paused_while_draining_and_restored_on_return(self, collector_state):
+        sched = EventScheduler()
+        seen = []
+        sched.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        assert sched.run() == 1
+        assert seen == [False]
+        assert gc.isenabled() is collector_state
+
+    def test_restored_when_an_action_raises(self, collector_state):
+        sched = EventScheduler()
+
+        def boom():
+            raise RuntimeError("handler failed")
+
+        sched.schedule(1.0, boom)
+        sched.schedule(2.0, lambda: None)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sched.run()
+        assert gc.isenabled() is collector_state
+        assert sched.run() == 1  # the loop is still usable
+        assert gc.isenabled() is collector_state
+
+    def test_nested_run_leaves_the_outer_pause_in_place(self, collector_state):
+        sched = EventScheduler()
+        seen = []
+
+        def outer():
+            sched.run(until=sched.now)  # nested drain from inside an action
+            seen.append(("after nested", gc.isenabled()))
+
+        sched.schedule(1.0, outer)
+        sched.schedule(1.0, lambda: seen.append(("sibling", gc.isenabled())))
+        sched.schedule(2.0, lambda: seen.append(("later", gc.isenabled())))
+        sched.run()
+        assert seen == [("sibling", False), ("after nested", False), ("later", False)]
+        assert gc.isenabled() is collector_state
+
+    @pytest.mark.parametrize("limits", [{"until": 1.5}, {"max_events": 1}])
+    def test_restored_on_early_exits(self, collector_state, limits):
+        sched = EventScheduler()
+        sched.schedule(1.0, lambda: None)
+        sched.schedule(2.0, lambda: None)
+        assert sched.run(**limits) == 1
+        assert gc.isenabled() is collector_state
+        assert len(sched) == 1
+
+    def test_empty_run_is_state_neutral(self, collector_state):
+        assert EventScheduler().run() == 0
+        assert gc.isenabled() is collector_state

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.sim.events import EventScheduler
-from repro.sim.machine import SimMachine
+from repro.sim.machine import SimMachine, UnknownMessageError
 from repro.sim.network import Network
+from repro.sim.topology import one_site
 
 
 class Echo(SimMachine):
@@ -265,3 +266,57 @@ class TestDeliveryBatching:
             net.send(1, 2, "tag", i)
         net.run()
         assert received == list(range(8))
+
+
+class TestHandlerExceptionMidWindow:
+    """A handler that raises must not corrupt the delivery window.
+
+    ``_deliver_pending`` has already popped the window's batch when a
+    handler raises, so the rest of that batch can never be delivered.  It
+    is counted as dropped against its senders (sent = delivered + dropped
+    keeps holding, which the benchmark checks on every run), and the
+    topology tick of the aborted window must not leak into later sends.
+    """
+
+    FABRICS = {"flat": None, "topology": one_site(1.0)}
+
+    @staticmethod
+    def _net(topology):
+        return Network(
+            EventScheduler(), latency=1.0, rng=random.Random(1), topology=topology
+        )
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    def test_remainder_of_window_is_dropped_against_senders(self, fabric):
+        net = self._net(self.FABRICS[fabric])
+        a, b, c = Echo(1, net), Echo(2, net), Echo(3, net)
+        a.send(2, "no-such-kind")  # b raises UnknownMessageError
+        a.send(2, "ping")
+        c.send(2, "ping")
+        with pytest.raises(UnknownMessageError):
+            net.run()
+        assert b.log == []  # nothing after the raising message was delivered
+        assert (net.messages_sent, net.messages_delivered, net.messages_dropped) == (3, 1, 2)
+        assert net.traffic[1].dropped_to == 1 and net.traffic[3].dropped_to == 1
+        assert not net._pending
+        if net.topology is not None:
+            assert net.class_dropped == {"rack": 2}
+            assert sum(net.class_sent.values()) == sum(
+                net.class_delivered.values()
+            ) + sum(net.class_dropped.values())
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    def test_network_keeps_working_after_the_exception(self, fabric):
+        net = self._net(self.FABRICS[fabric])
+        a, b = Echo(1, net), Echo(2, net)
+        a.send(2, "no-such-kind")
+        with pytest.raises(UnknownMessageError):
+            net.run()
+        assert net._current_tick is None and not net._delivering
+        # A stale tick would window this send off t=1 instead of the clock.
+        net.scheduler.run(until=5.0)
+        a.send(2, "ping")
+        net.run()
+        assert b.log == [("ping", 1)] and a.log == [("pong", 2)]
+        assert net.scheduler.now == 7.0
+        assert net.messages_sent == net.messages_delivered + net.messages_dropped
