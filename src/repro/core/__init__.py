@@ -13,6 +13,7 @@
 
 from repro.core.convergent import (
     ConvergentCiphertext,
+    IntegrityError,
     NotAuthorizedError,
     convergent_decrypt,
     convergent_encrypt,
@@ -23,6 +24,7 @@ from repro.core.keyring import User, UserDirectory
 __all__ = [
     "ConvergentCiphertext",
     "Fingerprint",
+    "IntegrityError",
     "NotAuthorizedError",
     "User",
     "UserDirectory",

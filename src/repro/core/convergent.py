@@ -38,6 +38,15 @@ class NotAuthorizedError(Exception):
     """Raised when a user without a metadata entry attempts decryption."""
 
 
+class IntegrityError(Exception):
+    """The decrypted bytes do not hash back to the key that decrypted them.
+
+    Convergent encryption authenticates for free: the key *is* ``H(P_f)``,
+    so data ciphertext altered in storage decrypts to bytes whose hash no
+    longer matches.
+    """
+
+
 def metadata_rng(plaintext: bytes, reader: str) -> Random:
     """A deterministic RNG for one reader's metadata encryption.
 
@@ -144,7 +153,11 @@ def convergent_encrypt_many(
 
 
 def convergent_decrypt(ciphertext: ConvergentCiphertext, user: User) -> bytes:
-    """Decrypt per Eq. 4: unlock the hash key, then the data."""
+    """Decrypt per Eq. 4: unlock the hash key, then the data, then check it.
+
+    Raises :class:`IntegrityError` if the recovered plaintext does not
+    re-derive the unlocked key, i.e. ``c_f`` is not what was written.
+    """
     try:
         mu = ciphertext.metadata[user.name]
     except KeyError:
@@ -152,7 +165,10 @@ def convergent_decrypt(ciphertext: ConvergentCiphertext, user: User) -> bytes:
             f"user {user.name!r} is not an authorized reader of this file"
         ) from None
     hash_key = user.unlock_hash_key(mu)
-    return decrypt_ctr(hash_key, ciphertext.data)
+    plaintext = decrypt_ctr(hash_key, ciphertext.data)
+    if convergence_key(plaintext, key_bytes=len(hash_key)) != hash_key:
+        raise IntegrityError("decrypted content does not match its convergence key")
+    return plaintext
 
 
 def verify_convergent(ciphertext: ConvergentCiphertext, plaintext: bytes) -> bool:

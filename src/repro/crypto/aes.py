@@ -95,7 +95,9 @@ _ROUNDS_BY_KEY_BYTES = {16: 10, 24: 12, 32: 14}
 # table of 32-bit column contributions.  Four tables (one per row position)
 # reduce a full round to 16 lookups and 20 XORs.  Each entry packs the
 # MixColumns column (b0, b1, b2, b3) produced by S[x] big-endian, matching the
-# big-endian word packing of the state columns.
+# big-endian word packing of the state columns.  These lists are the only
+# table generator: the numpy CTR kernel in :mod:`repro.crypto.modes` builds
+# its arrays from them (and from ``_SBOX`` for the final round).
 
 
 def _build_t_tables() -> List[List[int]]:

@@ -21,16 +21,18 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.convergent import (
     ConvergentCiphertext,
+    IntegrityError,
     convergent_decrypt,
     convergent_encrypt,
 )
 from repro.core.keyring import User, UserDirectory
+from repro.farsite.directory_group import DirectoryEntry
 from repro.farsite.file_host import FileHost
 from repro.farsite.namespace import Namespace
 
 
 class NoReplicaAvailableError(Exception):
-    """Every replica host for the file is unreachable."""
+    """Every replica of the file is unreachable, missing or corrupt."""
 
 
 @dataclass
@@ -61,6 +63,9 @@ class FarsiteClient:
         self.hosts = hosts
         self.replication_factor = replication_factor
         self._rng = rng or random.Random(0)
+        #: Replicas this client fetched and rejected (harvested by
+        #: :meth:`collect_metrics`).
+        self.integrity_failures = 0
 
     # -- write ------------------------------------------------------------------
 
@@ -86,13 +91,16 @@ class FarsiteClient:
             if self.hosts[host_id].store_replica(file_id, ciphertext):
                 coalesced.append(host_id)
 
-        self.namespace.create(
+        displaced = self.namespace.create(
             path,
             file_id=file_id,
             size=len(plaintext),
             replica_hosts=tuple(replica_hosts),
             readers=tuple(dict.fromkeys(reader_names)),
         )
+        if displaced is not None:
+            # An overwrite: nothing names the old file any more.
+            self._drop_replicas(displaced)
         return WriteReceipt(
             path=path,
             file_id=file_id,
@@ -103,7 +111,12 @@ class FarsiteClient:
     # -- read -------------------------------------------------------------------
 
     def read_file(self, path: str) -> bytes:
-        """Fetch any live replica and decrypt it with this user's key."""
+        """Fetch any live, intact replica and decrypt it with this user's key.
+
+        A replica whose bytes do not hash back to their own key (a host
+        corrupted or tampered with the blob) is counted and skipped like a
+        missing one.
+        """
         entry = self.namespace.lookup(path)
         if entry is None:
             raise FileNotFoundError(path)
@@ -117,17 +130,28 @@ class FarsiteClient:
             except KeyError as exc:
                 last_error = exc
                 continue
-            return convergent_decrypt(ciphertext, self.user)
+            try:
+                return convergent_decrypt(ciphertext, self.user)
+            except IntegrityError as exc:
+                self.integrity_failures += 1
+                last_error = exc
         raise NoReplicaAvailableError(
-            f"no reachable replica of {path!r}"
+            f"no reachable, intact replica of {path!r}"
         ) from last_error
 
     def delete_file(self, path: str) -> None:
         entry = self.namespace.lookup(path)
         if entry is None:
             raise FileNotFoundError(path)
+        self._drop_replicas(entry)
+        self.namespace.remove(path)
+
+    def _drop_replicas(self, entry: DirectoryEntry) -> None:
         for host_id in entry.replica_hosts:
             host = self.hosts.get(host_id)
             if host is not None:
                 host.drop_replica(entry.file_id)
-        self.namespace.remove(path)
+
+    def collect_metrics(self, registry) -> None:
+        """Harvest this client's lifetime totals into *registry*."""
+        registry.counter("farsite.client.integrity_failures").inc(self.integrity_failures)

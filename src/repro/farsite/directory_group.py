@@ -50,8 +50,9 @@ class _Replica:
             return ("BYZANTINE", self.member_id, op)
         if op == "put":
             (entry,) = args
+            displaced = self.entries.get(entry.path)
             self.entries[entry.path] = entry
-            return ("ok", entry.path)
+            return ("ok", entry.path, displaced)
         if op == "get":
             (path,) = args
             entry = self.entries.get(path)
@@ -123,8 +124,14 @@ class DirectoryGroup:
 
     # -- public operations ------------------------------------------------------
 
-    def put(self, entry: DirectoryEntry) -> None:
-        self._execute("put", (entry,))
+    def put(self, entry: DirectoryEntry) -> Optional[DirectoryEntry]:
+        """Record *entry*; returns the entry it displaced at that path, if any.
+
+        The displaced entry rides on the same vote, so a writer learns which
+        replicas its overwrite orphaned without a second quorum round.
+        """
+        tag, path, displaced = self._execute("put", (entry,))
+        return displaced
 
     def get(self, path: str) -> Optional[DirectoryEntry]:
         tag, entry = self._execute("get", (path,))

@@ -42,12 +42,16 @@ class FileHost:
         The host computes the fingerprint of the *ciphertext* -- it cannot
         (and need not) see plaintext.  Identical plaintexts produce identical
         ciphertexts under convergent encryption, so their replicas coalesce
-        in the SIS.
+        in the SIS.  The bytes are hashed once, here: the fingerprint's
+        digest is the SIS's content address.
         """
-        coalesced = self.sis.store(file_id, ciphertext.data)
+        fingerprint = fingerprint_of(ciphertext.data)
+        coalesced = self.sis.store(
+            file_id, ciphertext.data, digest=fingerprint.content_digest
+        )
         self._replicas[file_id] = ReplicaInfo(
             file_id=file_id,
-            fingerprint=fingerprint_of(ciphertext.data),
+            fingerprint=fingerprint,
             metadata=dict(ciphertext.metadata),
         )
         return coalesced

@@ -67,7 +67,7 @@ class MachineIdentity:
         """Sign a certificate validating this machine's own identifier."""
         digest = _statement_digest(self.identifier, self.public_key)
         # RSA signing: apply the private exponent to the digest.
-        signature = pow(digest % self.public_key.n, self.keypair._d, self.public_key.n)
+        signature = self.keypair.private_op(digest % self.public_key.n)
         return IdentityCertificate(
             identifier=self.identifier,
             public_key=self.public_key,

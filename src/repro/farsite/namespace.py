@@ -50,7 +50,8 @@ class Namespace:
         size: int,
         replica_hosts: Tuple[int, ...],
         readers: Tuple[str, ...],
-    ) -> DirectoryEntry:
+    ) -> Optional[DirectoryEntry]:
+        """Bind *path* to a file; returns the entry it displaced, if any."""
         path = _normalize(path)
         entry = DirectoryEntry(
             path=path,
@@ -59,8 +60,7 @@ class Namespace:
             replica_hosts=replica_hosts,
             readers=readers,
         )
-        self.group_for(path).put(entry)
-        return entry
+        return self.group_for(path).put(entry)
 
     def lookup(self, path: str) -> Optional[DirectoryEntry]:
         path = _normalize(path)

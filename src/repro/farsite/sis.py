@@ -179,15 +179,19 @@ class SingleInstanceStore:
 
     # -- write/read -----------------------------------------------------------
 
-    def store(self, name: str, data: bytes) -> bool:
+    def store(self, name: str, data: bytes, digest: Optional[bytes] = None) -> bool:
         """Store *data* under link *name*; returns True if it coalesced.
 
         If a blob with identical content already exists, the link shares it.
-        Re-storing an existing name first releases its old blob.
+        Re-storing an existing name first releases its old blob.  A caller
+        on the same machine that has already hashed *data* may pass its
+        ``content_hash`` as *digest*; it must never come from another party,
+        because the store coalesces on it without looking at the bytes.
         """
         if name in self._links:
             self._release(name)
-        digest = content_hash(data)
+        if digest is None:
+            digest = content_hash(data)
         coalesced = self._blobs.add_link(digest, data)
         self._links[name] = digest
         return coalesced

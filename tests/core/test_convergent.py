@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.core.convergent import (
+    ConvergentCiphertext,
+    IntegrityError,
     NotAuthorizedError,
     convergent_decrypt,
     convergent_encrypt,
@@ -61,6 +63,42 @@ class TestDecryption:
     def test_empty_file(self, alice):
         ciphertext = convergent_encrypt(b"", {"alice": alice.public_key})
         assert convergent_decrypt(ciphertext, alice) == b""
+
+
+class TestIntegrity:
+    """The key is H(P_f), so decryption checks itself."""
+
+    @pytest.mark.parametrize("key_bytes", [16, 24, 32])
+    def test_every_key_width_verifies(self, alice, key_bytes):
+        ciphertext = convergent_encrypt(
+            DOCUMENT, {"alice": alice.public_key}, key_bytes=key_bytes
+        )
+        assert convergent_decrypt(ciphertext, alice) == DOCUMENT
+
+    @pytest.mark.parametrize("position", [0, len(DOCUMENT) // 2, len(DOCUMENT) - 1])
+    def test_one_flipped_bit_is_detected(self, alice, position):
+        ciphertext = convergent_encrypt(DOCUMENT, {"alice": alice.public_key})
+        data = bytearray(ciphertext.data)
+        data[position] ^= 0x80
+        tampered = ConvergentCiphertext(data=bytes(data), metadata=ciphertext.metadata)
+        with pytest.raises(IntegrityError):
+            convergent_decrypt(tampered, alice)
+
+    def test_truncation_is_detected(self, alice):
+        ciphertext = convergent_encrypt(DOCUMENT, {"alice": alice.public_key})
+        tampered = ConvergentCiphertext(
+            data=ciphertext.data[:-1], metadata=ciphertext.metadata
+        )
+        with pytest.raises(IntegrityError):
+            convergent_decrypt(tampered, alice)
+
+    def test_key_of_another_file_is_detected(self, alice):
+        """Swapped metadata: a valid key, for different content."""
+        mine = convergent_encrypt(DOCUMENT, {"alice": alice.public_key})
+        other = convergent_encrypt(DOCUMENT + b"!", {"alice": alice.public_key})
+        swapped = ConvergentCiphertext(data=mine.data, metadata=other.metadata)
+        with pytest.raises(IntegrityError):
+            convergent_decrypt(swapped, alice)
 
 
 class TestControlledLeak:

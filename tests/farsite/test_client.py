@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.convergent import NotAuthorizedError
+from repro.core.convergent import ConvergentCiphertext, NotAuthorizedError
+from repro.obs.registry import MetricsRegistry
 from repro.farsite.client import FarsiteClient, NoReplicaAvailableError
 from repro.farsite.directory_group import DirectoryGroup
 from repro.farsite.file_host import FileHost
@@ -99,3 +100,96 @@ class TestFailureHandling:
         client.delete_file("/home/alice/del")
         with pytest.raises(FileNotFoundError):
             client.read_file("/home/alice/del")
+
+
+class TestOverwrite:
+    """Writing an existing path replaces the file; nothing is left behind."""
+
+    def test_overwrite_then_delete_leaves_nothing(self, user_directory, deployment):
+        hosts, _ = deployment
+        client = client_for("alice", user_directory, deployment, seed=11)
+        client.write_file("/v/f", bytes(5000))
+        client.write_file("/v/f", bytes(range(250)) * 28)
+        assert client.read_file("/v/f") == bytes(range(250)) * 28
+        assert sum(len(host) for host in hosts.values()) == 3
+        assert sum(host.logical_bytes for host in hosts.values()) == 3 * 7000
+        client.delete_file("/v/f")
+        assert sum(len(host) for host in hosts.values()) == 0
+        assert sum(host.logical_bytes for host in hosts.values()) == 0
+
+    def test_overwrite_on_the_same_hosts_keeps_the_new_replicas(
+        self, user_directory, deployment
+    ):
+        hosts, _ = deployment
+        client = client_for("alice", user_directory, deployment, seed=12)
+        client.write_file("/v/g", b"old " * 100, replica_hosts=[1, 2, 3])
+        receipt = client.write_file("/v/g", b"new " * 100, replica_hosts=[2, 3, 4])
+        assert client.read_file("/v/g") == b"new " * 100
+        assert len(hosts[1]) == 0
+        assert [hosts[h].replica_ids() for h in (2, 3, 4)] == [[receipt.file_id]] * 3
+
+    def test_overwrite_does_not_disturb_a_sharer(self, user_directory, deployment):
+        """The displaced blob is shared through the SIS by another path."""
+        alice = client_for("alice", user_directory, deployment, seed=13)
+        bob = client_for("bob", user_directory, deployment, seed=14)
+        alice.write_file("/v/h", DOCUMENT, replica_hosts=[1, 2, 3])
+        bob.write_file("/w/h", DOCUMENT, replica_hosts=[1, 2, 3])
+        alice.write_file("/v/h", b"alice moved on", replica_hosts=[1, 2, 3])
+        assert bob.read_file("/w/h") == DOCUMENT
+        assert alice.read_file("/v/h") == b"alice moved on"
+
+
+def corrupt_replica(hosts, host_id, file_id):
+    """Flip one byte of the stored blob, as a faulty or malicious host would."""
+    host = hosts[host_id]
+    stored = host.fetch_replica(file_id)
+    data = bytearray(stored.data)
+    data[len(data) // 2] ^= 0x01
+    # Straight into the SIS: the host's own bookkeeping still vouches for it.
+    host.sis.store(file_id, bytes(data))
+
+
+class TestIntegrity:
+    """A blob that no longer hashes back to its key is never returned."""
+
+    @pytest.mark.parametrize("corrupted,failures", [((1,), 1), ((1, 2), 2)])
+    def test_corrupt_replicas_are_skipped(
+        self, user_directory, deployment, corrupted, failures
+    ):
+        hosts, _ = deployment
+        client = client_for("alice", user_directory, deployment, seed=15)
+        receipt = client.write_file("/home/alice/i", DOCUMENT, replica_hosts=[1, 2, 3])
+        for host_id in corrupted:
+            corrupt_replica(hosts, host_id, receipt.file_id)
+        assert client.read_file("/home/alice/i") == DOCUMENT
+        assert client.integrity_failures == failures
+
+    def test_all_replicas_corrupt(self, user_directory, deployment):
+        hosts, _ = deployment
+        client = client_for("alice", user_directory, deployment, seed=16)
+        receipt = client.write_file("/home/alice/j", DOCUMENT, replica_hosts=[1, 2, 3])
+        for host_id in (1, 2, 3):
+            corrupt_replica(hosts, host_id, receipt.file_id)
+        with pytest.raises(NoReplicaAvailableError):
+            client.read_file("/home/alice/j")
+        assert client.integrity_failures == 3
+        registry = MetricsRegistry()
+        client.collect_metrics(registry)
+        assert registry.counter("farsite.client.integrity_failures").value == 3
+
+    @pytest.mark.parametrize("width", [24, 20])
+    def test_wrong_width_key_raises(self, user_directory, deployment, width):
+        """A metadata entry unlocking to a key of another width -- a valid AES
+        width or not -- raises; it never yields bytes."""
+        hosts, _ = deployment
+        alice = user_directory.get("alice")
+        client = client_for("alice", user_directory, deployment, seed=17)
+        receipt = client.write_file("/home/alice/k", DOCUMENT, replica_hosts=[1])
+        stored = hosts[1].fetch_replica(receipt.file_id)
+        forged = ConvergentCiphertext(
+            data=stored.data,
+            metadata={"alice": alice.public_key.encrypt(bytes(width), rng=random.Random(1))},
+        )
+        hosts[1].store_replica(receipt.file_id, forged)
+        with pytest.raises((NoReplicaAvailableError, ValueError)):
+            client.read_file("/home/alice/k")

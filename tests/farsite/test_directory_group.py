@@ -29,6 +29,20 @@ class TestBasicOperations:
     def test_get_missing_returns_none(self):
         assert make_group().get("/nope") is None
 
+    def test_put_returns_the_displaced_entry(self):
+        group = make_group()
+        assert group.put(entry(file_id="f1")) is None
+        displaced = group.put(entry(file_id="f2", size=7))
+        assert (displaced.file_id, displaced.size) == ("f1", 100)
+        assert group.get("/docs/a").file_id == "f2"
+        assert group.operations_applied == 3  # the overwrite was one vote
+
+    def test_displaced_entry_survives_a_faulty_member(self):
+        group = make_group(members=4, f=1)
+        group.put(entry(file_id="f1"))
+        group.corrupt_member(2)
+        assert group.put(entry(file_id="f2")).file_id == "f1"
+
     def test_delete(self):
         group = make_group()
         group.put(entry())

@@ -59,6 +59,44 @@ class TestStorage:
         assert convergent_decrypt(host.fetch_replica("f1"), bob) == DOCUMENT
 
 
+class TestHashedOncePerHost:
+    """A host hashes the bytes it receives itself, and only once."""
+
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        from repro.core import fingerprint
+        from repro.crypto import hashing
+        from repro.farsite import sis
+
+        calls = []
+
+        def counting_hash(data):
+            calls.append(len(data))
+            return hashing.content_hash(data)
+
+        # Both modules bind the primitive by name at import.
+        monkeypatch.setattr(fingerprint, "content_hash", counting_hash)
+        monkeypatch.setattr(sis, "content_hash", counting_hash)
+        return calls
+
+    def test_store_replica_hashes_once_per_call(self, host, alice, bob, hash_calls):
+        host.store_replica("a", encrypt_for("alice", alice, 1))
+        assert hash_calls == [len(DOCUMENT)]
+        host.store_replica("b", encrypt_for("bob", bob, 2))
+        assert hash_calls == [len(DOCUMENT)] * 2
+
+    def test_fingerprint_digest_is_the_content_address(self, host, alice):
+        """The handed-down digest coalesces with one the SIS computes itself."""
+        ciphertext = encrypt_for("alice", alice)
+        host.store_replica("via-host", ciphertext)
+        assert host.sis.store("direct", ciphertext.data)  # coalesced
+        assert host.sis.link_count("via-host") == 2
+
+    def test_direct_sis_store_still_hashes(self, host, hash_calls):
+        host.sis.store("plain", DOCUMENT)
+        assert hash_calls == [len(DOCUMENT)]
+
+
 class TestDfcHooks:
     def test_fingerprints_cover_all_replicas(self, host, alice, bob):
         host.store_replica("a", encrypt_for("alice", alice, 1))

@@ -34,6 +34,13 @@ class TestOperations:
         assert entry.file_id == "f1"
         assert entry.replica_hosts == (1, 2, 3)
 
+    def test_create_returns_what_it_displaced(self):
+        ns = make_namespace()
+        assert ns.create("/docs/a.txt", "f1", 100, (1, 2, 3), ("alice",)) is None
+        displaced = ns.create("/docs//a.txt/", "f2", 50, (4,), ("alice",))
+        assert (displaced.file_id, displaced.replica_hosts) == ("f1", (1, 2, 3))
+        assert ns.lookup("/docs/a.txt").file_id == "f2"
+
     def test_lookup_missing(self):
         assert make_namespace().lookup("/nope") is None
 
