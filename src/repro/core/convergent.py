@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import CONVERGENCE_KEY_BYTES, convergence_key
 from repro.crypto.modes import bulk_encrypt_ctr, decrypt_ctr, encrypt_ctr
-from repro.crypto.rsa import RSAPublicKey
+from repro.crypto.rsa import RSAError, RSAPublicKey
 
 from repro.core.keyring import User
 
@@ -43,7 +43,8 @@ class IntegrityError(Exception):
 
     Convergent encryption authenticates for free: the key *is* ``H(P_f)``,
     so data ciphertext altered in storage decrypts to bytes whose hash no
-    longer matches.
+    longer matches, and an altered metadata entry unlocks (if at all) to a
+    key the content does not hash to.
     """
 
 
@@ -156,7 +157,8 @@ def convergent_decrypt(ciphertext: ConvergentCiphertext, user: User) -> bytes:
     """Decrypt per Eq. 4: unlock the hash key, then the data, then check it.
 
     Raises :class:`IntegrityError` if the recovered plaintext does not
-    re-derive the unlocked key, i.e. ``c_f`` is not what was written.
+    re-derive the unlocked key, i.e. ``c_f`` is not what was written, or if
+    ``mu_u`` does not unlock to an AES key at all.
     """
     try:
         mu = ciphertext.metadata[user.name]
@@ -164,9 +166,14 @@ def convergent_decrypt(ciphertext: ConvergentCiphertext, user: User) -> bytes:
         raise NotAuthorizedError(
             f"user {user.name!r} is not an authorized reader of this file"
         ) from None
-    hash_key = user.unlock_hash_key(mu)
-    plaintext = decrypt_ctr(hash_key, ciphertext.data)
-    if convergence_key(plaintext, key_bytes=len(hash_key)) != hash_key:
+    try:
+        hash_key = user.unlock_hash_key(mu)
+        plaintext = decrypt_ctr(hash_key, ciphertext.data)
+        intact = convergence_key(plaintext, key_bytes=len(hash_key)) == hash_key
+    except (RSAError, ValueError) as exc:
+        # Bad padding, or a payload that is not 16/24/32 bytes wide.
+        raise IntegrityError("metadata entry does not unlock to a usable key") from exc
+    if not intact:
         raise IntegrityError("decrypted content does not match its convergence key")
     return plaintext
 

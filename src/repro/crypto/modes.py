@@ -15,7 +15,7 @@ cipher uses (:mod:`repro.crypto.aes`), four table lookups and a handful of
 word XORs per round over the whole file.  A byte-budgeted cache keyed by
 ``(key, nonce)`` re-serves keystream for content that is encrypted or
 decrypted *repeatedly* -- duplicate files written on several machines, reads
-of widely shared files -- and declines to store content seen only once.
+of widely shared files -- and declines to store content requested only once.
 
 The scalar per-block path (:func:`ctr_keystream` driving
 ``AES.encrypt_block``) serves messages too short to repay the numpy dispatch
@@ -39,11 +39,6 @@ from repro.crypto.aes import AES, BLOCK_SIZE, _SBOX, _T0, _T1, _T2, _T3
 #: Below this many blocks the scalar T-table loop beats the numpy dispatch
 #: (13.5 us a block against a fixed ~110 us; re-measured for the T-table kernel).
 _VECTOR_MIN_BLOCKS = 8
-
-#: The kernel runs over at most this many blocks at a time: its three
-#: (4, N) word arrays then stay within 768 KiB whatever the file size.  No
-#: effect up to 256 KiB; 20 % faster at 1 MiB and 4 MiB than one pass.
-_CHUNK_BLOCKS = 16384
 
 
 def ctr_keystream(cipher: AES, nonce: int, blocks: int) -> bytes:
@@ -115,11 +110,6 @@ def _counter_words(nonce: int, blocks: int) -> "np.ndarray":
 
 def _vector_keystream(cipher: AES, nonce: int, blocks: int) -> bytes:
     """All *blocks* keystream blocks at once via numpy T-table rounds."""
-    if blocks > _CHUNK_BLOCKS:
-        return b"".join(
-            _vector_keystream(cipher, nonce + start, min(_CHUNK_BLOCKS, blocks - start))
-            for start in range(0, blocks, _CHUNK_BLOCKS)
-        )
     round_tables, final_tables = _lane_tables()
     round_keys = np.array(cipher._round_keys, dtype=np.uint8).view("<u4")[:, :, None]
 
@@ -165,9 +155,11 @@ class KeystreamCache:
     would only push repeated content out.  The cache therefore remembers the
     *keys* of recent misses in a small doorkeeper and stores a stream only
     when its key is already there or already resident; resident streams are
-    evicted least recently used, by bytes.  A request longer than the cached
-    prefix extends it from the next counter rather than regenerating from
-    scratch.
+    evicted least recently used, by bytes.  Any second request is a second
+    sight: a unique file read back while its write is still in the doorkeeper
+    is stored on the read (a quarter of ``client-rw``'s unique reads; see
+    docs/PERFORMANCE.md).  A request longer than the cached prefix extends it
+    from the next counter rather than regenerating from scratch.
     """
 
     #: Doorkeeper span: how many distinct missed keys are remembered (keys

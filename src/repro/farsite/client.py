@@ -63,8 +63,7 @@ class FarsiteClient:
         self.hosts = hosts
         self.replication_factor = replication_factor
         self._rng = rng or random.Random(0)
-        #: Replicas this client fetched and rejected (harvested by
-        #: :meth:`collect_metrics`).
+        #: Replicas this client fetched and rejected.
         self.integrity_failures = 0
 
     # -- write ------------------------------------------------------------------
@@ -113,9 +112,9 @@ class FarsiteClient:
     def read_file(self, path: str) -> bytes:
         """Fetch any live, intact replica and decrypt it with this user's key.
 
-        A replica whose bytes do not hash back to their own key (a host
-        corrupted or tampered with the blob) is counted and skipped like a
-        missing one.
+        A replica whose bytes do not hash back to their own key, or whose
+        key entry does not unlock (a host corrupted or tampered with either),
+        is counted and skipped like a missing one.
         """
         entry = self.namespace.lookup(path)
         if entry is None:
@@ -151,7 +150,3 @@ class FarsiteClient:
             host = self.hosts.get(host_id)
             if host is not None:
                 host.drop_replica(entry.file_id)
-
-    def collect_metrics(self, registry) -> None:
-        """Harvest this client's lifetime totals into *registry*."""
-        registry.counter("farsite.client.integrity_failures").inc(self.integrity_failures)

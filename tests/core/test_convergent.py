@@ -100,6 +100,21 @@ class TestIntegrity:
         with pytest.raises(IntegrityError):
             convergent_decrypt(swapped, alice)
 
+    @pytest.mark.parametrize("width", [0, 20, 24])
+    def test_key_entry_of_another_width_is_detected(self, alice, width):
+        mine = convergent_encrypt(DOCUMENT, {"alice": alice.public_key})
+        forged = alice.public_key.encrypt(bytes(width), rng=random.Random(6))
+        with pytest.raises(IntegrityError):
+            convergent_decrypt(mine.add_reader("alice", forged), alice)
+
+    def test_spoiled_key_entry_is_detected(self, alice):
+        """An entry that fails RSA unpadding is the replica's fault, not the caller's."""
+        mine = convergent_encrypt(DOCUMENT, {"alice": alice.public_key})
+        mu = mine.metadata["alice"]
+        spoiled = mu[:-1] + bytes([mu[-1] ^ 0x01])
+        with pytest.raises(IntegrityError):
+            convergent_decrypt(mine.add_reader("alice", spoiled), alice)
+
 
 class TestControlledLeak:
     def test_candidate_confirmation_works(self, alice):

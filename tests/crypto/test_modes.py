@@ -122,14 +122,6 @@ class TestVectorKernelAgainstScalar:
         cipher = AES(KEY)
         assert keystream_blocks(cipher, nonce, 1024) == ctr_keystream(cipher, nonce, 1024)
 
-    def test_chunked_run_equals_one_pass(self, monkeypatch):
-        """Runs longer than the kernel's chunk are stitched without a seam."""
-        cipher = AES(KEY)
-        nonce = (1 << 64) - 100  # the carry falls inside the second chunk
-        whole = ctr_keystream(cipher, nonce, 200)
-        monkeypatch.setattr(modes, "_CHUNK_BLOCKS", 64)
-        assert keystream_blocks(cipher, nonce, 200) == whole
-
 
 class TestHarvest:
     def test_cache_gauges_and_counters(self):

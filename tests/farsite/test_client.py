@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.core.convergent import ConvergentCiphertext, NotAuthorizedError
-from repro.obs.registry import MetricsRegistry
+from repro.core.convergent import NotAuthorizedError
 from repro.farsite.client import FarsiteClient, NoReplicaAvailableError
 from repro.farsite.directory_group import DirectoryGroup
 from repro.farsite.file_host import FileHost
@@ -173,9 +172,6 @@ class TestIntegrity:
         with pytest.raises(NoReplicaAvailableError):
             client.read_file("/home/alice/j")
         assert client.integrity_failures == 3
-        registry = MetricsRegistry()
-        client.collect_metrics(registry)
-        assert registry.counter("farsite.client.integrity_failures").value == 3
 
     @pytest.mark.parametrize("width", [24, 20])
     def test_wrong_width_key_raises(self, user_directory, deployment, width):
@@ -185,11 +181,29 @@ class TestIntegrity:
         alice = user_directory.get("alice")
         client = client_for("alice", user_directory, deployment, seed=17)
         receipt = client.write_file("/home/alice/k", DOCUMENT, replica_hosts=[1])
-        stored = hosts[1].fetch_replica(receipt.file_id)
-        forged = ConvergentCiphertext(
-            data=stored.data,
-            metadata={"alice": alice.public_key.encrypt(bytes(width), rng=random.Random(1))},
-        )
-        hosts[1].store_replica(receipt.file_id, forged)
-        with pytest.raises((NoReplicaAvailableError, ValueError)):
+        forged = alice.public_key.encrypt(bytes(width), rng=random.Random(1))
+        hosts[1].add_reader_key(receipt.file_id, "alice", forged)
+        with pytest.raises(NoReplicaAvailableError):
             client.read_file("/home/alice/k")
+        assert client.integrity_failures == 1
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda mu, key: mu[:-1] + bytes([mu[-1] ^ 0x01]),  # padding check fails
+            lambda mu, key: b"\xff" * len(mu),  # not below the modulus
+            lambda mu, key: key.encrypt(bytes(20), rng=random.Random(2)),  # no AES width
+            lambda mu, key: key.encrypt(bytes(24), rng=random.Random(3)),  # another width
+        ],
+        ids=["flipped-bit", "oversized", "20-byte-key", "24-byte-key"],
+    )
+    def test_tampered_key_entry_fails_over(self, user_directory, deployment, tamper):
+        """A host that spoils the reader's key entry costs one replica, not the read."""
+        hosts, _ = deployment
+        alice = user_directory.get("alice")
+        client = client_for("alice", user_directory, deployment, seed=18)
+        receipt = client.write_file("/home/alice/m", DOCUMENT, replica_hosts=[1, 2, 3])
+        mu = hosts[1].fetch_replica(receipt.file_id).metadata["alice"]
+        hosts[1].add_reader_key(receipt.file_id, "alice", tamper(mu, alice.public_key))
+        assert client.read_file("/home/alice/m") == DOCUMENT
+        assert client.integrity_failures == 1

@@ -2,7 +2,7 @@
 
 The cache may never change a byte (pinned in ``test_prop_bulk_crypto``);
 these pin *what it keeps*: at most ``max_bytes`` of streams, only for keys
-that came back within the doorkeeper's span, never for one-shot content.
+that came back within the doorkeeper's span, never for a key requested once.
 """
 
 from collections import Counter
@@ -54,7 +54,7 @@ class TestAnySequence:
 
     @settings(max_examples=60, deadline=None)
     @given(requests)
-    def test_one_shot_keys_never_become_resident(self, sequence):
+    def test_keys_requested_once_never_become_resident(self, sequence):
         cache = KeystreamCache(max_bytes=BUDGET)
         counts = Counter(index for index, _ in sequence)
         for index, nbytes in sequence:
