@@ -7,9 +7,7 @@ Usage::
     python benchmarks/check_regression.py --trend
 
 Gates every hot-path section -- salad insert routing, indexed routing,
-the sharded multi-process engine (including its multi-core speedup and the
-binary envelope codec's exchange-bytes reduction), bulk AES-CTR, batched
-fingerprinting -- against the newest committed
+bulk AES-CTR, batched fingerprinting -- against the newest committed
 ``BENCH_*.json`` in the repo root, exiting nonzero when any gated metric
 falls more than ``--tolerance`` (default 30%) below its baseline.  A metric
 missing from either side (e.g. a ``--smoke`` snapshot carries only the
@@ -52,9 +50,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GATED_METRICS = (
     ("salad_inserts", "inserts_per_sec", "salad ins/s"),
     ("salad_routing", "indexed_inserts_per_sec", "indexed ins/s"),
-    ("sharded_inserts", "sharded_inserts_per_sec", "sharded ins/s"),
-    ("sharded_speedup", "speedup_2_workers", "speedup 2w"),
-    ("sharded_speedup", "exchange_bytes_reduction", "codec reduc"),
     ("topology_traffic", "topology_inserts_per_sec", "topo ins/s"),
     ("flagship", "flagship_joins_per_sec", "flagship joins/s"),
     ("aes_ctr", "bulk_bytes_per_sec", "aes B/s"),
@@ -75,30 +70,6 @@ ABSOLUTE_FLOORS = (
     ("tradeoff", "reclaimed_fraction_r3_dedup", 0.05, "reclaimed r3 dedup"),
 )
 
-#: Metrics whose wall-clock depends on how many cores the barrier-synced
-#: worker processes actually got, mapped to the cores the measurement
-#: needs: a section field naming the worker count (str) or a literal
-#: count (int).  Such a metric is skipped when the snapshots' cpu_counts
-#: differ (comparing hardware, not code) and when the host has fewer
-#: cores than the benchmark has workers -- an oversubscribed multi-process
-#: wall-clock measures context-switch scheduling, which swings far past
-#: the tolerance run-to-run with the code unchanged.  ``--trend`` still
-#: prints the values, so drift stays visible.  Per-metric rather than
-#: per-section: sharded_speedup's exchange-bytes reduction is a byte
-#: count ratio on identical traffic, comparable on any host, while its
-#: speedup ratios are core-bound.
-CORE_SENSITIVE_METRICS = {
-    ("sharded_inserts", "sharded_inserts_per_sec"): "shard_workers",
-    ("sharded_speedup", "speedup_2_workers"): 2,
-}
-
-
-def snapshot_cpu_count(path: Path) -> Optional[int]:
-    snapshot = json.loads(path.read_text(encoding="utf-8"))
-    value = snapshot.get("cpu_count")
-    return int(value) if value is not None else None
-
-
 def snapshot_series(exclude: Optional[Path] = None) -> List[Path]:
     """All committed snapshots, oldest first (dated names sort chronologically)."""
     return sorted(
@@ -115,32 +86,13 @@ def newest_baseline(exclude: Path) -> Path:
     return candidates[-1]
 
 
-def read_metric_raw(path: Path, section: str, key: str):
-    """The raw snapshot entry (any JSON type), or None when absent."""
-    snapshot = json.loads(path.read_text(encoding="utf-8"))
-    return snapshot.get("results", {}).get(section, {}).get(key)
-
-
 def read_metric(path: Path, section: str, key: str) -> Optional[float]:
     """The metric's value, or None when the snapshot doesn't carry it."""
+    snapshot = json.loads(path.read_text(encoding="utf-8"))
     try:
-        return float(read_metric_raw(path, section, key))
-    except (KeyError, TypeError, ValueError):
+        return float(snapshot.get("results", {}).get(section, {}).get(key))
+    except (TypeError, ValueError):
         return None
-
-
-def read_recorded_skip(path: Path, section: str, key: str) -> Optional[str]:
-    """Why a snapshot deliberately withheld *key*, or None.
-
-    The speedup bench records ``speedup_skipped`` (e.g. "single-core host")
-    instead of a meaningless oversubscribed ratio.  A recorded skip is a
-    decision made at measurement time -- distinct from a metric that is
-    merely absent because the section predates it or wasn't run.
-    """
-    if not key.startswith("speedup"):
-        return None
-    recorded = read_metric_raw(path, section, "speedup_skipped")
-    return recorded if isinstance(recorded, str) else None
 
 
 def check(fresh_path: Path, tolerance: float) -> int:
@@ -148,40 +100,14 @@ def check(fresh_path: Path, tolerance: float) -> int:
     print(f"baseline {baseline_path.name}  vs  fresh {fresh_path.name}")
     failures: List[str] = []
     gated = 0
-    fresh_cpus = snapshot_cpu_count(fresh_path)
-    baseline_cpus = snapshot_cpu_count(baseline_path)
     for section, key, label in GATED_METRICS:
         fresh = read_metric(fresh_path, section, key)
         baseline = read_metric(baseline_path, section, key)
         name = f"{section}.{key}"
         if fresh is None or baseline is None:
             where = "fresh" if fresh is None else "baseline"
-            reason = f"absent from {where} snapshot"
-            if fresh is None:
-                # The bench records *why* it withheld the ratio (single-core
-                # host); surface that instead of a bare "absent".
-                recorded = read_recorded_skip(fresh_path, section, key)
-                if recorded is not None:
-                    reason = f"recorded skip: {recorded}"
-            print(f"  skip  {name} ({reason})")
+            print(f"  skip  {name} (absent from {where} snapshot)")
             continue
-        cores_needed = CORE_SENSITIVE_METRICS.get((section, key))
-        if cores_needed is not None and fresh_cpus is not None:
-            if baseline_cpus is not None and fresh_cpus != baseline_cpus:
-                print(
-                    f"  skip  {name} (cpu_count {fresh_cpus} vs baseline "
-                    f"{baseline_cpus}: core-sensitive wall-clock is not comparable)"
-                )
-                continue
-            if isinstance(cores_needed, str):
-                cores_needed = read_metric(fresh_path, section, cores_needed) or 2
-            if fresh_cpus < cores_needed:
-                print(
-                    f"  skip  {name} (host has {fresh_cpus} core(s) for a "
-                    f"{cores_needed:g}-worker benchmark: oversubscribed "
-                    "wall-clock measures scheduling, not code)"
-                )
-                continue
         gated += 1
         floor = baseline * (1.0 - tolerance)
         verdict = "ok  " if fresh >= floor else "FAIL"
@@ -397,22 +323,13 @@ def trend() -> int:
         for path in series
     ]
 
-    def cell(path: Path, index: int, value: Optional[float]) -> str:
-        if value is not None:
-            return f"{value:,.2f}" if value < 100 else f"{value:,.0f}"
-        # Distinguish a *recorded* skip (the bench measured, and explains
-        # why the value is withheld -- e.g. a single-core host can't produce
-        # an honest speedup ratio) from a metric the snapshot simply lacks.
-        section, key, _ = GATED_METRICS[index]
-        if read_recorded_skip(path, section, key) is not None:
-            return "skip"
-        return "-"
+    def cell(value: Optional[float]) -> str:
+        if value is None:
+            return "-"
+        return f"{value:,.2f}" if value < 100 else f"{value:,.0f}"
 
     for path, values in rows:
-        cells = [
-            cell(path, i, v).rjust(w)
-            for i, (v, w) in enumerate(zip(values, widths))
-        ]
+        cells = [cell(v).rjust(w) for v, w in zip(values, widths)]
         print("  ".join([path.stem.ljust(name_width)] + cells))
     # Relative change, newest over oldest snapshot that carries each metric.
     deltas = []

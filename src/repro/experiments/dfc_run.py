@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.space import SpaceAccounting
 from repro.salad.records import SaladRecord
-from repro.salad.salad import SaladConfig
-from repro.salad.sharded import make_salad
+from repro.salad.salad import Salad, SaladConfig
 from repro.sim.metrics import mean
 from repro.workload.corpus import Corpus
 
@@ -65,14 +64,6 @@ class DfcConfig:
             raise ValueError(
                 f"replication factor must be >= 1: {self.replication_factor}"
             )
-    #: Worker processes for the sub-cube sharded simulation engine (None/1 =
-    #: single-process, 0 = auto, >= 2 a power of two; see
-    #: repro.salad.sharded).  Sharded runs are trace-identical to
-    #: single-process ones on deterministic workloads, so this knob never
-    #: changes a reported number, only wall time.  Falls back to
-    #: single-process automatically where workers cannot be spawned (e.g.
-    #: inside a per-Lambda ParallelMap pool worker).
-    shard_workers: Optional[int] = None
     #: Run the opt-in invariant tracer (repro.sim.tracer) inside the engine
     #: and feed violation counters into harvested metrics.  None = session
     #: default (``repro.salad.salad.set_trace_invariants``, wired to the
@@ -90,7 +81,6 @@ class DfcConfig:
             seed=self.seed,
             db_backend=self.db_backend,
             db_dir=self.db_dir,
-            shard_workers=self.shard_workers,
             trace_invariants=self.trace_invariants,
         )
 
@@ -112,7 +102,7 @@ class DfcRun:
     def __init__(self, corpus: Corpus, config: DfcConfig):
         self.corpus = corpus
         self.config = config
-        self.salad = make_salad(config.salad_config())
+        self.salad = Salad(config.salad_config())
         self.accounting = SpaceAccounting(corpus)
         #: corpus machine_index -> SALAD leaf identifier (join order).
         self.leaf_of_machine: Dict[int, int] = {}
@@ -232,11 +222,9 @@ class DfcRun:
     def leaf_table_sizes(self) -> List[int]:
         return self.salad.leaf_table_sizes(alive_only=True)
 
-    def collect_metrics(self, registry) -> Optional[List[dict]]:
+    def collect_metrics(self, registry) -> None:
         """Harvest engine and module counters into *registry*.
 
-        Returns the per-shard registry dumps when the engine is sharded
-        (the coordinator merges them into *registry* itself), else ``None``.
         Harvest before :meth:`close`: a shut-down engine has nothing left to
         report.
         """
@@ -247,9 +235,8 @@ class DfcRun:
         modes.collect_metrics(registry)
         fingerprint.collect_metrics(registry)
         perf.collect_metrics(registry)
-        result = self.salad.collect_metrics(registry)
-        return result if isinstance(result, list) else None
+        self.salad.collect_metrics(registry)
 
     def close(self) -> None:
-        """Release engine resources (databases; worker processes if sharded)."""
+        """Release engine resources (the leaves' record stores)."""
         self.salad.shutdown()

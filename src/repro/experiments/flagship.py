@@ -7,24 +7,22 @@ optimization at once:
 - **amortized width maintenance** (the leaf's incrementally maintained
   survivor partition -- zero ``survivor_scans``) plus **deferred width
   recalculation** (Fig. 6 coalesced to settle-round boundaries during the
-  bulk-join growth storm; opt-out via ``--eager-width``);
+  bulk-join growth storm; opt-out via ``--eager-width``); and
 - the **paging WAL backend** (``--db-backend wal-paged``), which keeps
   record bodies on disk behind a key->offset index and a small LRU, so
-  peak RSS stays bounded while a million records accumulate;
-- the **sub-cube sharded engine** (``--shard-workers``), whose per-worker
-  phase trees land in the RunReport's ``shards[*].phases``.
+  peak RSS stays bounded while a million records accumulate.
 
 Growth runs in geometric stages and insert in waves, each under its own
 span, so the report shows where the wall-clock went at every scale step.
-The environment block records the peak RSS of the driver and (for sharded
-runs) its reaped workers, plus the actual scale reached -- the committed
-report at ``docs/flagship_report.json`` is regenerated with this CLI.
+The environment block records the driver's peak RSS plus the actual scale
+reached -- the committed report at ``docs/flagship_report.json`` is
+regenerated with this CLI.
 
 Usage::
 
     python -m repro.experiments.flagship --smoke --metrics-out smoke.json
     python -m repro.experiments.flagship --db-backend wal-paged \
-        --shard-workers 4 --metrics-out docs/flagship_report.json
+        --metrics-out docs/flagship_report.json
 """
 
 from __future__ import annotations
@@ -48,15 +46,11 @@ from repro.obs.report import (
 from repro.obs.spans import phase, reset_spans, span
 from repro.salad.records import SaladRecord
 from repro.salad.salad import (
-    ENVELOPE_CODECS,
+    Salad,
     SaladConfig,
-    resolve_trace_sample_rate,
     set_detailed_metrics,
-    set_envelope_codec,
     set_trace_sample_rate,
-    validate_shard_workers,
 )
-from repro.salad.sharded import make_salad
 from repro.salad.storage import BACKENDS
 
 FULL_LEAVES = 100_000
@@ -64,8 +58,8 @@ FULL_RECORDS = 1_000_000
 SMOKE_LEAVES = 96
 SMOKE_RECORDS = 960
 
-#: Leaves per insert_records call: bounds the coordinator-side record batch
-#: (and its pickled envelope to shard workers) regardless of system size.
+#: Leaves per insert_records call: bounds the record batch the driver
+#: materializes at once, regardless of system size.
 CHUNK_LEAVES = 4096
 
 
@@ -108,7 +102,6 @@ def run_flagship(
     seed: int = 0,
     db_backend: Optional[str] = "wal-paged",
     db_dir: Optional[str] = None,
-    shard_workers: Optional[int] = None,
     eager_width: bool = False,
     reference_width: bool = False,
     registry: Optional[MetricsRegistry] = None,
@@ -116,20 +109,19 @@ def run_flagship(
     """Grow to *leaves*, insert ~*records*; returns run facts for the report.
 
     The return dict carries the observables the committed report and the
-    bench section read: wall-clock per phase comes from the span tree (not
-    from here), worker phase trees ride on ``"worker_phases"``.
+    bench section read; wall-clock per phase comes from the span tree, not
+    from here.
     """
     config = SaladConfig(
         dimensions=2,
         seed=seed,
         db_backend=db_backend,
         db_dir=db_dir,
-        shard_workers=shard_workers,
         reference_width=reference_width,
         deferred_width_recalc=not eager_width and not reference_width,
         detailed_metrics=registry is not None,
     )
-    sim = make_salad(config)
+    sim = Salad(config)
     per_leaf = max(1, records // leaves)
     waves = min(per_leaf, 4)
     pool = max(records // 4, 16)  # ~4 copies per content => duplicate groups
@@ -165,9 +157,7 @@ def run_flagship(
         with phase("harvest"):
             if registry is None:
                 registry = MetricsRegistry()
-            # Salad returns the registry; ShardedSimulation returns the
-            # per-worker registry dumps (already merged into *registry*).
-            harvested = sim.collect_metrics(registry)
+            sim.collect_metrics(registry)
             facts = {
                 "leaves": leaves,
                 "alive_leaves": sim.alive_count(),
@@ -175,27 +165,16 @@ def run_flagship(
                 "records_inserted": inserted_total,
                 "total_stored": sim.total_stored_records(),
                 "widths": sim.width_distribution(),
-                "worker_phases": list(getattr(sim, "worker_phases", []) or []),
-                "shard_dumps": harvested if isinstance(harvested, list) else None,
-                # Single-process: the engine's recorder drains here.
-                # Sharded: workers drained theirs into the metrics reply and
-                # the coordinator accumulated them; drain so close() does
-                # not re-adopt the same events into the orphan buffer.
-                "trace_events": tracing.take_events()
-                + (
-                    sim.take_trace_events()
-                    if hasattr(sim, "take_trace_events")
-                    else []
-                ),
+                "trace_events": tracing.take_events(),
             }
     finally:
         sim.shutdown()
     return facts
 
 
-def _peak_rss_mib(who: int) -> float:
+def _peak_rss_mib() -> float:
     # ru_maxrss is KiB on Linux.
-    return resource.getrusage(who).ru_maxrss / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -220,21 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--db-dir", metavar="DIR", default=None)
     parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard across N worker processes (power of two; 0 = auto); "
-        "per-worker phase trees land in the report's shards section",
-    )
-    parser.add_argument(
-        "--envelope-codec",
-        choices=ENVELOPE_CODECS,
-        default=None,
-        help="cross-shard envelope wire format (default: binary; pickle "
-        "reproduces the pre-codec cost model for comparison runs)",
-    )
-    parser.add_argument(
         "--eager-width",
         action="store_true",
         help="disable deferred width recalculation (the flagship default "
@@ -250,7 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--trace-sample-rate",
         type=float,
-        default=None,
+        default=0.0,
         metavar="RATE",
         help="causal-trace sampling rate in [0,1]: a deterministic hash of "
         "each record's routing id selects the sampled fraction (0 = off; "
@@ -275,19 +239,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.leaves, args.records = SMOKE_LEAVES, SMOKE_RECORDS
     if args.leaves < 1 or args.records < 1:
         parser.error("--leaves and --records must be positive")
-    if args.shard_workers is not None:
-        try:
-            validate_shard_workers(args.shard_workers)
-        except (TypeError, ValueError) as exc:
-            parser.error(str(exc))
     set_detailed_metrics(bool(args.metrics_out))
-    if args.envelope_codec is not None:
-        set_envelope_codec(args.envelope_codec)
-    if args.trace_sample_rate is not None:
-        try:
-            set_trace_sample_rate(args.trace_sample_rate)
-        except (TypeError, ValueError) as exc:
-            parser.error(str(exc))
+    # Set even when the flag is absent (0 = off), so a rate from an earlier
+    # in-process main() cannot carry into this run.
+    try:
+        set_trace_sample_rate(args.trace_sample_rate)
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
     if args.flight_recorder:
         tracing.install_flight_recorder(args.flight_recorder)
 
@@ -297,34 +255,38 @@ def main(argv: Optional[List[str]] = None) -> int:
     reset_spans()
     start = time.time()
     collector = CollectorWatch() if args.metrics_out else None
-    with collector or contextlib.nullcontext():
-        facts = run_flagship(
-            args.leaves,
-            args.records,
-            seed=args.seed,
-            db_backend=args.db_backend,
-            db_dir=args.db_dir,
-            shard_workers=args.shard_workers,
-            eager_width=args.eager_width,
-            reference_width=args.reference_width,
-            registry=registry,
-        )
-    elapsed = time.time() - start
+    try:
+        with collector or contextlib.nullcontext():
+            facts = run_flagship(
+                args.leaves,
+                args.records,
+                seed=args.seed,
+                db_backend=args.db_backend,
+                db_dir=args.db_dir,
+                eager_width=args.eager_width,
+                reference_width=args.reference_width,
+                registry=registry,
+            )
+        elapsed = time.time() - start
+        if args.flight_recorder:
+            tracing.heartbeat(
+                "done",
+                leaves=facts["alive_leaves"],
+                records_inserted=facts["records_inserted"],
+                wall_seconds=round(elapsed, 2),
+            )
+    finally:
+        # Also on failure: close() writes the ring's pending events, and the
+        # ones leading up to a failure are what the recorder is for.
+        if args.flight_recorder:
+            tracing.uninstall_flight_recorder()
     print(
         f"flagship: {facts['alive_leaves']:,} leaves, "
         f"{facts['records_inserted']:,} records inserted "
         f"({facts['total_stored']:,} stored) in {elapsed:.1f}s"
     )
-    trace_rate = resolve_trace_sample_rate(None)
+    trace_rate = args.trace_sample_rate
     trace_events = facts["trace_events"]
-    if args.flight_recorder:
-        tracing.heartbeat(
-            "done",
-            leaves=facts["alive_leaves"],
-            records_inserted=facts["records_inserted"],
-            wall_seconds=round(elapsed, 2),
-        )
-        tracing.uninstall_flight_recorder()
     if args.trace_out:
         out = tracing.export_chrome_trace(trace_events, args.trace_out)
         timelines = tracing.build_timelines(trace_events)
@@ -342,19 +304,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "records_inserted": facts["records_inserted"],
                 "seed": args.seed,
                 "db_backend": args.db_backend,
-                "shard_workers": args.shard_workers,
-                "envelope_codec": args.envelope_codec,
                 "deferred_width_recalc": not args.eager_width
                 and not args.reference_width,
                 "reference_width": args.reference_width or None,
                 "wall_seconds": elapsed,
-                "peak_rss_mib": round(_peak_rss_mib(resource.RUSAGE_SELF), 1),
-                "children_peak_rss_mib": round(
-                    _peak_rss_mib(resource.RUSAGE_CHILDREN), 1
-                ),
+                "peak_rss_mib": round(_peak_rss_mib(), 1),
             },
-            shards=facts["shard_dumps"],
-            shard_phases=facts["worker_phases"] or None,
             traces=(
                 {"sample_rate": trace_rate, "events": trace_events}
                 if trace_rate > 0.0

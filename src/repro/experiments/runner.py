@@ -53,13 +53,9 @@ from repro.experiments.scales import PAPER_LAMBDAS, SCALES, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.obs import tracing
 from repro.salad.salad import (
-    ENVELOPE_CODECS,
-    resolve_trace_sample_rate,
     set_detailed_metrics,
-    set_envelope_codec,
     set_trace_invariants,
     set_trace_sample_rate,
-    validate_shard_workers,
 )
 from repro.salad.storage import BACKENDS, set_default_db_backend
 
@@ -128,7 +124,6 @@ def run_experiments(
     raw: bool = False,
     db_backend: str = None,
     db_dir: str = None,
-    shard_workers: int = None,
     registry: MetricsRegistry = None,
     topology: str = None,
     traffic: str = None,
@@ -140,13 +135,9 @@ def run_experiments(
     the database-centric experiments (the shared threshold sweep feeding
     Figs. 7/9-12, and Fig. 13's capacity runs); every backend reports
     identical numbers, the durable ones just bound RAM at full scale.
-    ``shard_workers`` runs each simulation on the sub-cube sharded engine
-    (repro.salad.sharded) -- trace-identical on the deterministic workloads,
-    so every reported number is unchanged; it threads through the growth,
-    threshold-sweep, Fig. 8, and Fig. 13 runs.  ``registry`` collects
-    telemetry (repro.obs) from the runs that harvest it -- the shared sweep
-    and growth engines, and the topology experiment -- for a
-    ``--metrics-out`` RunReport.  ``topology``/``traffic`` are the
+    ``registry`` collects telemetry (repro.obs) from the runs that harvest
+    it -- the shared sweep and growth engines, and the topology experiment
+    -- for a ``--metrics-out`` RunReport.  ``topology``/``traffic`` are the
     fig-topology spec strings (see repro.sim.topology.parse_topology and
     repro.workload.traffic.parse_traffic); other experiments ignore them.
     ``replication_factor`` restricts the fig-tradeoff sweep to one R
@@ -159,11 +150,7 @@ def run_experiments(
     if SWEEP_FIGURES & set(names):
         with span("threshold_sweep"):
             sweep = run_threshold_sweep(
-                scale,
-                seed=seed,
-                db_backend=db_backend,
-                db_dir=db_dir,
-                shard_workers=shard_workers,
+                scale, seed=seed, db_backend=db_backend, db_dir=db_dir
             )
         if registry is not None:
             for dump in sweep.metrics.values():
@@ -177,11 +164,7 @@ def run_experiments(
         )
         with span("growth_suite"):
             growth = run_growth_suite(
-                PAPER_LAMBDAS,
-                scale.growth_max_leaves,
-                sample_sizes,
-                seed=seed,
-                shard_workers=shard_workers,
+                PAPER_LAMBDAS, scale.growth_max_leaves, sample_sizes, seed=seed
             )
         if registry is not None:
             for result in growth.values():
@@ -195,9 +178,7 @@ def run_experiments(
             elif name == "fig07":
                 result = fig07_space_vs_minsize.run(scale, seed, sweep)
             elif name == "fig08":
-                result = fig08_space_vs_failure.run(
-                    scale, seed=seed, shard_workers=shard_workers
-                )
+                result = fig08_space_vs_failure.run(scale, seed=seed)
             elif name == "fig09":
                 result = fig09_messages_vs_minsize.run(scale, seed, sweep)
             elif name == "fig10":
@@ -210,11 +191,7 @@ def run_experiments(
                 )
             elif name == "fig13":
                 result = fig13_space_vs_dblimit.run(
-                    scale,
-                    seed=seed,
-                    db_backend=db_backend,
-                    db_dir=db_dir,
-                    shard_workers=shard_workers,
+                    scale, seed=seed, db_backend=db_backend, db_dir=db_dir
                 )
             elif name == "fig14":
                 result = fig14_leaftable_vs_size.run(scale, PAPER_LAMBDAS, seed, growth)
@@ -222,11 +199,7 @@ def run_experiments(
                 result = fig15_leaftable_cdf.run(scale, PAPER_LAMBDAS, seed, growth)
             elif name == "fig-topology":
                 result = fig_topology.run(
-                    scale,
-                    seed=seed,
-                    topology=topology,
-                    traffic=traffic,
-                    shard_workers=shard_workers,
+                    scale, seed=seed, topology=topology, traffic=traffic
                 )
                 if registry is not None and result.metrics:
                     registry.merge_dict(result.metrics)
@@ -278,28 +251,12 @@ def main(argv: List[str] = None) -> int:
         "results are byte-identical at any worker count",
     )
     parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard each SALAD simulation across N worker processes "
-        "(power of two; 0 = auto, default: single-process); trace-identical "
-        "to the single-process engine, so results are unchanged",
-    )
-    parser.add_argument(
-        "--envelope-codec",
-        choices=ENVELOPE_CODECS,
-        default=None,
-        help="cross-shard envelope wire format for sharded runs (default: "
-        "binary, the compact struct-packed codec; pickle reproduces the "
-        "pre-codec cost model -- traces are identical either way)",
-    )
-    parser.add_argument(
         "--db-backend",
         choices=sorted(BACKENDS),
         default="memory",
-        help="record-store backend per leaf (memory = all-RAM; sqlite/wal "
-        "spill to disk with crash recovery; results are identical)",
+        help="record-store backend per leaf (memory = all-RAM; sqlite, wal "
+        "and wal-paged spill to disk with crash recovery; results are "
+        "identical)",
     )
     parser.add_argument(
         "--db-dir",
@@ -348,7 +305,7 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--trace-sample-rate",
         type=float,
-        default=None,
+        default=0.0,
         metavar="RATE",
         help="causal-trace sampling rate in [0,1] for every simulation the "
         "run builds (deterministic per-record hash; 0 = off, the default); "
@@ -385,24 +342,18 @@ def main(argv: List[str] = None) -> int:
         parse_traffic(args.traffic)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.shard_workers is not None:
-        try:
-            validate_shard_workers(args.shard_workers)
-        except (TypeError, ValueError) as exc:
-            parser.error(str(exc))
     set_default_workers(args.workers)
-    if args.envelope_codec is not None:
-        set_envelope_codec(args.envelope_codec)
     # Session default so every Salad built anywhere in the run (including
     # experiments that build their own) picks up the chosen backend; the
     # database-centric experiments additionally get it threaded explicitly.
     set_default_db_backend(args.db_backend, args.db_dir)
     set_trace_invariants(args.trace_invariants)
-    if args.trace_sample_rate is not None:
-        try:
-            set_trace_sample_rate(args.trace_sample_rate)
-        except (TypeError, ValueError) as exc:
-            parser.error(str(exc))
+    # Set even when the flag is absent (0 = off), so a rate from an earlier
+    # in-process main() cannot carry into this run.
+    try:
+        set_trace_sample_rate(args.trace_sample_rate)
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
     # Detailed record-flow counters cost hot-path time, so only runs that
     # actually write a report pay for them.
     set_detailed_metrics(bool(args.metrics_out))
@@ -425,7 +376,6 @@ def main(argv: List[str] = None) -> int:
             raw=bool(args.json),
             db_backend=args.db_backend,
             db_dir=args.db_dir,
-            shard_workers=args.shard_workers,
             registry=registry,
             topology=args.topology,
             traffic=args.traffic,
@@ -447,7 +397,7 @@ def main(argv: List[str] = None) -> int:
         print(f"\n{'=' * 72}\n[{name}]")
         print(outputs[name])
     print(f"\ncompleted {len(names)} experiments in {time.time() - start:.1f}s")
-    trace_rate = resolve_trace_sample_rate(None)
+    trace_rate = args.trace_sample_rate
     trace_events = tracing.take_events() if trace_rate > 0.0 else []
     if args.trace_out:
         out = tracing.export_chrome_trace(trace_events, args.trace_out)
@@ -464,8 +414,6 @@ def main(argv: List[str] = None) -> int:
                 "seed": args.seed,
                 "experiments": ",".join(names),
                 "workers": args.workers,
-                "shard_workers": args.shard_workers,
-                "envelope_codec": args.envelope_codec,
                 "db_backend": args.db_backend,
                 "topology": args.topology,
                 "traffic": args.traffic,

@@ -70,15 +70,11 @@ class ThresholdSweepResult:
 
 def _sweep_one_lambda(task):
     """One Lambda's full DFC run (module-level so process pools can pickle it)."""
-    corpus, lam, thresholds, seed, db_backend, db_dir, shard_workers = task
+    corpus, lam, thresholds, seed, db_backend, db_dir = task
     run = DfcRun(
         corpus,
         DfcConfig(
-            target_redundancy=lam,
-            seed=seed,
-            db_backend=db_backend,
-            db_dir=db_dir,
-            shard_workers=shard_workers,
+            target_redundancy=lam, seed=seed, db_backend=db_backend, db_dir=db_dir
         ),
     )
     try:
@@ -101,7 +97,6 @@ def run_threshold_sweep(
     workers: Optional[int] = None,
     db_backend: Optional[str] = None,
     db_dir: Optional[str] = None,
-    shard_workers: Optional[int] = None,
 ) -> ThresholdSweepResult:
     """Run the sweep at the given scale (shared by Figs. 7, 9, 10, 11, 12).
 
@@ -110,16 +105,12 @@ def run_threshold_sweep(
     process pool; results are identical to the serial loop in any mode.
     ``db_backend``/``db_dir`` select the per-leaf record-store backend
     (contract-identical, so every reported number is unchanged; the durable
-    backends bound RAM at full scale).  ``shard_workers`` shards each
-    SALAD across processes (repro.salad.sharded; trace-identical, so also
-    number-preserving) -- when both knobs are set, pool workers are daemonic
-    and the sharded engine degrades to single-process inside them.
+    backends bound RAM at full scale).
     """
     if corpus is None:
         corpus = generate_corpus(scale.corpus_spec(), seed=seed)
     tasks = [
-        (corpus, lam, tuple(thresholds), seed, db_backend, db_dir, shard_workers)
-        for lam in lambdas
+        (corpus, lam, tuple(thresholds), seed, db_backend, db_dir) for lam in lambdas
     ]
     results = parallel_map(_sweep_one_lambda, tasks, workers=workers, min_items=2)
     points: Dict[float, List[SweepPoint]] = {}

@@ -1,25 +1,25 @@
 """A zero-dependency metrics registry: counters, gauges, log histograms.
 
 Every layer of the reproduction (crypto kernels, SALAD routing, record
-stores, the sharded engine, the DFC pipeline) reports what it did through
-one of three instrument types held in a :class:`MetricsRegistry`:
+stores, the DFC pipeline) reports what it did through one of three
+instrument types held in a :class:`MetricsRegistry`:
 
 - :class:`Counter` -- a monotonically increasing integer total;
 - :class:`Gauge` -- a last-known scalar (merged across registries by max,
   so configuration gauges like ``salad.config.dimensions`` survive a merge
-  unchanged and per-shard quantities take the worst case);
+  unchanged and per-run quantities take the worst case);
 - :class:`Histogram` -- log-bucketed by the binary exponent of the value
   (``math.frexp``), tracking per-bucket counts plus global count / total /
   min / max.  Bucket keys are small integers and counts are exact, so
   histogram merges -- like counter sums -- are associative, commutative,
   and bit-identical regardless of merge order.
 
-**Merge semantics** are the contract the sharded engine depends on: the
-coordinator merges one registry per worker process, and the result's
-counter totals must be *bit-identical* to a single-process run of the same
-trace (``tests/salad/test_sharded_golden.py`` asserts it).  Counters add,
-gauges take the max, histograms add bucket-wise; all three operate on
-exact ints wherever the instrumented code observes ints.
+**Merge semantics** are the contract the experiment runner depends on: it
+merges one registry dump per sweep point (some produced in pool workers),
+and the totals must not depend on the order the dumps arrive in
+(``tests/obs/test_registry.py`` asserts it).  Counters add, gauges take
+the max, histograms add bucket-wise; all three operate on exact ints
+wherever the instrumented code observes ints.
 
 **Hot-path policy.**  The hot paths themselves do *not* call into this
 module.  They keep plain integer attributes (``leaf.next_hop_hits``,
@@ -35,9 +35,8 @@ null registry whose instruments are shared no-op singletons, so library
 code may write ``get_registry().counter("x").inc()`` unconditionally.
 
 Naming convention: dotted lowercase paths, ``<layer>.<subsystem>.<what>``
-(e.g. ``salad.routing.next_hop_hits``); metrics that only exist on the
-sharded engine live under ``salad.sharded.*`` and are excluded from the
-engine-identity comparison.  ``docs/OBSERVABILITY.md`` is the catalog.
+(e.g. ``salad.routing.next_hop_hits``).  ``docs/OBSERVABILITY.md`` is the
+catalog.
 """
 
 from __future__ import annotations

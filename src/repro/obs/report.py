@@ -7,11 +7,9 @@ given, the run ends by serializing
   gauges, histograms),
 - the phase tree drained from :mod:`repro.obs.spans`,
 - the environment (python, platform, cpu_count, git SHA, plus
-  caller-supplied extras such as backend and shard_workers, and -- when the
+  caller-supplied extras such as backend and workers, and -- when the
   run was wrapped in a :class:`CollectorWatch` -- what CPython's cyclic
-  collector did meanwhile), and
-- optionally a per-shard breakdown (one registry dump per worker of a
-  :class:`~repro.salad.sharded.ShardedSimulation`)
+  collector did meanwhile)
 
 to a *stable, versioned* JSON schema (:data:`SCHEMA`), and prints a short
 human-readable summary table on stderr.  ``benchmarks/check_regression.py
@@ -93,7 +91,7 @@ class CollectorWatch:
     cProfile cannot see the collector: a collection runs inside whichever
     allocation tripped the threshold, so its time is charged to that frame
     (``Network.send`` carried seconds of it once).  This entry is where it
-    shows instead.  Covers this process only, not pool or shard workers.
+    shows instead.  Covers this process only, not pool workers.
     """
 
     def __init__(self) -> None:
@@ -134,23 +132,16 @@ def build_run_report(
     registry: MetricsRegistry,
     phases: Optional[Sequence[Span]] = None,
     env: Optional[Dict[str, Any]] = None,
-    shards: Optional[List[dict]] = None,
-    shard_phases: Optional[List[List[dict]]] = None,
     traces: Optional[dict] = None,
     collector: Optional[CollectorWatch] = None,
 ) -> dict:
     """Assemble the report dict.
 
     *phases* defaults to draining :func:`repro.obs.spans.take_phases`;
-    *env* entries extend (and may override) the probed environment;
-    *shards* is the per-worker registry dumps of a sharded run, in shard
-    order -- their merge is already folded into *registry*; *shard_phases*
-    (same shard order, from ``ShardedSimulation.worker_phases``) attaches
-    each worker's aggregated span tree to its shards entry, so a report
-    shows where *worker* wall-clock went, not just the coordinator's.
+    *env* entries extend (and may override) the probed environment.
     *traces*, when given, becomes the schema-v2 ``traces`` section --
     ``{"sample_rate": float, "events": [...]}``  with the causal-trace
-    events drained from :mod:`repro.obs.tracing` (both engines' shapes).
+    events drained from :mod:`repro.obs.tracing`.
     *collector*, an exited :class:`CollectorWatch`, becomes the optional
     ``environment.gc`` entry.
     """
@@ -163,13 +154,6 @@ def build_run_report(
         "metrics": registry.to_dict(),
         "phases": [p.to_dict() for p in phases],
     }
-    if shards is not None:
-        report["shards"] = [
-            {"shard": index, "metrics": dump} for index, dump in enumerate(shards)
-        ]
-        if shard_phases is not None:
-            for entry, worker_tree in zip(report["shards"], shard_phases):
-                entry["phases"] = list(worker_tree)
     if traces is not None:
         report["traces"] = traces
     if collector is not None:
@@ -190,7 +174,7 @@ def validate_run_report(data: Any) -> List[str]:
     Deliberately a hand-rolled validator (no jsonschema dependency) that
     pins exactly what downstream consumers read: the schema id, the
     environment keys, the metrics triple with its entry shapes, the phase
-    tree, and the optional shards section.
+    tree, and the optional traces section.
     """
     problems: List[str] = []
 
@@ -254,30 +238,6 @@ def validate_run_report(data: Any) -> List[str]:
         for i, entry in enumerate(phases):
             _validate_phase(entry, f"phases[{i}]", problems)
 
-    if "shards" in data:
-        shards = data["shards"]
-        if check(isinstance(shards, list), "shards is not a list"):
-            for i, entry in enumerate(shards):
-                where = f"shards[{i}]"
-                if check(isinstance(entry, dict), f"{where} is not an object"):
-                    check(entry.get("shard") == i, f"{where}.shard != {i}")
-                    check(
-                        isinstance(entry.get("metrics"), dict),
-                        f"{where}.metrics missing",
-                    )
-                    if "phases" in entry:
-                        if check(
-                            isinstance(entry["phases"], list),
-                            f"{where}.phases is not a list",
-                        ):
-                            _check_sibling_names(
-                                entry["phases"], f"{where}.phases", problems
-                            )
-                            for j, node in enumerate(entry["phases"]):
-                                _validate_phase(
-                                    node, f"{where}.phases[{j}]", problems
-                                )
-
     if "traces" in data:
         traces = data["traces"]
         if check(isinstance(traces, dict), "traces is not an object"):
@@ -305,9 +265,7 @@ def _check_sibling_names(entries: Any, where: str, problems: List[str]) -> None:
 
     :func:`summary_table` renders siblings by name and downstream gates
     look phases up by name, so two same-named siblings would silently
-    shadow each other; the writer-side aggregation (``aggregate_phases``)
-    merges by name precisely so this never happens -- a duplicate in a
-    report means a producer bypassed it, which deserves a loud error.
+    shadow each other -- a duplicate in a report deserves a loud error.
     """
     seen: Dict[str, int] = {}
     for entry in entries:
@@ -399,27 +357,6 @@ def summary_table(report: dict, top_counters: int = 20) -> str:
                 f"  max={entry.get('max'):.6g}"
             )
 
-    shards = report.get("shards")
-    if shards:
-        total_exchange = sum(
-            _shard_counter(entry, "salad.sharded.exchange_bytes") for entry in shards
-        )
-        header = f"shards: {len(shards)} worker registries merged"
-        if total_exchange:
-            header += f"  exchange_bytes={total_exchange:,}"
-        lines.append(header)
-        for entry in shards:
-            parts: List[str] = []
-            worker_phases = entry.get("phases")
-            if worker_phases:
-                busiest = sorted(worker_phases, key=lambda p: -p["seconds"])[:3]
-                parts.extend(f"{p['name']}={p['seconds']:.3f}s" for p in busiest)
-            exchange = _shard_counter(entry, "salad.sharded.exchange_bytes")
-            if exchange:
-                parts.append(f"exchange_bytes={exchange:,}")
-            if parts:
-                lines.append(f"  shard {entry.get('shard')}: {'  '.join(parts)}")
-
     traces = report.get("traces")
     if traces:
         events = traces.get("events") or []
@@ -429,12 +366,6 @@ def summary_table(report: dict, top_counters: int = 20) -> str:
             f"  (sample_rate={traces.get('sample_rate')})"
         )
     return "\n".join(lines)
-
-
-def _shard_counter(shard_entry: dict, name: str) -> int:
-    """Sum a counter's value across a shard's registry dump (0 if absent)."""
-    counters = (shard_entry.get("metrics") or {}).get("counters", [])
-    return sum(e.get("value", 0) for e in counters if e.get("name") == name)
 
 
 def _entry_name(entry: dict) -> str:

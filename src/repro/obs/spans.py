@@ -32,7 +32,7 @@ import pstats
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 #: How many functions a profiled span keeps from the cProfile stats.
 PROFILE_TOP = 12
@@ -195,44 +195,11 @@ def take_phases() -> List[Span]:
 def reset_spans() -> None:
     """Discard all span state: the open stack and any completed roots.
 
-    For worker processes started with the ``fork`` method, which inherit a
-    copy of the parent's module state -- a shard worker calls this on entry
-    so its phase tree contains only its own work.
+    A CLI ``main()`` calls this first, so its report's phase tree covers
+    exactly that run even when an earlier in-process run left spans behind.
     """
     _stack.clear()
     _completed_roots.clear()
-
-
-def aggregate_phases(
-    spans: Iterable[Span], into: Optional[Dict[str, Span]] = None
-) -> Dict[str, Span]:
-    """Merge *spans* into a name-keyed aggregate tree, recursively.
-
-    Same-named spans sum their seconds and (when present) ops; children
-    merge by name the same way; notes update last-writer-wins.  Aggregates
-    are fresh Span objects, so callers may keep folding drained spans into
-    one accumulator indefinitely (a shard worker folds per driver command,
-    keeping memory O(distinct span names) instead of O(commands)).
-    """
-    if into is None:
-        into = {}
-    for node in spans:
-        agg = into.get(node.name)
-        if agg is None:
-            agg = into[node.name] = Span(node.name)
-            agg.start = node.start
-        else:
-            agg.start = min(agg.start, node.start)
-        agg.seconds += node.seconds
-        if node.ops is not None:
-            agg.ops = (agg.ops or 0) + node.ops
-        if node.notes:
-            agg.notes.update(node.notes)
-        if node.children:
-            child_index = {child.name: child for child in agg.children}
-            merged = aggregate_phases(node.children, child_index)
-            agg.children = list(merged.values())
-    return into
 
 
 def _top_functions(profiler: cProfile.Profile) -> List[dict]:

@@ -80,37 +80,3 @@ RecordPayload = SaladRecord
 #: Payload of a RECORD_BATCH message: ``(record, hops)`` pairs.
 RecordBatchPayload = Tuple[Tuple[SaladRecord, int], ...]
 LeafResponsePayload = Tuple[int, ...]
-
-#: One in-flight message inside a shard envelope: the hierarchical delivery
-#: sort key plus the four :class:`repro.sim.network.Message` fields.
-ShardedMessage = Tuple[Tuple[int, ...], int, int, str, object]
-
-
-@dataclass(frozen=True)
-class ShardEnvelope:
-    """Logical cross-shard transport unit of the sharded simulation engine.
-
-    The multi-process engine (:mod:`repro.salad.sharded`) applies the
-    RECORD_BATCH aggregation idea at the transport layer: all messages one
-    shard sends another for one virtual-time window travel together over
-    the worker-to-worker pipe, instead of one IPC hop each.  Envelopes are
-    *framing*, not SALAD traffic -- the messages inside them keep their
-    original kinds, so the Figs. 9-10 counters sum over exactly
-    :data:`ALL_KINDS`, identically to the single-process engine.
-
-    On the wire an envelope travels as one or more struct-packed binary
-    frames built by :mod:`repro.salad.envelope_codec` (eager non-FINAL
-    frames plus one FINAL rendezvous frame per window under the overlapped
-    exchange), not as a pickled instance of this class; the class remains
-    the documented logical model and the shape codec tests round-trip.
-
-    ``keys`` inside :attr:`messages` are hierarchical delivery sort keys
-    (root sequence, then per-handler send sequence, one element per hop):
-    merging every shard's window messages in lexicographic key order
-    reproduces the single-process scheduler's FIFO delivery order exactly,
-    which is what makes sharded runs trace-identical.
-    """
-
-    source_shard: int
-    window: float
-    messages: Tuple[ShardedMessage, ...]

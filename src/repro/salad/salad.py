@@ -52,8 +52,7 @@ def set_trace_invariants(enabled: bool) -> None:
     Configs whose ``trace_invariants`` is ``None`` resolve to this value,
     so one CLI flag turns on tracing for every Salad an experiment builds
     (including those built inside worker processes, which re-apply the flag
-    on startup; the sharded coordinator instead pins the resolved value
-    into the config it ships to its workers).
+    on startup).
     """
     global _default_trace_invariants
     _default_trace_invariants = bool(enabled)
@@ -76,8 +75,7 @@ def set_detailed_metrics(enabled: bool) -> None:
     statistics) cost real time on the routing hot path -- measurably so on
     insert-heavy workloads -- so they are off unless a run asks for a
     report.  Configs whose ``detailed_metrics`` is ``None`` resolve to this
-    value; the sharded coordinator pins the resolved value into the config
-    it ships to workers, so both engines always count identically.
+    value.
     """
     global _default_detailed_metrics
     _default_detailed_metrics = bool(enabled)
@@ -101,9 +99,7 @@ def set_trace_sample_rate(rate: float) -> None:
     every engine the session builds emits per-record causal events for
     them.  0 disables tracing entirely (the hot paths pay one ``is None``
     check per batch).  Configs whose ``trace_sample_rate`` is ``None``
-    resolve to this value; the sharded coordinator pins the resolved rate
-    into the config it ships to workers, so every shard samples the exact
-    same records.
+    resolve to this value.
     """
     validate_trace_sample_rate(rate)
     global _default_trace_sample_rate
@@ -131,48 +127,6 @@ def validate_trace_sample_rate(value) -> None:
         raise ValueError(f"trace_sample_rate must be in [0, 1]: {value}")
 
 
-#: Cross-shard envelope codecs (see :mod:`repro.salad.envelope_codec`):
-#: "binary" is the struct-packed wire format, "pickle" reproduces the
-#: pre-codec transport for byte/time comparisons.  Trace-identical to each
-#: other -- the codec changes how messages travel, never what they say.
-ENVELOPE_CODECS = ("binary", "pickle")
-
-#: Session default for SaladConfig.envelope_codec = None (the CLI
-#: ``--envelope-codec`` hook; mirrors set_trace_invariants).
-_default_envelope_codec = "binary"
-
-
-def set_envelope_codec(codec: str) -> None:
-    """Set the session-default cross-shard envelope codec.
-
-    Configs whose ``envelope_codec`` is ``None`` resolve to this value when
-    a :class:`~repro.salad.sharded.ShardedSimulation` is constructed.  Only
-    the sharded engine reads the knob -- single-process runs have no
-    envelopes.
-    """
-    validate_envelope_codec(codec)
-    global _default_envelope_codec
-    _default_envelope_codec = codec
-
-
-def resolve_envelope_codec(value) -> str:
-    """``None`` means the session default; anything else is validated."""
-    if value is None:
-        return _default_envelope_codec
-    validate_envelope_codec(value)
-    return value
-
-
-def validate_envelope_codec(value) -> None:
-    """Validate an ``envelope_codec`` knob without resolving it."""
-    if value is None:
-        return
-    if value not in ENVELOPE_CODECS:
-        raise ValueError(
-            f"envelope_codec must be one of {ENVELOPE_CODECS} or None: {value!r}"
-        )
-
-
 def _topology_link_of(topology):
     """A ``(a, b) -> (link_name, class_name)`` annotator for trace events.
 
@@ -187,30 +141,6 @@ def _topology_link_of(topology):
         return name, link_class.name
 
     return link_of
-
-
-def validate_shard_workers(value) -> None:
-    """Validate a ``shard_workers`` knob without resolving it.
-
-    ``None``/1 mean single-process, 0 means auto, and counts >= 2 must be
-    powers of two because each worker owns one top-bit sub-cube of the
-    hypercube (:mod:`repro.salad.sharded`).  Booleans are rejected for the
-    same reason :func:`repro.perf.parallel.resolve_workers` rejects them:
-    ``True`` is an ``int`` to Python's numeric checks.
-    """
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(
-            f"shard_workers must be an int or None, got "
-            f"{type(value).__name__}: {value!r}"
-        )
-    if value < 0:
-        raise ValueError(f"shard_workers must be >= 0 (0 = auto): {value}")
-    if value > 1 and value & (value - 1):
-        raise ValueError(
-            f"shard_workers must be a power of two (sub-cube sharding): {value}"
-        )
 
 
 @dataclass
@@ -230,9 +160,7 @@ class SaladConfig:
     #: flat constant-latency fabric: per-pair rack/lan/wan delays, per-class
     #: message counters, and named-link cuts.  None keeps the flat fabric
     #: (bit-identical to the seed); the degenerate one-site topology is
-    #: trace-identical to None.  The sharded engine only accepts *uniform*
-    #: topologies (one reachable latency class); multi-class topologies
-    #: raise :class:`repro.salad.sharded.ShardingUnavailable` there.
+    #: trace-identical to None.
     topology: Optional["Topology"] = None
     seed: int = 0
     #: Route with the seed's per-axis coordinate scan instead of the indexed
@@ -249,33 +177,19 @@ class SaladConfig:
     #: leaf-table change.  NOT trace-identical to the eager default -- width
     #: transitions land at window granularity, which changes e.g. which
     #: WELCOMEs a joining leaf accepts -- so it is opt-in; the flagship run
-    #: turns it on.  Engine-neutral: single-process and sharded runs with
-    #: the same setting stay trace-identical to each other.
+    #: turns it on.
     deferred_width_recalc: bool = False
-    #: Record-database backend per leaf: "memory" (default), "sqlite", or
-    #: "wal" (see repro.salad.storage).  None defers to the session default
-    #: set by set_default_db_backend (the CLI --db-backend hook).  All three
-    #: are contract-identical; the durable two trade insert speed for a
-    #: bounded memory footprint and crash recovery.
+    #: Record-database backend per leaf: one of repro.salad.storage.BACKENDS
+    #: ("memory", the default, "sqlite", "wal" or "wal-paged").  None defers
+    #: to the session default set by set_default_db_backend (the CLI
+    #: --db-backend hook).  All four are contract-identical; the durable
+    #: three trade insert speed for a bounded memory footprint and crash
+    #: recovery.
     db_backend: Optional[str] = None
     #: Directory durable backends write under (each Salad instance gets its
     #: own subdirectory so repeated runs never reopen each other's files).
     #: None = the session default, falling back to a per-process tempdir.
     db_dir: Optional[str] = None
-    #: Worker processes for the sub-cube-sharded simulation engine
-    #: (:mod:`repro.salad.sharded`).  1 (or None) = the classic
-    #: single-process engine; 0 = the largest power of two <= the CPU
-    #: count; >= 2 must be a power of two (each worker owns one sub-cube of
-    #: the hypercube, selected by the low bits of the cell-ID).  Only
-    #: :func:`repro.salad.sharded.make_salad` honors this knob; constructing
-    #: :class:`Salad` directly always runs single-process.
-    shard_workers: Optional[int] = None
-    #: Cross-shard envelope wire codec for the sharded engine: "binary"
-    #: (struct-packed, the default) or "pickle" (the pre-codec transport,
-    #: kept for byte/time comparisons).  Trace-identical either way.  None
-    #: = the session default set by :func:`set_envelope_codec`.  Ignored by
-    #: single-process runs.
-    envelope_codec: Optional[str] = None
     #: Trace every message and check protocol invariants at harvest time
     #: (the ``--trace-invariants`` runtime mode; see repro.sim.tracer).
     #: None = the session default set by :func:`set_trace_invariants`.
@@ -300,8 +214,6 @@ class SaladConfig:
 
     def __post_init__(self) -> None:
         resolve_db_backend(self.db_backend)  # fail fast on unknown names
-        validate_shard_workers(self.shard_workers)
-        validate_envelope_codec(self.envelope_codec)
         validate_trace_sample_rate(self.trace_sample_rate)
         if self.topology is not None and not isinstance(self.topology, Topology):
             raise ValueError(
@@ -355,7 +267,6 @@ class Salad:
 
         tracing.activate(
             self._trace_sample_rate,
-            shard=None,
             now=lambda: self.network.scheduler.now,
             link_of=_topology_link_of(config.topology),
         )
@@ -466,12 +377,12 @@ class Salad:
             self.network.run()
 
     def run(self) -> int:
-        """Settle the network to quiescence (engine-neutral facade name)."""
+        """Settle the network to quiescence."""
         return self.network.run()
 
     @property
     def now(self) -> float:
-        """Current virtual time (engine-neutral: sharded runs mirror this)."""
+        """Current virtual time."""
         return self.network.scheduler.now
 
     def _invalidate_alive_cache(self) -> None:
@@ -500,12 +411,7 @@ class Salad:
         return [leaf.identifier for leaf in self._alive_leaves_cached()]
 
     def depart_leaf(self, identifier: int, settle: bool = True) -> None:
-        """Cleanly depart one leaf (section 4.5) by identifier.
-
-        Identifier-keyed (rather than requiring the leaf object) so drivers
-        written against :class:`repro.salad.sharded.ShardedSimulation`, where
-        leaves live in worker processes, run unchanged on this engine.
-        """
+        """Cleanly depart one leaf (section 4.5) by identifier."""
         leaf = self.leaves.get(identifier)
         if leaf is None:
             raise KeyError(f"no such leaf: {identifier:#x}")
@@ -514,7 +420,7 @@ class Salad:
             self.network.run()
 
     # ------------------------------------------------------------------
-    # failure injection (engine-portable: ShardedSimulation mirrors these)
+    # failure injection
     # ------------------------------------------------------------------
 
     def set_loss_probability(self, probability: float) -> None:
@@ -528,12 +434,7 @@ class Salad:
         return len(fail_exact_fraction(list(self.leaves.values()), fraction, rng))
 
     def shutdown(self) -> None:
-        """Release resources (databases here; worker processes when sharded).
-
-        Part of the engine-neutral facade shared with
-        :class:`repro.salad.sharded.ShardedSimulation`, so drivers can tear
-        down either engine the same way.
-        """
+        """Release resources (flush and close every leaf's record store)."""
         self.close_databases()
 
     # ------------------------------------------------------------------
@@ -610,11 +511,7 @@ class Salad:
         return sum(len(leaf.database) for leaf in self.alive_leaves())
 
     def stored_records(self) -> Dict[int, List[tuple]]:
-        """Per-leaf ``(fingerprint, location)`` dumps in store order.
-
-        The golden-trace identity tests compare this against
-        :meth:`repro.salad.sharded.ShardedSimulation.stored_records`.
-        """
+        """Per-leaf ``(fingerprint, location)`` dumps in store order."""
         return {
             identifier: [
                 (record.fingerprint, record.location)

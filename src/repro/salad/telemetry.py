@@ -2,27 +2,20 @@
 
 The leaf/network/storage hot paths keep plain integer attributes (one int
 add each); this module turns those attributes into registry entries at
-report time.  Both engines share it: :meth:`repro.salad.salad.Salad.
-collect_metrics` harvests the in-process leaves, and the sharded engine's
-``("metrics",)`` worker op harvests each worker's sub-cube into a fresh
-registry that the coordinator merges.
+report time: :meth:`repro.salad.salad.Salad.collect_metrics` harvests the
+leaves it holds.
 
-Because a harvest is a snapshot of trace-driven attributes, the merged
-sharded registry is bit-identical in counter totals to a single-process
-harvest of the same golden trace -- except for the ``salad.sharded.*``
-namespace, which only exists on the sharded engine and is excluded from
-the identity comparison (see ``tests/salad/test_sharded_golden.py``).
-
-Wall-clock quantities (sqlite flush latency) are histograms, never
-counters, so the counter-identity contract stays exact.
+Because a harvest is a snapshot of trace-driven attributes, two runs of
+the same golden trace harvest bit-identical counter totals.  Wall-clock
+quantities (sqlite flush latency) are histograms, never counters, so that
+identity stays exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 
 def harvest_salad_metrics(
@@ -33,9 +26,8 @@ def harvest_salad_metrics(
 ) -> MetricsRegistry:
     """Build registry entries from live SALAD state; returns *registry*.
 
-    *leaves* is any iterable of :class:`~repro.salad.leaf.SaladLeaf`
-    (a whole SALAD or one shard's sub-cube); *network* is the engine's
-    :class:`~repro.sim.network.Network` (or per-shard ``ShardNetwork``).
+    *leaves* is any iterable of :class:`~repro.salad.leaf.SaladLeaf`;
+    *network* is the engine's :class:`~repro.sim.network.Network`.
     """
     registry.gauge("salad.config.dimensions").set(dimensions)
 
@@ -115,8 +107,8 @@ def harvest_salad_metrics(
     )
     registry.counter("salad.network.messages_dropped").inc(network.messages_dropped)
     # Per-link-class counters, topology mode only (the dicts stay empty on
-    # the flat fabric).  Labeled so shard-merged registries sum per class --
-    # the raw data behind fig_topology's per-class load table.
+    # the flat fabric).  Labeled per class -- the raw data behind
+    # fig_topology's per-class load table.
     for class_name, count in network.class_sent.items():
         registry.counter("salad.network.class_sent", link_class=class_name).inc(count)
     for class_name, count in network.class_delivered.items():
@@ -133,10 +125,7 @@ def harvest_salad_metrics(
 def harvest_trace_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     """Registry entries for this process's causal-trace recorder, if any.
 
-    Lands under ``sim.trace.*`` -- the ``sim.`` namespace is per-process
-    incidental state excluded from the engine-identity comparison, which is
-    right for tracing too: a sampled sharded run counts envelope events the
-    single-process engine never emits.  No-op when tracing is off, so the
+    Lands under ``sim.trace.*``.  No-op when tracing is off, so the
     counters appear only in sampled runs (skip-if-absent downstream).
     """
     from repro.obs import tracing
@@ -188,50 +177,3 @@ def harvest_tradeoff_metrics(
         )
     return registry
 
-
-@dataclass
-class ShardTransportStats:
-    """One worker's cross-shard exchange accounting, harvest-time snapshot.
-
-    The worker keeps these as plain attributes on its hot path (frames and
-    byte counts bump ints; the histogram observes one value per frame) and
-    snapshots them into a registry only when the ``("metrics",)`` op runs.
-    """
-
-    envelopes: int = 0  # frames sent
-    envelope_messages: int = 0  # messages inside sent frames
-    windows: int = 0  # exchange rounds this worker stepped through
-    exchange_bytes: int = 0  # serialized frame bytes sent
-    exchange_bytes_received: int = 0  # frame bytes drained from peers
-    frames_received: int = 0
-    pickled_messages: int = 0  # messages that took the pickle fallback
-    envelope_hist: Histogram = field(default_factory=Histogram)
-
-
-def harvest_shard_transport_metrics(
-    registry: MetricsRegistry, transport: ShardTransportStats
-) -> MetricsRegistry:
-    """Registry entries for one shard's transport stats; returns *registry*.
-
-    Everything lands under ``salad.sharded.*`` -- the namespace only the
-    multi-process engine populates, which the golden-trace identity
-    comparison excludes (the single-process engine has no envelopes; see
-    ``tests/salad/test_sharded_golden.py``).
-    """
-    registry.counter("salad.sharded.envelopes").inc(transport.envelopes)
-    registry.counter("salad.sharded.envelope_messages").inc(
-        transport.envelope_messages
-    )
-    registry.counter("salad.sharded.windows").inc(transport.windows)
-    registry.counter("salad.sharded.exchange_bytes").inc(transport.exchange_bytes)
-    registry.counter("salad.sharded.exchange_bytes_received").inc(
-        transport.exchange_bytes_received
-    )
-    registry.counter("salad.sharded.frames_received").inc(transport.frames_received)
-    registry.counter("salad.sharded.codec.pickled_messages").inc(
-        transport.pickled_messages
-    )
-    registry.histogram("salad.sharded.envelope_size").merge_from(
-        transport.envelope_hist
-    )
-    return registry

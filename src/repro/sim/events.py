@@ -210,20 +210,6 @@ class EventScheduler:
         bucket = self._front()
         return bucket is not None and bucket.entries[bucket.cursor][_TIME] <= time
 
-    def advance_to(self, time: float) -> None:
-        """Advance ``now`` to *time*, running any events due on the way.
-
-        Semantically ``run(until=time)`` (``now`` never moves backward),
-        but O(1) when the calendar is empty: the sharded engine's
-        per-worker scheduler advances exactly once per delivery window and
-        never holds events, so the generic drain's bucket search and
-        front-cache maintenance would be pure per-window overhead there.
-        """
-        if self._times:
-            self.run(until=time)
-        elif time > self.now:
-            self.now = time
-
 
 @dataclass(order=True)
 class _Event:
@@ -325,10 +311,3 @@ class ReferenceEventScheduler:
     def _has_pending_before(self, time: float) -> bool:
         event = self._peek()
         return event is not None and event.time <= time
-
-    def advance_to(self, time: float) -> None:
-        """Advance ``now`` to *time* (same contract as EventScheduler's)."""
-        if self._queue:
-            self.run(until=time)
-        elif time > self.now:
-            self.now = time

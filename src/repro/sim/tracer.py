@@ -13,16 +13,14 @@ validates structural invariants of the SALAD protocols over the trace:
 These checks run in tests to catch protocol regressions that black-box
 outcome assertions (loss rates, table sizes) might absorb silently -- and,
 since the ``--trace-invariants`` flag, as an opt-in runtime mode: the
-engines attach a tracer at construction and harvest per-check violation
+engine attaches a tracer at construction and harvests per-check violation
 counts into the metrics registry (``sim.invariants.*``) at report time
 (:meth:`NetworkTracer.feed_registry`).
 
-The tracer wraps ``network.send`` by *instance-attribute* assignment, which
-composes with :class:`repro.salad.sharded.ShardNetwork` (whose ``send`` is
-a class override: the assignment shadows it and the saved original is the
-bound override).  :meth:`detach` restores the original only while this
-tracer is still the active wrapper, so attach/detach of stacked wrappers
-can interleave without clobbering each other.
+The tracer wraps ``network.send`` by *instance-attribute* assignment.
+:meth:`detach` restores the original only while this tracer is still the
+active wrapper, so attach/detach of stacked wrappers can interleave without
+clobbering each other.
 """
 
 from __future__ import annotations
@@ -181,8 +179,7 @@ class NetworkTracer:
 
         One labeled ``sim.invariants.violations`` counter per check (created
         even at zero, so a report proves the check ran), plus the number of
-        messages the trace covered.  Counters sum under registry merge, so
-        per-shard tracers aggregate like everything else.
+        messages the trace covered.
         """
         checks = {
             "hop_bound": self.check_record_hop_bound(dimensions),

@@ -1,8 +1,9 @@
-"""The experiment CLI's telemetry surface: --metrics-out and --trace-invariants.
+"""The experiment CLI's telemetry surface: --metrics-out and the trace flags.
 
 Every experiment CLI must emit a schema-valid RunReport whose registry
 carries the harvested engine counters; with ``--trace-invariants`` the
-opt-in tracer's violation counters appear (at zero on healthy runs).
+opt-in tracer's violation counters appear (at zero on healthy runs), and
+``--trace-sample-rate`` holds for the one ``main()`` call that names it.
 """
 
 import json
@@ -10,8 +11,14 @@ import json
 import pytest
 
 from repro.experiments import runner
+from repro.obs import tracing
 from repro.obs.report import validate_run_report
-from repro.salad.salad import set_detailed_metrics, set_trace_invariants
+from repro.salad.salad import (
+    resolve_trace_sample_rate,
+    set_detailed_metrics,
+    set_trace_invariants,
+    set_trace_sample_rate,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +26,8 @@ def _reset_session_defaults():
     yield
     set_trace_invariants(False)
     set_detailed_metrics(False)
+    set_trace_sample_rate(0.0)
+    tracing.deactivate()
 
 
 def _run(tmp_path, *extra):
@@ -92,3 +101,13 @@ class TestTraceInvariants:
         }
         assert all(v == 0 for v in labeled.values())
         assert report["environment"]["trace_invariants"] is True
+
+
+class TestTraceSampleRate:
+    def test_rate_does_not_leak_into_the_next_main(self, tmp_path):
+        traced = _run(tmp_path, "--trace-sample-rate", "0.5")
+        assert traced["traces"]["sample_rate"] == 0.5
+        assert traced["traces"]["events"]
+        untraced = _run(tmp_path)  # same process, flag absent
+        assert resolve_trace_sample_rate(None) == 0.0
+        assert "traces" not in untraced

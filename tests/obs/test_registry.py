@@ -1,10 +1,9 @@
 """The metrics registry: instruments, labels, merges, and the session switch.
 
-The load-bearing property is merge exactness: the sharded coordinator folds
-one registry per worker and the result must be bit-identical to a
-single-process run, in any merge order.  Hypothesis drives that over random
-observation partitions here; ``tests/salad/test_sharded_golden.py`` pins it
-on real engine traces.
+The load-bearing property is merge exactness: the experiment runner folds
+one registry dump per sweep point and the result must equal observing
+everything in one registry, in any merge order.  Hypothesis drives that
+over random observation partitions here.
 """
 
 import pytest
@@ -93,33 +92,40 @@ class TestMerge:
 
     def test_round_trip_dict(self):
         a = MetricsRegistry()
-        a.counter("c", shard="0").inc(9)
+        a.counter("c", leaf="0").inc(9)
         a.gauge("g").set(2.5)
         a.histogram("h").observe_many([1, 2, 1024])
         assert MetricsRegistry.from_dict(a.to_dict()).to_dict() == a.to_dict()
 
     @given(
         observations=st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
-        cut=st.integers(min_value=0, max_value=60),
+        cuts=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        order=st.permutations([0, 1, 2]),
     )
-    def test_any_partition_merges_to_the_whole(self, observations, cut):
-        """Split one observation stream across two registries; the merge
-        equals observing everything in one registry (the shard contract)."""
-        cut = min(cut, len(observations))
-        whole, left, right = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
-        for value in observations:
-            whole.counter("n").inc(value)
-            whole.histogram("h").observe(value)
-        for value in observations[:cut]:
-            left.counter("n").inc(value)
-            left.histogram("h").observe(value)
-        for value in observations[cut:]:
-            right.counter("n").inc(value)
-            right.histogram("h").observe(value)
-        merged_lr = MetricsRegistry().merge(left).merge(right)
-        merged_rl = MetricsRegistry().merge(right).merge(left)
-        assert merged_lr.to_dict() == whole.to_dict()
-        assert merged_rl.to_dict() == whole.to_dict()
+    def test_any_partition_merges_to_the_whole(self, observations, cuts, order):
+        """Split one observation stream across three registries; merging them
+        in any order, flat or nested, equals observing everything in one."""
+
+        def observed(values):
+            registry = MetricsRegistry()
+            for value in values:
+                registry.counter("n").inc(value)
+                registry.histogram("h").observe(value)
+            return registry
+
+        low, high = sorted(min(cut, len(observations)) for cut in cuts)
+        whole = observed(observations).to_dict()
+        parts = [
+            observed(observations[:low]),
+            observed(observations[low:high]),
+            observed(observations[high:]),
+        ]
+        a, b, c = (parts[index] for index in order)
+        flat = MetricsRegistry().merge(a).merge(b).merge(c)
+        inner = MetricsRegistry().merge(b).merge(c)
+        nested = MetricsRegistry().merge(a).merge_dict(inner.to_dict())
+        assert flat.to_dict() == whole
+        assert nested.to_dict() == whole
 
     def test_merge_dict_equals_merge(self):
         a, b = MetricsRegistry(), MetricsRegistry()

@@ -29,7 +29,7 @@ from repro.obs.spans import span, take_phases
 def _registry():
     registry = MetricsRegistry()
     registry.counter("salad.records.arrivals").inc(10)
-    registry.counter("salad.routing.next_hop_hits", shard="0").inc(9)
+    registry.counter("salad.routing.next_hop_hits", leaf="0").inc(9)
     registry.gauge("salad.config.dimensions").set(2)
     registry.histogram("salad.routing.batch_size").observe_many([1, 2, 4])
     return registry
@@ -61,31 +61,11 @@ class TestBuildAndValidate:
         assert build_run_report(_registry())["phases"] == []
 
     def test_env_extras_land_in_environment(self):
-        report = _report(env={"scale": "small", "shard_workers": 4})
+        report = _report(env={"scale": "small", "workers": 4})
         assert report["environment"]["scale"] == "small"
-        assert report["environment"]["shard_workers"] == 4
+        assert report["environment"]["workers"] == 4
         for key in ("python", "platform", "machine", "cpu_count"):
             assert key in report["environment"]
-
-    def test_shards_section(self):
-        dumps = [_registry().to_dict(), _registry().to_dict()]
-        report = _report(shards=dumps)
-        assert validate_run_report(report) == []
-        assert [s["shard"] for s in report["shards"]] == [0, 1]
-
-    def test_shard_phases_attach_per_worker(self):
-        dumps = [_registry().to_dict(), _registry().to_dict()]
-        trees = [
-            [{"name": "shard.step", "seconds": 0.5, "ops": 12}],
-            [{"name": "shard.step", "seconds": 0.4, "children": [
-                {"name": "deliver", "seconds": 0.3}]}],
-        ]
-        report = _report(shards=dumps, shard_phases=trees)
-        assert validate_run_report(report) == []
-        assert report["shards"][0]["phases"] == trees[0]
-        assert report["shards"][1]["phases"][0]["children"][0]["name"] == "deliver"
-        # Round-trips through JSON with the phases intact.
-        assert validate_run_report(json.loads(json.dumps(report))) == []
 
     def test_environment_probe_has_required_keys(self):
         env = environment()
@@ -100,26 +80,11 @@ class TestBuildAndValidate:
         assert report["schema"] in ACCEPTED_SCHEMAS
         assert validate_run_report(report) == []
 
-    def test_empty_worker_phase_tree_renders(self):
-        # A worker that did no spanned work ships an empty tree; the shards
-        # section must validate and summarize without a phases line for it.
-        dumps = [_registry().to_dict(), _registry().to_dict()]
-        report = _report(
-            shards=dumps,
-            shard_phases=[[], [{"name": "shard.step", "seconds": 0.2}]],
-        )
-        assert validate_run_report(report) == []
-        assert report["shards"][0]["phases"] == []
-        table = summary_table(report)
-        assert "2 worker registries merged" in table
-        assert "shard 1: shard.step=0.200s" in table
-        assert "shard 0:" not in table
-
     def test_traces_section_builds_and_validates(self):
         events = [
-            {"kind": "insert", "trace_id": "ab", "t": 1.0, "shard": 0},
-            {"kind": "store", "trace_id": "ab", "t": 2.5, "shard": 1},
-            {"kind": "exchange.round", "trace_id": None, "t": 2.5, "shard": 1},
+            {"kind": "insert", "trace_id": "ab", "t": 1.0},
+            {"kind": "route.hop", "trace_id": "ab", "t": 2.0},
+            {"kind": "store", "trace_id": "ab", "t": 2.5},
         ]
         report = _report(traces={"sample_rate": 0.01, "events": events})
         assert validate_run_report(report) == []
@@ -224,11 +189,6 @@ class TestCorruptionDetection:
     def test_non_dict_is_rejected(self):
         assert validate_run_report([1, 2]) == ["report is not an object"]
 
-    def test_bad_shard_index_is_caught(self):
-        report = _report(shards=[_registry().to_dict()])
-        report["shards"][0]["shard"] = 7
-        assert any("shard" in p for p in validate_run_report(report))
-
     def test_duplicate_top_level_siblings_rejected(self):
         report = _report()
         report["phases"].append(dict(report["phases"][0]))
@@ -246,22 +206,6 @@ class TestCorruptionDetection:
         problems = validate_run_report(report)
         assert any(
             "phases[0].children has 2 sibling phases named 'inner'" in p
-            for p in problems
-        )
-
-    def test_duplicate_shard_phase_siblings_rejected(self):
-        report = _report(
-            shards=[_registry().to_dict()],
-            shard_phases=[
-                [
-                    {"name": "shard.step", "seconds": 0.1},
-                    {"name": "shard.step", "seconds": 0.2},
-                ]
-            ],
-        )
-        problems = validate_run_report(report)
-        assert any(
-            "shards[0].phases has 2 sibling phases named 'shard.step'" in p
             for p in problems
         )
 
@@ -293,37 +237,13 @@ class TestCorruptionDetection:
         assert problems, f"traces corruption not caught: {fragment}"
         assert any(fragment in p for p in problems)
 
-    @pytest.mark.parametrize(
-        "mutate, fragment",
-        [
-            (lambda s: s.update(phases="not-a-list"), "phases is not a list"),
-            (lambda s: s["phases"][0].pop("seconds"), "seconds"),
-            (lambda s: s["phases"][0].pop("name"), "name"),
-            (
-                lambda s: s["phases"][0]["children"].append({"seconds": 1.0}),
-                "children",
-            ),
-        ],
-    )
-    def test_corrupt_shard_phases_are_caught(self, mutate, fragment):
-        report = _report(
-            shards=[_registry().to_dict()],
-            shard_phases=[
-                [{"name": "shard.step", "seconds": 0.1, "children": []}]
-            ],
-        )
-        mutate(report["shards"][0])
-        problems = validate_run_report(report)
-        assert problems, f"shard-phase corruption not caught: {fragment}"
-        assert any(fragment in p for p in problems)
-
 
 class TestSummaryAndCli:
     def test_summary_table_mentions_the_content(self):
         table = summary_table(_report(env={"scale": "small"}))
         assert "phase_a" in table
         assert "salad.records.arrivals" in table
-        assert "salad.routing.next_hop_hits{shard=0}" in table
+        assert "salad.routing.next_hop_hits{leaf=0}" in table
         assert "salad.routing.batch_size" in table
         assert "scale=small" in table
 

@@ -1,7 +1,6 @@
 """Span/phase timers: nesting, rates, attachments, and the drain contract."""
 
 from repro.obs.spans import (
-    aggregate_phases,
     current_span,
     phase,
     span,
@@ -117,15 +116,6 @@ class TestOutOfOrderCloses:
             "grand_b",
             "grand_a",
         ]
-
-    def test_aggregate_keeps_earliest_start(self):
-        with span("step") as s1:
-            pass
-        with span("step") as s2:
-            pass
-        s1.start, s2.start = 9.0, 4.0
-        merged = aggregate_phases(take_phases())
-        assert merged["step"].start == 4.0
 
 
 class TestOpsAndNotes:

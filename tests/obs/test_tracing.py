@@ -100,7 +100,7 @@ class TestTraceIds:
 class TestRecorderEvents:
     def test_insert_store_flush_chain(self):
         clock = [0.0]
-        recorder = TraceRecorder(1.0, shard=1, now=lambda: clock[0])
+        recorder = TraceRecorder(1.0, now=lambda: clock[0])
         record = _record(3, location=0x5)
         recorder.record_insert(record, 0x5)
         clock[0] = 2.0
@@ -134,19 +134,6 @@ class TestRecorderEvents:
         assert event["link"] == "a->b"
         assert event["link_class"] == "wan"
 
-    def test_sampled_ids_in_knows_both_record_payloads(self):
-        recorder = TraceRecorder(1.0)
-        r1, r2 = _record(1), _record(2)
-        assert recorder.sampled_ids_in("record", (r1, 3)) == (
-            trace_id_for(r1._rid, r1.location),
-        )
-        assert recorder.sampled_ids_in("record_batch", ((r1, 0), (r2, 1))) == (
-            trace_id_for(r1._rid, r1.location),
-            trace_id_for(r2._rid, r2.location),
-        )
-        assert recorder.sampled_ids_in("join", object()) == ()
-        assert TraceRecorder(0.0).sampled_ids_in("record", (r1, 3)) == ()
-
     def test_take_events_drains(self):
         recorder = TraceRecorder(1.0)
         recorder.record_insert(_record(1), 0x1)
@@ -179,71 +166,61 @@ class TestModuleLifecycle:
         tracing.deactivate()
         assert tracing.take_events() == []
 
-    def test_adopt_events_hands_out_exactly_once(self):
-        tracing.adopt_events([{"kind": "insert", "t": 0.0}])
-        assert len(tracing.take_events()) == 1
-        assert tracing.take_events() == []
-
 
 class TestTimelines:
-    def test_merges_across_shards_and_sorts_causally(self):
-        # Same virtual time from two workers: kind order breaks the tie so
-        # the merged timeline reads insert -> stage -> deliver -> store.
+    def test_groups_by_trace_id_and_sorts_causally(self):
+        # Same virtual time: kind order breaks the tie, so the timeline
+        # reads insert -> route.hop -> store -> store.flush whatever order
+        # the events were emitted in.
         events = [
-            {"kind": "store", "trace_id": "aa", "t": 5.0, "seq": 0, "shard": 1},
-            {"kind": "insert", "trace_id": "aa", "t": 1.0, "seq": 9, "shard": 0},
-            {"kind": "envelope.deliver", "trace_id": "aa", "t": 4.0, "seq": 1, "shard": 1},
-            {"kind": "envelope.stage", "trace_id": "aa", "t": 4.0, "seq": 2, "shard": 0},
-            {"kind": "route.hop", "trace_id": "bb", "t": 2.0, "seq": 3, "shard": 0},
-            {"kind": "exchange.round", "trace_id": None, "t": 4.0, "seq": 4, "shard": 0},
+            {"kind": "store.flush", "trace_id": "aa", "t": 4.0, "seq": 0},
+            {"kind": "insert", "trace_id": "aa", "t": 1.0, "seq": 9},
+            {"kind": "store", "trace_id": "aa", "t": 4.0, "seq": 1},
+            {"kind": "route.hop", "trace_id": "aa", "t": 4.0, "seq": 2},
+            {"kind": "route.hop", "trace_id": "bb", "t": 2.0, "seq": 3},
         ]
         timelines = build_timelines(events)
         assert set(timelines) == {"aa", "bb"}
         assert [e["kind"] for e in timelines["aa"]] == [
             "insert",
-            "envelope.stage",
-            "envelope.deliver",
+            "route.hop",
             "store",
+            "store.flush",
         ]
-        assert {e["shard"] for e in timelines["aa"]} == {0, 1}
 
 
 class TestChromeExport:
     def _events(self):
         return [
             {"kind": "insert", "trace_id": "ab", "t": 1.0, "seq": 0,
-             "shard": 0, "machine": "5", "size": 1024},
+             "machine": "5", "size": 1024},
             {"kind": "store", "trace_id": "ab", "t": 2.0, "seq": 1,
-             "shard": 1, "machine": "9", "hops": 3},
-            {"kind": "exchange.round", "trace_id": None, "t": 2.0, "seq": 2,
-             "shard": 1, "machine": None, "window": 2, "bytes_sent": 88},
+             "machine": "9", "hops": 3},
         ]
 
     def test_structure_is_perfetto_loadable(self, tmp_path):
         path = export_chrome_trace(self._events(), tmp_path / "t.json")
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
-        phases = {e["ph"] for e in events}
-        assert phases == {"M", "i", "X"}
+        assert {e["ph"] for e in events} == {"M", "i"}
         for event in events:
-            assert isinstance(event["pid"], int)
+            assert event["pid"] == 0
             assert isinstance(event["tid"], int)
             if event["ph"] != "M":
                 assert isinstance(event["ts"], float)
-        # both shards got process_name metadata
-        names = [e for e in events if e["name"] == "process_name"]
-        assert {e["pid"] for e in names} == {0, 1}
+        # one named thread lane per machine
+        lanes = [e for e in events if e["name"] == "thread_name"]
+        assert {e["args"]["name"] for e in lanes} == {"leaf 5", "leaf 9"}
+        assert len({e["tid"] for e in lanes}) == 2
 
-    def test_instants_carry_args_and_spans_have_duration(self, tmp_path):
+    def test_instants_carry_args(self, tmp_path):
         doc = json.loads(
             export_chrome_trace(self._events(), tmp_path / "t.json").read_text()
         )
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert {e["name"] for e in instants} == {"insert", "store"}
         assert all(e["args"]["trace_id"] == "ab" for e in instants)
-        (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert span["dur"] > 0
-        assert span["args"]["bytes_sent"] == 88
+        assert {e["args"].get("hops") for e in instants} == {None, 3}
 
     def test_creates_parent_dirs(self, tmp_path):
         path = export_chrome_trace([], tmp_path / "deep" / "t.json")
@@ -282,7 +259,7 @@ class TestFlightRecorder:
         path = tmp_path / "flight.jsonl"
         recorder = FlightRecorder(path)
         recorder.note_event(
-            {"kind": "store", "trace_id": "abcd", "t": 1.5, "shard": 0, "hops": 2}
+            {"kind": "store", "trace_id": "abcd", "t": 1.5, "hops": 2}
         )
         recorder.heartbeat("insert", wave=3)
         recorder.close()

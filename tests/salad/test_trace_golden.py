@@ -1,13 +1,12 @@
 """Causal tracing is a pure observer: golden identity + chain completeness.
 
 Two claims pinned here.  First, sampling **never perturbs the simulated
-message trace**: a traced run (any rate, either engine) reproduces every
-observable of the untraced run byte-for-byte -- the sampler is a pure
-predicate on the record's routing id and consumes no RNG.  Second, the
-traces themselves are **causally complete**: a sampled record inserted on
-one shard and stored on another yields one merged timeline whose events
-span both workers, ordered insert -> envelope.stage -> envelope.deliver ->
-store.
+message trace**: a traced run (any rate) reproduces every observable of the
+untraced run byte-for-byte -- the sampler is a pure predicate on the
+record's routing id and consumes no RNG.  Second, the traces themselves are
+**causally complete**: a sampled record's timeline begins with its insert,
+its ``route.hop`` events chain back to the inserting leaf, and every store
+is followed by its flush.
 """
 
 import random
@@ -20,16 +19,14 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import build_timelines
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
-from repro.salad.sharded import ShardedSimulation
 
 LEAVES = 16
 RECORDS_PER_LEAF = 6
 CONTENT_POOL = 40
 
-#: Sharded-mechanism and per-process telemetry, excluded from identity
-#: comparison (same convention as test_sharded_golden); ``sim.trace.*``
+#: Per-process telemetry, excluded from identity comparison; ``sim.trace.*``
 #: lives here by design -- a sampled run legitimately counts trace events.
-ENGINE_SPECIFIC_PREFIXES = ("salad.sharded.", "sim.")
+INCIDENTAL_PREFIXES = ("sim.",)
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +68,7 @@ def _observe(sim):
         "metric_counters": {
             name: value
             for name, value in registry.counter_totals().items()
-            if not name.startswith(ENGINE_SPECIFIC_PREFIXES)
+            if not name.startswith(INCIDENTAL_PREFIXES)
         },
     }
 
@@ -94,32 +91,12 @@ def untraced_single():
 
 
 class TestSamplingNeverPerturbs:
-    """Golden identity: every engine observable, traced vs. untraced."""
+    """Golden identity: every observable, traced vs. untraced."""
 
     @pytest.mark.parametrize("rate", [0.05, 1.0])
     def test_traced_single_process_is_identical(self, rate, untraced_single):
         observed = _drive(Salad(_config(trace_sample_rate=rate)))
         assert observed == untraced_single
-
-    def test_traced_sharded_is_identical(self, untraced_single):
-        observed = _drive(
-            ShardedSimulation(_config(trace_sample_rate=0.25), workers=2)
-        )
-        assert observed == untraced_single
-
-    def test_untraced_sharded_matches_and_ships_no_events(self, untraced_single):
-        sim = ShardedSimulation(_config(trace_sample_rate=0.0), workers=2)
-        try:
-            sim.build(LEAVES)
-            sim.insert_records(
-                _records_for(sim.alive_identifiers(), random.Random(5))
-            )
-            observed = _observe(sim)
-            assert observed == untraced_single
-            assert sim.take_trace_events() == []
-        finally:
-            sim.shutdown()
-        assert tracing.take_events() == []
 
     def test_trace_counters_live_outside_the_identity_namespace(self):
         # sim.trace.* is per-process incidental state: present in sampled
@@ -139,27 +116,14 @@ class TestSamplingNeverPerturbs:
         assert totals.get("sim.trace.events_recorded", 0) > 0
 
 
-def _sampled_run_events(workers):
-    sim = ShardedSimulation(_config(trace_sample_rate=1.0), workers=workers)
-    try:
-        sim.build(LEAVES)
-        sim.insert_records(_records_for(sim.alive_identifiers(), random.Random(5)))
-        sim.collect_metrics(MetricsRegistry())  # ships workers' trace events
-        return sim.take_trace_events()
-    finally:
-        sim.shutdown()
-
-
 class TestCausalChains:
     @pytest.fixture(scope="class")
     def events(self):
         tracing.deactivate()
-        events = _sampled_run_events(workers=2)
+        _drive(Salad(_config(trace_sample_rate=1.0)))
+        events = tracing.take_events()
         tracing.deactivate()
         return events
-
-    def test_events_arrive_from_every_worker(self, events):
-        assert {e["shard"] for e in events if e["shard"] is not None} == {0, 1}
 
     def test_every_timeline_begins_with_insert(self, events):
         timelines = build_timelines(events)
@@ -167,56 +131,32 @@ class TestCausalChains:
         for entries in timelines.values():
             assert entries[0]["kind"] == "insert"
 
-    def test_cross_shard_chains_are_complete(self, events):
-        # At least one sampled record crossed shards; its merged timeline
-        # must contain the full causal chain with both workers' events.
-        timelines = build_timelines(events)
-        complete = [
-            entries
-            for entries in timelines.values()
-            if {e["shard"] for e in entries} == {0, 1}
-        ]
-        assert complete, "no sampled record crossed shards"
-        chained = False
-        for entries in complete:
-            kinds = [e["kind"] for e in entries]
-            if {"envelope.stage", "envelope.deliver", "store"} <= set(kinds):
-                # stage on the sending shard precedes deliver on the receiver
-                assert kinds.index("envelope.stage") < kinds.index(
-                    "envelope.deliver"
-                )
-                assert kinds.index("envelope.deliver") < kinds.index("store")
-                chained = True
-        assert chained, "no complete stage->deliver->store chain found"
+    def test_route_hops_chain_from_the_inserting_leaf(self, events):
+        # A first hop leaves the inserting leaf; a later hop leaves a leaf
+        # that itself received the record one hop earlier.
+        hops_seen = 0
+        for entries in build_timelines(events).values():
+            reached = {0: {entries[0]["machine"]}}
+            for event in entries:
+                if event["kind"] != "route.hop":
+                    continue
+                hops_seen += 1
+                assert event["sender"] in reached[event["hops"] - 1]
+                reached.setdefault(event["hops"], set()).add(event["machine"])
+        assert hops_seen
 
     def test_stores_are_flushed(self, events):
-        # insert_records settles and flushes: every store.flush follows a
-        # store of the same trace id.
-        flushes = [e for e in events if e["kind"] == "store.flush"]
-        assert flushes
-        stored = {e["trace_id"] for e in events if e["kind"] == "store"}
-        assert {e["trace_id"] for e in flushes} <= stored
-
-    def test_exchange_round_markers_present(self, events):
-        rounds = [e for e in events if e["kind"] == "exchange.round"]
-        assert rounds
-        assert all(r["bytes_sent"] > 0 for r in rounds)
-
-    def test_single_and_sharded_sample_the_same_records(self, events):
-        # The sampler is engine-independent: the set of sampled trace ids
-        # (every record, at rate 1.0) matches the single-process engine's.
-        tracing.deactivate()
-        sim = Salad(_config(trace_sample_rate=1.0))
-        try:
-            sim.build(LEAVES)
-            sim.insert_records(
-                _records_for(sim.alive_identifiers(), random.Random(5))
-            )
-        finally:
-            sim.shutdown()
-        single_events = tracing.take_events()
-        single_ids = {
-            e["trace_id"] for e in single_events if e["kind"] == "insert"
-        }
-        sharded_ids = {e["trace_id"] for e in events if e["kind"] == "insert"}
-        assert sharded_ids == single_ids
+        # insert_records settles and flushes: every store is followed, on
+        # the same leaf and in the same timeline, by its store.flush.
+        stores = 0
+        for entries in build_timelines(events).values():
+            for index, event in enumerate(entries):
+                if event["kind"] != "store":
+                    continue
+                stores += 1
+                assert any(
+                    later["kind"] == "store.flush"
+                    and later["machine"] == event["machine"]
+                    for later in entries[index + 1 :]
+                )
+        assert stores

@@ -1,8 +1,7 @@
 """The site/rack topology model and its Network integration.
 
-Covers deterministic placement, link naming and latency classes, the
-uniformity contract the sharded engine relies on, the CLI spec parser,
-named-link cuts (including mid-flight severing), per-class counters, the
+Covers deterministic placement, link naming and latency classes, the CLI
+spec parser, named-link cuts (including mid-flight severing), per-class counters, the
 integer-tick delivery windows (equal nominal delays must share one batch,
 and chained hops must not accumulate float drift), and the headline
 equivalence claim: the degenerate one-site topology is trace-identical to
@@ -54,10 +53,10 @@ class TestPlacement:
             assert a.place(identifier) == b.place(identifier)
 
     def test_placement_independent_of_low_bits(self):
-        # The sharded engine keys sub-cubes off the low identifier bits; if
-        # placement depended on them, every shard would collapse onto one
-        # site.  Machines differing only in the low 2 bits must still
-        # scatter across sites.
+        # SALAD keys cells off the low identifier bits; if placement
+        # depended on them, a cell's leaves would collapse onto one site.
+        # Machines differing only in the low 2 bits must still scatter
+        # across sites.
         topo = corporate()
         base = 0xABCDEF << 8
         sites = {topo.place(base | low)[0] for low in range(4)}
@@ -130,25 +129,6 @@ class TestLinks:
             LinkClass("rack", 0, "x")
 
 
-class TestUniformity:
-    def test_one_site_is_uniform(self):
-        assert one_site().is_uniform()
-        assert one_site(0.25).uniform_latency() == 0.25
-
-    def test_mixed_classes_not_uniform(self):
-        assert not corporate().is_uniform()
-        assert not parse_topology("campus").is_uniform()
-        with pytest.raises(ValueError, match="not uniform"):
-            corporate().uniform_ticks()
-
-    def test_unreachable_classes_do_not_break_uniformity(self):
-        # Single rack per site: the lan class can never occur, so only
-        # rack and wan ticks need to agree.
-        topo = Topology(sites=2, racks_per_site=1, rack_ticks=3, lan_ticks=99, wan_ticks=3)
-        assert topo.is_uniform()
-        assert topo.uniform_ticks() == 3
-
-
 class TestParse:
     def test_flat_forms(self):
         for spec in (None, "", "  ", "none", "flat", "NONE"):
@@ -158,7 +138,8 @@ class TestParse:
         assert topology_presets() == ["campus", "corporate", "one-site"]
         topo = parse_topology("corporate")
         assert (topo.sites, topo.racks_per_site) == (4, 4)
-        assert parse_topology("one-site").is_uniform()
+        one = parse_topology("one-site")
+        assert (one.sites, one.racks_per_site) == (1, 1)
 
     def test_custom_spec(self):
         topo = parse_topology("sites=2,racks=3,rack=2,lan=4,wan=20,quantum=0.5")
