@@ -5,7 +5,7 @@ The paper's full-scale deployment implies on the order of 10M
 (section 5); holding them all in RAM is what blocks a laptop-scale
 full-corpus run.  This module extracts the :class:`RecordStore` contract
 that :class:`repro.salad.database.RecordDatabase` (the in-memory store)
-already implements and adds two durable backends:
+already implements and adds three durable backends:
 
 - :class:`SqliteRecordStore` -- records live in a single-file sqlite3
   database whose ``WITHOUT ROWID`` primary key ``(sort_key, location)`` *is*
@@ -19,13 +19,14 @@ already implements and adds two durable backends:
   rewrites the log as a snapshot of the live records;
 - :class:`PagedWalRecordStore` (``wal-paged``) -- the same log format, but the
   records themselves stay on disk: memory holds only a flat open-addressed
-  key->offset index (16 bytes per slot) plus a small LRU record cache, and
-  record bodies are read back from the log on demand.  This is the backend
+  key->offset index (16 bytes per slot: a 64-bit key, and a 44-bit log offset
+  above a 20-bit location tag) plus a small LRU record cache, and record
+  bodies are read back from the log on demand.  This is the backend
   that bounds a flagship-scale run's RSS: the plain WAL store keeps a full
   :class:`~repro.salad.database.RecordDatabase` in memory and therefore
   *tracks* the memory backend's footprint, it never beats it.
 
-All three backends are observably identical for in-memory behavior: the
+All backends are observably identical for in-memory behavior: the
 shared contract suite (``tests/salad/test_record_stores.py``) runs them
 through the same associative-insert / capacity-eviction / iteration
 semantics and asserts bit-identical results.  The contract fixes two
@@ -35,7 +36,7 @@ iterates in ``(sort_key, location)`` order.
 
 Backend selection threads through :class:`repro.salad.salad.SaladConfig`
 (``db_backend`` / ``db_dir``) and the experiment CLIs (``--db-backend
-memory|sqlite|wal``, ``--db-dir``); :func:`set_default_db_backend` sets the
+memory|sqlite|wal|wal-paged``, ``--db-dir``); :func:`set_default_db_backend` sets the
 process-wide default the same way ``repro.perf.set_default_workers`` does
 for parallelism.
 
@@ -66,6 +67,7 @@ import zlib
 from array import array
 from bisect import insort
 from collections import OrderedDict
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -603,27 +605,52 @@ class WalRecordStore(RecordStore):
         return min(self._buffered_ops, len(self._mem))
 
 
+#: Low bits of every index slot's value word that hold the record's location
+#: tag; the log offset sits above them, so offsets stay below 2^44 (16 TiB).
+_TAG_BITS = 20
+_TAG_MASK = (1 << _TAG_BITS) - 1
+_OFFSET_LIMIT = 1 << (64 - _TAG_BITS)
+#: Fibonacci-hashing multiplier, 2^64 / golden ratio.  The home slot is the
+#: *high* bits of ``key * _MIX mod 2^64``, which every key bit reaches.
+_MIX = 0x9E3779B97F4A7C15
+_M64 = (1 << 64) - 1
+#: Value-word sentinels; every real word is at least ``len(WAL_MAGIC) << 20``.
+_EMPTY = 0
+_TOMBSTONE = 1
+
+
 class _OffsetIndex:
-    """Flat open-addressed hash multimap: 64-bit key -> log offsets.
+    """Flat open-addressed hash multimap: 64-bit key -> tagged log offsets.
 
     The paged store's only per-record memory: one ``array('Q')`` holding
-    interleaved ``[key, value]`` slot pairs (16 bytes each), linear probing,
-    power-of-two sizing.  ``value`` is a log offset; offsets are always
-    ``>= len(WAL_MAGIC)``, freeing 0 (EMPTY) and 1 (TOMBSTONE) as sentinels.
+    interleaved ``[key, word]`` slot pairs (16 bytes each), linear probing,
+    power-of-two sizing.  ``word`` is ``offset << 20 | tag``: the record's log
+    offset above a 20-bit tag the caller derives from the record's location.
+    Offsets are always ``>= len(WAL_MAGIC)``, so every real word exceeds
+    2^20, freeing 0 (EMPTY) and 1 (TOMBSTONE) as sentinels.
+
     Keys are a 64-bit digest slice of the record's sort key, so distinct
     fingerprints may collide -- the store disambiguates by reading the
     records back, which is why this is a multimap (lookup returns every
-    offset filed under the key, probing past tombstones until EMPTY).
+    offset filed under the key, probing past tombstones until EMPTY).  The
+    tag lets the store ask for one ``(key, location)`` instead: no slot with
+    that key and tag means no such record, without reading anything.
+
+    The home slot is a multiplicative mix of the key, never ``key & mask``:
+    a SALAD leaf stores only records of its own cell, and the cell-ID *is*
+    the low W bits of the content hash (Eq. 7) -- the key's low bits -- so
+    on any one leaf they are all equal and would pile every key onto
+    ``slots / 2^W`` home positions.
     """
 
-    __slots__ = ("_slots", "_mask", "_table", "_used", "_live")
-
-    _EMPTY = 0
-    _TOMBSTONE = 1
+    __slots__ = ("_shift", "_wrap", "_table", "_used", "_live")
 
     def __init__(self, slots: int = 16):
-        self._slots = slots
-        self._mask = slots - 1
+        self._allocate(slots)
+
+    def _allocate(self, slots: int) -> None:
+        self._shift = 64 - (slots.bit_length() - 1)
+        self._wrap = 2 * slots - 1  # table positions are even: (j + 2) & wrap
         self._table = array("Q", bytes(16 * slots))
         self._used = 0  # non-EMPTY slots (live + tombstones)
         self._live = 0
@@ -631,73 +658,114 @@ class _OffsetIndex:
     def __len__(self) -> int:
         return self._live
 
-    def add(self, key: int, offset: int) -> None:
-        if 3 * (self._used + 1) >= 2 * self._slots:
+    def add(self, key: int, offset: int, tag: int) -> None:
+        if not (0 < offset < _OFFSET_LIMIT and 0 <= tag <= _TAG_MASK):
+            raise OverflowError(f"offset {offset} / tag {tag} do not fit a slot")
+        if 3 * (self._used + 1) >= len(self._table):
             self._rebuild()
-        table, mask = self._table, self._mask
-        i = key & mask
+        self._place(key, offset << _TAG_BITS | tag)
+
+    def _place(self, key: int, word: int) -> None:
+        table, wrap = self._table, self._wrap
+        j = ((key * _MIX & _M64) >> self._shift) << 1
         while True:
-            value = table[2 * i + 1]
-            if value <= self._TOMBSTONE:
-                table[2 * i] = key
-                table[2 * i + 1] = offset
-                if value == self._EMPTY:
+            value = table[j + 1]
+            if value <= _TOMBSTONE:
+                table[j] = key
+                table[j + 1] = word
+                if value == _EMPTY:
                     self._used += 1
                 self._live += 1
                 return
-            i = (i + 1) & mask
+            j = (j + 2) & wrap
 
     def lookup(self, key: int) -> List[int]:
         """Every offset filed under *key* (hash collisions included)."""
-        table, mask = self._table, self._mask
-        i = key & mask
+        table, wrap = self._table, self._wrap
+        j = ((key * _MIX & _M64) >> self._shift) << 1
         out: List[int] = []
         while True:
-            value = table[2 * i + 1]
-            if value == self._EMPTY:
+            value = table[j + 1]
+            if value == _EMPTY:
                 return out
-            if value != self._TOMBSTONE and table[2 * i] == key:
-                out.append(value)
-            i = (i + 1) & mask
+            if table[j] == key and value != _TOMBSTONE:
+                out.append(value >> _TAG_BITS)
+            j = (j + 2) & wrap
+
+    def lookup_tagged(self, key: int, tag: int) -> List[int]:
+        """The offsets filed under *key* whose slot carries *tag*."""
+        table, wrap = self._table, self._wrap
+        j = ((key * _MIX & _M64) >> self._shift) << 1
+        out: List[int] = []
+        while True:
+            value = table[j + 1]
+            if value == _EMPTY:
+                return out
+            # A tombstone keeps its key and reads as tag 1: exclude it.
+            if table[j] == key and value & _TAG_MASK == tag and value != _TOMBSTONE:
+                out.append(value >> _TAG_BITS)
+            j = (j + 2) & wrap
 
     def remove(self, key: int, offset: int) -> bool:
-        table, mask = self._table, self._mask
-        i = key & mask
+        table, wrap = self._table, self._wrap
+        j = ((key * _MIX & _M64) >> self._shift) << 1
         while True:
-            value = table[2 * i + 1]
-            if value == self._EMPTY:
+            value = table[j + 1]
+            if value == _EMPTY:
                 return False
-            if value == offset and table[2 * i] == key:
-                table[2 * i + 1] = self._TOMBSTONE
+            if table[j] == key and value >> _TAG_BITS == offset:
+                table[j + 1] = _TOMBSTONE
                 self._live -= 1
                 return True
-            i = (i + 1) & mask
+            j = (j + 2) & wrap
 
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """All live ``(key, offset)`` pairs, in slot order."""
+    def items(self) -> Iterator[Tuple[int, int, int]]:
+        """All live ``(key, offset, tag)`` triples, in slot order."""
         table = self._table
-        for i in range(self._slots):
-            value = table[2 * i + 1]
-            if value > self._TOMBSTONE:
-                yield table[2 * i], value
+        for j in range(0, len(table), 2):
+            value = table[j + 1]
+            if value > _TOMBSTONE:
+                yield table[j], value >> _TAG_BITS, value & _TAG_MASK
 
     def _rebuild(self) -> None:
         # Double when live entries are genuinely dense; otherwise rebuild at
         # the same size, which drops the tombstones that tripped the load
         # check.
-        slots = self._slots
+        old = self._table
+        slots = len(old) // 2
         if 3 * (self._live + 1) >= 2 * slots:
             slots *= 2
-        old = self._table
-        self._slots = slots
-        self._mask = slots - 1
-        self._table = array("Q", bytes(16 * slots))
-        self._used = 0
-        self._live = 0
-        for i in range(len(old) // 2):
-            value = old[2 * i + 1]
-            if value > self._TOMBSTONE:
-                self.add(old[2 * i], value)
+        self._allocate(slots)
+        for j in range(0, len(old), 2):
+            value = old[j + 1]
+            if value > _TOMBSTONE:
+                self._place(old[j], value)
+
+
+_INSERT_HEAD = struct.Struct(f">BI{FINGERPRINT_BYTES}sH")  # op, length, sort key, loc_len
+
+
+def _insert_frame(sort_key: bytes, location: int) -> bytes:
+    """A whole INSERT frame in one pack and one CRC.
+
+    Byte-identical to ``WalRecordStore._frame(_OP_INSERT,
+    WalRecordStore._insert_payload(record))``, which stays the reference.
+    """
+    loc = location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
+    body = _INSERT_HEAD.pack(
+        _OP_INSERT, FINGERPRINT_BYTES + 2 + len(loc), sort_key, len(loc)
+    ) + loc
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def _key64(sort_key: bytes) -> int:
+    # The sort key ends in the fingerprint's hash digest, so its last 8 bytes
+    # are uniform -- except, on any one leaf, the cell-ID in their low bits,
+    # which the index's home-slot mix spreads.
+    return int.from_bytes(sort_key[-8:], "big")
+
+
+_by_location = attrgetter("location")
 
 
 class PagedWalRecordStore(RecordStore):
@@ -708,8 +776,9 @@ class PagedWalRecordStore(RecordStore):
     in-memory :class:`~repro.salad.database.RecordDatabase`, memory holds:
 
     - a :class:`_OffsetIndex` mapping a 64-bit slice of each record's sort
-      key to the offset of its INSERT frame (~16-32 bytes per record at the
-      index's load factor, vs hundreds for dict-of-set mirrors);
+      key to the offset of its INSERT frame, tagged with the low 20 bits of
+      the record's location (~24-48 bytes per record at the index's load
+      factor, vs hundreds for dict-of-set mirrors);
     - a bounded LRU cache of decoded records keyed by offset
       (``cache_records`` entries; :attr:`page_hits` / :attr:`page_misses`
       count its effectiveness);
@@ -717,6 +786,16 @@ class PagedWalRecordStore(RecordStore):
       ``(sort_key, location)`` pairs serving the Fig. 13 lowest-record
       probe (bounded by the capacity itself, so it never grows with the
       log).
+
+    "Is this ``(fingerprint, location)`` already here?" -- what a leaf asks
+    for every arriving record, two times in three about a redelivery -- is
+    answered from the index: every live record's slot carries its own key
+    and tag, so no slot with both means *absent*, exactly, with nothing
+    read; a slot with both is only a hint (2^-20 tags and 2^-64 keys
+    collide), so that one record is read back and its full sort key and
+    location confirmed.  :attr:`tag_rejects` counts hints the read-back
+    refused.  Only the matches an ``insert`` must return read every record
+    filed under the key.
 
     Cache misses read the frame back from the log: a short ``seek + read``
     against the backing file, or a parse out of the append buffer for
@@ -775,6 +854,7 @@ class PagedWalRecordStore(RecordStore):
         self.sync_writes = 0
         self.page_hits = 0
         self.page_misses = 0
+        self.tag_rejects = 0
         if self.path.exists() and self.path.stat().st_size > 0:
             self._replay()
             # Replay re-runs the capacity policy; its eviction/rejection
@@ -784,12 +864,6 @@ class PagedWalRecordStore(RecordStore):
         else:
             self.path.write_bytes(WAL_MAGIC)
         self.recovered_records = len(self._index)
-
-    @staticmethod
-    def _key64(sort_key: bytes) -> int:
-        # The sort key ends in the fingerprint's hash digest, so its last 8
-        # bytes are uniform -- exactly what the hash index wants.
-        return int.from_bytes(sort_key[-8:], "big")
 
     # -- reads -----------------------------------------------------------------
 
@@ -836,38 +910,54 @@ class PagedWalRecordStore(RecordStore):
         if len(cache) > self._cache_limit:
             cache.popitem(last=False)
 
-    def _live_matches(self, sort_key: bytes) -> List[Tuple[int, SaladRecord]]:
-        """Live ``(offset, record)`` pairs whose sort key equals *sort_key*.
+    def _matches(self, sort_key: bytes, key: int) -> List[SaladRecord]:
+        """Live records whose sort key equals *sort_key*, sorted by location.
 
         The index key is only a 64-bit slice, so every candidate offset is
         read back and verified against the full sort key.
         """
         out = [
-            (offset, record)
-            for offset in self._index.lookup(self._key64(sort_key))
+            record
+            for offset in self._index.lookup(key)
             if (record := self._record_at(offset)).sort_key() == sort_key
         ]
-        out.sort(key=lambda pair: pair[1].location)
+        if len(out) > 1:
+            out.sort(key=_by_location)
         return out
+
+    def _find(self, sort_key: bytes, key: int, location: int) -> Optional[int]:
+        """Offset of the live record ``(sort_key, location)``; None if absent.
+
+        No slot under *key* tagged with the location's low bits: absent,
+        nothing read.  A tagged slot is read back and confirmed in full.
+        """
+        for offset in self._index.lookup_tagged(key, location & _TAG_MASK):
+            record = self._record_at(offset)
+            if record.location == location and record.sort_key() == sort_key:
+                return offset
+            self.tag_rejects += 1
+        return None
 
     def __len__(self) -> int:
         return len(self._index)
 
     def __contains__(self, fingerprint: Fingerprint) -> bool:
-        return bool(self._live_matches(fingerprint.to_bytes()))
+        sort_key = fingerprint.to_bytes()
+        return bool(self._matches(sort_key, _key64(sort_key)))
 
     def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        matches = self._live_matches(fingerprint.to_bytes())
-        return {record.location for _, record in matches}
+        sort_key = fingerprint.to_bytes()
+        return {r.location for r in self._matches(sort_key, _key64(sort_key))}
 
     def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        matches = self._live_matches(fingerprint.to_bytes())
-        return any(record.location == location for _, record in matches)
+        sort_key = fingerprint.to_bytes()
+        key = _key64(sort_key)
+        return self._find(sort_key, key, location) is not None
 
     def records(self) -> Iterator[SaladRecord]:
         everything = [
             self._record_at(offset, cache=False)
-            for _, offset in self._index.items()
+            for _, offset, _ in self._index.items()
         ]
         everything.sort(key=lambda r: (r.sort_key(), r.location))
         return iter(everything)
@@ -876,21 +966,19 @@ class PagedWalRecordStore(RecordStore):
 
     def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
         sort_key = record.sort_key()
-        matches = [rec for _, rec in self._live_matches(sort_key)]
-        if any(m.location == record.location for m in matches):
-            return False, matches
-        if self.capacity is not None and len(self._index) >= self.capacity:
-            lowest = self._sorted[0] if self._sorted else None
-            if lowest is None or sort_key <= lowest[0]:
-                self.rejections += 1
+        key = _key64(sort_key)
+        location = record.location
+        matches = self._matches(sort_key, key)
+        for match in matches:
+            if match.location == location:
                 return False, matches
-            self._evict(*lowest)
-            self.evictions += 1
+        if not self._make_room(sort_key):
+            return False, matches
         offset = self._file_end + len(self._buffer)
-        self._append(_OP_INSERT, self._insert_payload(record))
-        self._index.add(self._key64(sort_key), offset)
+        self._append(_insert_frame(sort_key, location))
+        self._index.add(key, offset, location & _TAG_MASK)
         if self._sorted is not None:
-            insort(self._sorted, (sort_key, record.location))
+            insort(self._sorted, (sort_key, location))
         self._cache_put(offset, record)
         self._maybe_compact()
         return True, matches
@@ -902,52 +990,66 @@ class PagedWalRecordStore(RecordStore):
         self._write_out()  # batch boundary: make the whole batch durable
         return results
 
-    def _evict(self, sort_key: bytes, location: int) -> None:
-        """Drop the record (known live) with this exact key and location.
+    def _make_room(self, sort_key: bytes) -> bool:
+        """Apply the capacity policy for a new record; False means rejected.
 
         Evictions write no log entry: replaying the logged inserts through
         the same capacity policy re-derives them, exactly as in the plain
         WAL store.
         """
-        for offset, record in self._live_matches(sort_key):
-            if record.location == location:
-                self._index.remove(self._key64(sort_key), offset)
-                self._cache.pop(offset, None)
-                self._sorted.remove((sort_key, location))
-                return
-        raise AssertionError("eviction target vanished from the index")
+        if self.capacity is None or len(self._index) < self.capacity:
+            return True
+        lowest = self._sorted[0] if self._sorted else None
+        if lowest is None or sort_key <= lowest[0]:
+            self.rejections += 1
+            return False
+        lowest_key = _key64(lowest[0])
+        offset = self._find(lowest[0], lowest_key, lowest[1])
+        if offset is None:
+            raise AssertionError("eviction target vanished from the index")
+        self._index.remove(lowest_key, offset)
+        self._cache.pop(offset, None)
+        del self._sorted[0]
+        self.evictions += 1
+        return True
 
     def remove_location(self, location: int) -> int:
         """Drop every record pointing at *location* (a departed machine).
 
-        A full index scan with read-back -- the paged store keeps no
-        per-location index in memory.  Departures are rare (once per machine
-        death) and per-leaf logs are small, so the scan is the right trade
-        against carrying another always-on in-memory index.
+        A full index scan -- the paged store keeps no per-location index in
+        memory -- that reads back only the slots tagged with the location's
+        low bits.  Departures are rare (once per machine death) and per-leaf
+        logs are small, so the scan is the right trade against carrying
+        another always-on in-memory index.
         """
+        removed = self._drop_location(location)
+        if removed:
+            self._append(self._frame(_OP_REMOVE_LOCATION, self._remove_payload(location)))
+            self._maybe_compact()
+        return removed
+
+    def _drop_location(self, location: int) -> int:
+        tag = location & _TAG_MASK
         victims = [
             (key, offset, record)
-            for key, offset in list(self._index.items())
-            if (record := self._record_at(offset, cache=False)).location == location
+            for key, offset, slot_tag in self._index.items()
+            if slot_tag == tag
+            and (record := self._record_at(offset, cache=False)).location == location
         ]
         for key, offset, record in victims:
             self._index.remove(key, offset)
             self._cache.pop(offset, None)
             if self._sorted is not None:
                 self._sorted.remove((record.sort_key(), location))
-        if victims:
-            self._append(_OP_REMOVE_LOCATION, self._remove_payload(location))
-            self._maybe_compact()
         return len(victims)
 
     # -- log append (shared framing with WalRecordStore) -----------------------
 
     _frame = staticmethod(WalRecordStore._frame)
-    _insert_payload = staticmethod(WalRecordStore._insert_payload)
     _remove_payload = staticmethod(WalRecordStore._remove_payload)
 
-    def _append(self, op: int, payload: bytes) -> None:
-        self._buffer += self._frame(op, payload)
+    def _append(self, frame: bytes) -> None:
+        self._buffer += frame
         self._buffered_ops += 1
         self._log_ops += 1
         if self._buffered_ops >= self._sync_every:
@@ -1002,41 +1104,25 @@ class PagedWalRecordStore(RecordStore):
         """Replay one frame at *offset* through the live-state policy."""
         try:
             if op == _OP_INSERT:
-                key = payload[:FINGERPRINT_BYTES]
+                sort_key = payload[:FINGERPRINT_BYTES]
                 (loc_len,) = struct.unpack_from(">H", payload, FINGERPRINT_BYTES)
                 loc_bytes = payload[FINGERPRINT_BYTES + 2 :]
-                if len(key) != FINGERPRINT_BYTES or len(loc_bytes) != loc_len:
+                if len(sort_key) != FINGERPRINT_BYTES or len(loc_bytes) != loc_len:
                     return False
-                record = SaladRecord(
-                    fingerprint=Fingerprint.from_bytes(key),
-                    location=int.from_bytes(loc_bytes, "big"),
-                )
-                sort_key = record.sort_key()
-                matches = self._live_matches(sort_key)
-                if any(r.location == record.location for _, r in matches):
+                location = int.from_bytes(loc_bytes, "big")
+                key = _key64(sort_key)
+                if self._find(sort_key, key, location) is not None:
                     return True  # idempotent replay of an odd log
-                if self.capacity is not None and len(self._index) >= self.capacity:
-                    lowest = self._sorted[0] if self._sorted else None
-                    if lowest is None or sort_key <= lowest[0]:
-                        self.rejections += 1
-                        return True
-                    self._evict(*lowest)
-                    self.evictions += 1
-                self._index.add(self._key64(sort_key), offset)
-                if self._sorted is not None:
-                    insort(self._sorted, (sort_key, record.location))
+                if self._make_room(sort_key):
+                    self._index.add(key, offset, location & _TAG_MASK)
+                    if self._sorted is not None:
+                        insort(self._sorted, (sort_key, location))
             elif op == _OP_REMOVE_LOCATION:
                 (loc_len,) = struct.unpack_from(">H", payload, 0)
                 loc_bytes = payload[2:]
                 if len(loc_bytes) != loc_len:
                     return False
-                location = int.from_bytes(loc_bytes, "big")
-                for key, off in list(self._index.items()):
-                    record = self._parse_insert(self._replay_data, off)
-                    if record.location == location:
-                        self._index.remove(key, off)
-                        if self._sorted is not None:
-                            self._sorted.remove((record.sort_key(), location))
+                self._drop_location(int.from_bytes(loc_bytes, "big"))
             else:
                 return False
         except (ValueError, struct.error, IndexError):
@@ -1061,7 +1147,7 @@ class PagedWalRecordStore(RecordStore):
         """Rewrite the log as a live snapshot and remap every index offset."""
         live = [
             self._record_at(offset, cache=False)
-            for _, offset in self._index.items()
+            for _, offset, _ in self._index.items()
         ]
         live.sort(key=lambda r: (r.sort_key(), r.location))
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
@@ -1070,9 +1156,10 @@ class PagedWalRecordStore(RecordStore):
             fh.write(WAL_MAGIC)
             position = len(WAL_MAGIC)
             for record in live:
-                frame = self._frame(_OP_INSERT, self._insert_payload(record))
+                sort_key = record.sort_key()
+                frame = _insert_frame(sort_key, record.location)
                 fh.write(frame)
-                rebuilt.add(self._key64(record.sort_key()), position)
+                rebuilt.add(_key64(sort_key), position, record.location & _TAG_MASK)
                 position += len(frame)
             fh.flush()
             os.fsync(fh.fileno())

@@ -40,7 +40,7 @@ def harvest_salad_metrics(
     flush_hist = registry.histogram("salad.storage.sqlite.flush_seconds")
     flushes = compactions = sync_writes = 0
     recovered = torn_bytes = log_ops = 0
-    page_hits = page_misses = 0
+    page_hits = page_misses = tag_rejects = 0
     for leaf in leaves:
         total += 1
         if leaf.alive:
@@ -76,6 +76,7 @@ def harvest_salad_metrics(
         if getattr(db, "page_hits", None) is not None:  # paging WAL backend
             page_hits += db.page_hits
             page_misses += db.page_misses
+            tag_rejects += db.tag_rejects
 
     registry.counter("salad.leaves.total").inc(total)
     registry.counter("salad.leaves.alive").inc(alive)
@@ -100,6 +101,7 @@ def harvest_salad_metrics(
     registry.counter("salad.storage.wal.log_ops").inc(log_ops)
     registry.counter("salad.storage.wal.page_hits").inc(page_hits)
     registry.counter("salad.storage.wal.page_misses").inc(page_misses)
+    registry.counter("salad.storage.wal.tag_rejects").inc(tag_rejects)
 
     registry.counter("salad.network.messages_sent").inc(network.messages_sent)
     registry.counter("salad.network.messages_delivered").inc(

@@ -15,13 +15,19 @@ import zlib
 import pytest
 
 from repro.core.fingerprint import synthetic_fingerprint
+from repro.obs.registry import MetricsRegistry
+from repro.salad.database import RecordDatabase
 from repro.salad.records import SaladRecord
+from repro.salad.salad import Salad, SaladConfig
 from repro.salad.storage import (
+    _OP_INSERT,
+    _TAG_BITS,
     BACKENDS,
     WAL_MAGIC,
     PagedWalRecordStore,
     SqliteRecordStore,
     WalRecordStore,
+    _insert_frame,
     make_record_store,
 )
 
@@ -136,6 +142,82 @@ class TestContract:
         assert list(singles.records()) == list(batched.records())
         singles.close()
         batched.close()
+
+
+#: Two locations that agree in every bit the paged store's index keeps of a
+#: location, and a third that does too but is never stored.
+TWIN_A = 5
+TWIN_B = 5 + (1 << _TAG_BITS)
+TWIN_ABSENT = 5 + (2 << _TAG_BITS)
+
+
+class TestSameTagLocations:
+    """Presence answers stay exact when locations collide in their low bits.
+
+    ``wal-paged`` answers "absent" from a 20-bit location tag; a tag that
+    matches is only a hint.  Every backend must give the same verdicts, at
+    every point of a store's life.
+    """
+
+    def _fill(self, store):
+        for location in (TWIN_B, TWIN_A):
+            assert store.insert(rec(100, location=location))[0]
+        assert store.insert(rec(200, location=TWIN_A))[0]  # another fingerprint
+
+    def _check(self, store, stored=(TWIN_A, TWIN_B)):
+        fingerprint = rec(100).fingerprint
+        for location in (TWIN_A, TWIN_B, TWIN_ABSENT):
+            assert store.has_location(fingerprint, location) == (location in stored)
+        assert store.locations(fingerprint) == set(stored)
+        again, matches = store.insert(rec(100, location=stored[0]))
+        assert not again
+        assert [m.location for m in matches] == sorted(stored)
+
+    def test_verdicts_are_exact(self, backend, tmp_path):
+        store = make(backend, tmp_path)
+        self._fill(store)
+        self._check(store)
+        stored, matches = store.insert(rec(100, location=TWIN_ABSENT))
+        assert stored and [m.location for m in matches] == [TWIN_A, TWIN_B]
+        self._check(store, stored=(TWIN_A, TWIN_B, TWIN_ABSENT))
+        store.close()
+
+    def test_still_exact_after_remove_location(self, backend, tmp_path):
+        store = make(backend, tmp_path)
+        self._fill(store)
+        assert store.remove_location(TWIN_A) == 2
+        self._check(store, stored=(TWIN_B,))
+        store.close()
+
+    @pytest.mark.parametrize("backend", ("wal", "wal-paged"))
+    def test_still_exact_after_compaction(self, backend, tmp_path):
+        store = make(backend, tmp_path)
+        self._fill(store)
+        store.compact()
+        self._check(store)
+        store.close()
+
+    @pytest.mark.parametrize("backend", DURABLE)
+    def test_still_exact_after_crash_and_reopen(self, backend, tmp_path):
+        store = make(backend, tmp_path)
+        self._fill(store)
+        store.flush()
+        store.insert(rec(100, location=TWIN_ABSENT))  # never reaches the file
+        store.crash()
+        reopened = make(backend, tmp_path)
+        self._check(reopened)
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "writer, reader", [("wal", "wal-paged"), ("wal-paged", "wal")]
+    )
+    def test_still_exact_across_a_cross_class_reopen(self, writer, reader, tmp_path):
+        store = make(writer, tmp_path)
+        self._fill(store)
+        store.close()
+        reopened = make(reader, tmp_path)
+        self._check(reopened)
+        reopened.close()
 
 
 class TestBackendEquivalence:
@@ -438,6 +520,38 @@ class TestPagedWalRecovery:
         assert len(reopened) == 0
         reopened.close()
 
+    def test_tag_hit_is_confirmed_by_read_back_and_counted(self, tmp_path):
+        store = PagedWalRecordStore(tmp_path / "t.wal")
+        for location in (TWIN_A, TWIN_B):
+            store.insert(rec(100, location=location))
+        fingerprint = rec(100).fingerprint
+        assert store.has_location(fingerprint, TWIN_A)
+        assert store.has_location(fingerprint, TWIN_B)
+        reads = store.page_hits + store.page_misses
+        rejects = store.tag_rejects  # a twin met on the way to its twin counts
+        # A different tag: answered from the index, nothing read back.
+        assert not store.has_location(fingerprint, TWIN_A + 1)
+        assert not store.has_location(rec(101).fingerprint, TWIN_A)
+        assert store.page_hits + store.page_misses == reads
+        assert store.tag_rejects == rejects
+        # The same tag, another location: both hints read back and refused.
+        assert not store.has_location(fingerprint, TWIN_ABSENT)
+        assert store.page_hits + store.page_misses == reads + 2
+        assert store.tag_rejects == rejects + 2
+        store.close()
+
+    @pytest.mark.parametrize("location", [0, 1, 255, 256, TWIN_B, (1 << 160) - 1])
+    def test_fused_insert_frame_is_byte_identical(self, location, tmp_path):
+        record = rec(123, content=4, location=location)
+        reference = WalRecordStore._frame(
+            _OP_INSERT, WalRecordStore._insert_payload(record)
+        )
+        assert _insert_frame(record.sort_key(), location) == reference
+        store = PagedWalRecordStore(tmp_path / "t.wal")
+        store.insert(record)
+        store.close()
+        assert (tmp_path / "t.wal").read_bytes() == WAL_MAGIC + reference
+
     def test_index_survives_heavy_churn(self, tmp_path):
         # Exercises tombstone reuse and same-size index rebuilds: many
         # insert/remove rounds over a small live set.
@@ -489,3 +603,72 @@ class TestSqliteIndexing:
         ]
         assert any("records_by_location" in p for p in plans)
         store.close()
+
+
+class TestLeafCallSequence:
+    """The benchmark's tracer wraps ``has_location`` and ``insert`` on these
+    two classes and counts a wrapped method that is never called as a failed
+    check.  ``SaladLeaf._store_record`` must keep calling both.
+    """
+
+    @pytest.mark.parametrize(
+        "backend, owner",
+        [("memory", RecordDatabase), ("wal-paged", PagedWalRecordStore)],
+    )
+    def test_an_insert_wave_probes_then_inserts(
+        self, backend, owner, tmp_path, monkeypatch
+    ):
+        calls = {"has_location": 0, "insert": 0}
+
+        def counted(name):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(owner, name, counted(name))
+        salad = Salad(
+            SaladConfig(
+                dimensions=2,
+                target_redundancy=2.0,
+                seed=1,
+                db_backend=backend,
+                db_dir=str(tmp_path),
+            )
+        )
+        salad.build(16)
+        wave = {
+            identifier: [rec(100 + n, content=n % 3, location=identifier)]
+            for n, identifier in enumerate(salad.alive_identifiers())
+        }
+        assert salad.insert_records(wave) == 16
+        salad.shutdown()
+        assert calls["insert"] >= 16
+        assert calls["has_location"] >= calls["insert"]
+
+    def test_tag_rejects_are_harvested(self, tmp_path):
+        salad = Salad(
+            SaladConfig(seed=1, db_backend="wal-paged", db_dir=str(tmp_path))
+        )
+        salad.build(4)
+        wave = {
+            identifier: [rec(100, location=identifier)]
+            for identifier in salad.alive_identifiers()
+        }
+        salad.insert_records(wave)
+        rejects = 0
+        for leaf in salad.leaves.values():
+            for record in leaf.database.records():
+                twin = record.location + (1 << _TAG_BITS)
+                assert not leaf.database.has_location(record.fingerprint, twin)
+                rejects += 1
+        registry = MetricsRegistry()
+        salad.collect_metrics(registry)
+        salad.shutdown()
+        assert rejects > 0
+        totals = registry.counter_totals()
+        assert totals["salad.storage.wal.tag_rejects"] == rejects
