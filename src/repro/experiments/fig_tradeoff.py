@@ -38,6 +38,7 @@ from repro.experiments.dfc_run import DfcConfig
 from repro.experiments.scales import ExperimentScale
 from repro.farsite.dfc_pipeline import DfcPipeline
 from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import span
 from repro.salad.telemetry import harvest_tradeoff_metrics
 from repro.sim.failure import CrashRecoveryHarness, measure_replica_loss
 from repro.workload.generator import CorpusSpec, generate_corpus
@@ -173,60 +174,63 @@ def _run_point(
         target_redundancy=2.5, seed=seed, replication_factor=replication
     )
     pipeline = DfcPipeline(corpus, config)
+    # One span per arm: every load_hosts opens a ``place_replicas`` span, and
+    # a RunReport rejects two phases of one name at one level.
     try:
-        pipeline.load_hosts()
-        plan = None
-        if dedup:
-            pipeline.discover()
-            plan = pipeline.relocate()
-        report = pipeline.report(plan)
+        with span(f"r{replication}-{'dedup' if dedup else 'plain'}"):
+            pipeline.load_hosts()
+            plan = None
+            if dedup:
+                pipeline.discover()
+                plan = pipeline.relocate()
+            report = pipeline.report(plan)
 
-        # Blast radius: crash every host of the biggest duplicate group's
-        # replica set, with churn (new leaves joining) during the outage.
-        group_files, kill_hosts = _biggest_group(pipeline)
-        harness = CrashRecoveryHarness()
-        salad = pipeline.run.salad
-        loss = None
-        recovery = None
-        if kill_hosts:
-            harness.crash_replica_sets(salad.leaves, [kill_hosts])
-            replica_map = {
-                fid: hosts
-                for fid, (_, hosts) in pipeline.replicas.items()
-                if fid in set(group_files)
-            }
-            loss = measure_replica_loss(
-                replica_map, kill_hosts, pipeline.availability
+            # Blast radius: crash every host of the biggest duplicate group's
+            # replica set, with churn (new leaves joining) during the outage.
+            group_files, kill_hosts = _biggest_group(pipeline)
+            harness = CrashRecoveryHarness()
+            salad = pipeline.run.salad
+            loss = None
+            recovery = None
+            if kill_hosts:
+                harness.crash_replica_sets(salad.leaves, [kill_hosts])
+                replica_map = {
+                    fid: hosts
+                    for fid, (_, hosts) in pipeline.replicas.items()
+                    if fid in set(group_files)
+                }
+                loss = measure_replica_loss(
+                    replica_map, kill_hosts, pipeline.availability
+                )
+                for _ in range(CHURN_JOINS):  # churn while the set is down
+                    salad.add_leaf()
+                recovery = harness.rejoin()
+            if registry is not None:
+                pipeline.collect_metrics(registry)
+                harness.collect_metrics(registry)
+
+            return TradeoffPoint(
+                replication=replication,
+                dedup=dedup,
+                total_bytes=report.total_bytes,
+                reclaimed_bytes=report.physically_reclaimed,
+                reclaimed_fraction=report.reclaimed_fraction,
+                min_availability=report.min_availability,
+                mean_availability=report.mean_availability,
+                moved_replicas=report.migrations,
+                copies=report.copies,
+                shortfall=report.shortfall,
+                killed_hosts=len(kill_hosts),
+                group_files=len(group_files),
+                files_at_risk=loss.files_at_risk if loss else 0,
+                files_lost=loss.files_lost if loss else 0,
+                lost_fraction=loss.lost_fraction if loss else 0.0,
+                loss_event_probability=(
+                    loss.loss_event_probability if loss else 0.0
+                ),
+                predicted_recovery=recovery.predicted_fraction if recovery else 1.0,
+                recovered_fraction=recovery.recovered_fraction if recovery else 1.0,
             )
-            for _ in range(CHURN_JOINS):  # churn while the set is down
-                salad.add_leaf()
-            recovery = harness.rejoin()
-        if registry is not None:
-            pipeline.collect_metrics(registry)
-            harness.collect_metrics(registry)
-
-        return TradeoffPoint(
-            replication=replication,
-            dedup=dedup,
-            total_bytes=report.total_bytes,
-            reclaimed_bytes=report.physically_reclaimed,
-            reclaimed_fraction=report.reclaimed_fraction,
-            min_availability=report.min_availability,
-            mean_availability=report.mean_availability,
-            moved_replicas=report.migrations,
-            copies=report.copies,
-            shortfall=report.shortfall,
-            killed_hosts=len(kill_hosts),
-            group_files=len(group_files),
-            files_at_risk=loss.files_at_risk if loss else 0,
-            files_lost=loss.files_lost if loss else 0,
-            lost_fraction=loss.lost_fraction if loss else 0.0,
-            loss_event_probability=(
-                loss.loss_event_probability if loss else 0.0
-            ),
-            predicted_recovery=recovery.predicted_fraction if recovery else 1.0,
-            recovered_fraction=recovery.recovered_fraction if recovery else 1.0,
-        )
     finally:
         pipeline.close_stores()
 

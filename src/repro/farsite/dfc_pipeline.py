@@ -18,7 +18,13 @@ reports), and equals it whenever each content's discoveries form a single
 connected component.
 
 Memory note: this pipeline materializes file bytes, so drive it with small
-corpora (the statistics-only experiments never materialize content).
+corpora (the statistics-only experiments never materialize content).  With
+the in-memory SIS the resident content is one copy per *distinct* content,
+whatever the replication factor: ``load_hosts`` hands every replica of a
+content the same ``bytes`` object and the stores keep that object.  Nothing
+is cached across passes or pipelines: a pass regenerates its distinct bytes
+in well under a tenth of a second, and a cache would need a bound (a knob)
+and would outlive ``close_stores``.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from repro.workload.corpus import Corpus
 
 
 def _materialize_file(args: Tuple[int, int]) -> Tuple[bytes, Fingerprint]:
-    """Per-file unit of work: produce the (encrypted) blob and its fingerprint.
+    """Per-content unit of work: produce the (encrypted) blob and its fingerprint.
 
     The blob stands in for the convergent ciphertext ``c_f``; both it and the
     fingerprint (the same ``synthetic_fingerprint`` the SALAD records carry)
@@ -149,10 +155,16 @@ class DfcPipeline:
 
         Each file's blob is the deterministic stand-in for its convergently
         encrypted content; identical contents yield identical blobs, which
-        is the property SIS coalescing keys on.  Materialization and
-        fingerprinting fan out over ``config.workers`` processes; results
-        are applied in file order, so the loaded state is independent of the
-        worker count.
+        is the property SIS coalescing keys on.  A blob is a pure function
+        of ``(content_id, size)``, so it and its fingerprint are produced
+        once per distinct pair (first-seen order, fanned out over
+        ``config.workers`` processes) and every file of that content is
+        handed the same ``bytes`` object; results are applied in file order,
+        so the loaded state is independent of the worker count.  The
+        per-content table is a local: it dies with this call, and a blob
+        lives on only in the stores that hold it.  Each host still hashes
+        every replica it is given -- the pipeline is another party to the
+        store, whose coalescing must not rest on a digest it did not compute.
 
         With ``config.replication_factor`` R >= 2 each file's blob lands on
         R distinct hosts chosen by the availability-driven hill-climbing
@@ -179,12 +191,15 @@ class DfcPipeline:
         with span("place_replicas") as place_span:
             assignment = self._place_replicas([t[0] for t in tasks], [t[1] for t in tasks])
             place_span.set_ops(len(assignment))
-        materialized = parallel_map(
-            _materialize_file,
-            [task[2] for task in tasks],
-            workers=self.config.workers,
+        contents = list(dict.fromkeys(task[2] for task in tasks))
+        materialized = dict(
+            zip(
+                contents,
+                parallel_map(_materialize_file, contents, workers=self.config.workers),
+            )
         )
-        for (file_id, owner, _), (blob, fingerprint) in zip(tasks, materialized):
+        for file_id, owner, content in tasks:
+            blob, fingerprint = materialized[content]
             hosts = assignment[file_id]
             for host in hosts:
                 self.hosts[host].sis.store(file_id, blob)
@@ -285,11 +300,10 @@ class DfcPipeline:
     def report(self, plan: Optional[RelocationPlan] = None) -> PipelineReport:
         """Final accounting; *plan* is None when relocation was skipped
         (the dedup-off arms of the fig-tradeoff sweep)."""
-        total = sum(
-            stats.logical_bytes
-            for stats in (host.sis.stats() for host in self.hosts.values())
-        )
-        physical = sum(host.sis.stats().physical_bytes for host in self.hosts.values())
+        # One walk per store: stats() is O(links).
+        stats = [host.sis.stats() for host in self.hosts.values()]
+        total = sum(s.logical_bytes for s in stats)
+        physical = sum(s.physical_bytes for s in stats)
         predicted = reclaimed_bytes_from_matches(self.run.salad.collected_matches())
         min_avail, mean_avail = self.availability_stats()
         return PipelineReport(

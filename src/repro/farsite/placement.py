@@ -16,6 +16,7 @@ File availability for failure-independent machines is
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -127,24 +128,36 @@ def place_replicas(
 
     # Hill climbing: swap one replica between the min-availability file and
     # a random other file when that raises the minimum of the pair.  Only
-    # the two swapped files' availabilities change per round, so the cache
-    # updates two entries instead of rescanning every file (the rescan made
-    # the climb O(files x swap_rounds); same floats, same tie-breaks, so
-    # the resulting assignment is identical under a fixed RNG).
+    # the two swapped files' availabilities change per round, so the minimum
+    # is kept, not searched for: a heap of (availability, position in fids)
+    # receives the two new values after an accepted swap, and an entry whose
+    # availability is no longer its file's is discarded when it surfaces.
+    # The smallest tuple is the first file in list order among those of
+    # least availability -- the file a scan of every file would return -- and
+    # the RNG is drawn from as before, so the assignment is the scan's.
     fids = list(assignment)
-    avail = {fid: file_availability(assignment[fid], availability) for fid in fids}
+    avail = [file_availability(assignment[fid], availability) for fid in fids]
+    heap = [(a, position) for position, a in enumerate(avail)]
+    heapq.heapify(heap)
+    positions = range(len(fids))
     for _ in range(swap_rounds):
         if len(fids) < 2:
             break
-        low = min(fids, key=lambda f: avail[f])
-        high = rng.choice(fids)
+        while heap[0][0] != avail[heap[0][1]]:
+            heapq.heappop(heap)
+        low = heap[0][1]
+        high = rng.choice(positions)
         if high == low:
             continue
-        improved = _try_swap(assignment[low], assignment[high], availability)
+        low_fid, high_fid = fids[low], fids[high]
+        improved = _try_swap(assignment[low_fid], assignment[high_fid], availability)
         if improved is not None:
-            assignment[low], assignment[high] = improved
-            avail[low] = file_availability(assignment[low], availability)
-            avail[high] = file_availability(assignment[high], availability)
+            assignment[low_fid], assignment[high_fid] = improved
+            for position in (low, high):
+                avail[position] = file_availability(
+                    assignment[fids[position]], availability
+                )
+                heapq.heappush(heap, (avail[position], position))
 
     return Placement(
         assignment={fid: tuple(hosts) for fid, hosts in assignment.items()},

@@ -391,12 +391,20 @@ def print_summary(report: dict, stream=None) -> None:
 
 
 def main(argv=None) -> int:
-    """``python -m repro.obs.report PATH``: validate + summarize a report."""
+    """``python -m repro.obs PATH``: validate + summarize a report.
+
+    Returns 0 for a valid report, 1 for schema problems, 2 for a bad
+    argument (``-h``, no path, a path that is missing or not JSON).
+    """
     args = list(sys.argv[1:] if argv is None else argv)
-    if len(args) != 1:
-        print("usage: python -m repro.obs.report REPORT.json", file=sys.stderr)
+    if len(args) != 1 or args[0] in ("-h", "--help"):
+        print("usage: python -m repro.obs REPORT.json", file=sys.stderr)
         return 2
-    data = json.loads(Path(args[0]).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args[0]).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:  # unreadable, or not JSON
+        print(f"cannot read a RunReport from {args[0]}: {error}", file=sys.stderr)
+        return 2
     problems = validate_run_report(data)
     if problems:
         for problem in problems:

@@ -4,7 +4,9 @@ The corpus describes files abstractly as ``(content_id, size)``; when an
 experiment needs actual bytes (to exercise the Single-Instance Store or the
 encryption path end to end), this module materializes them: equal content
 identities yield byte-identical data, different identities yield different
-data, and generation is cheap (one hash seed expanded by repetition).
+data, and generation is cheap: the identity is the input of an
+extendable-output function (SHAKE-256) whose output *is* the content, one C
+call per blob.
 
 The materialized bytes stand in for the *convergently encrypted* blob of the
 file: under convergent encryption, identical plaintexts produce identical
@@ -16,24 +18,17 @@ from __future__ import annotations
 
 import hashlib
 
-_SEED_BYTES = 64
-
 
 def synthetic_content(content_id: int, size: int) -> bytes:
     """Deterministic bytes for a synthetic content identity.
 
     The construction mirrors :func:`repro.core.fingerprint.synthetic_fingerprint`:
-    a hash of the ``(size, content_id)`` token, expanded by counter-mode
-    hashing to the requested length.
+    the ``(size, content_id)`` token, here absorbed by SHAKE-256 and squeezed
+    to the requested length in one call.  The size is part of the token, so
+    two sizes of one identity are unrelated streams, not a prefix of one
+    another.
     """
     if size < 0:
         raise ValueError(f"size cannot be negative: {size}")
-    if size == 0:
-        return b""
     token = b"synthetic-content:%d:%d" % (size, content_id)
-    out = bytearray()
-    counter = 0
-    while len(out) < size:
-        out.extend(hashlib.sha512(token + counter.to_bytes(8, "big")).digest())
-        counter += 1
-    return bytes(out[:size])
+    return hashlib.shake_256(token).digest(size)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.obs import tracing
+from repro.obs.__main__ import main as obs_main
 from repro.obs.report import validate_run_report
 from repro.salad.salad import (
     resolve_trace_sample_rate,
@@ -30,10 +31,10 @@ def _reset_session_defaults():
     tracing.deactivate()
 
 
-def _run(tmp_path, *extra):
+def _run(tmp_path, *extra, only="fig07"):
     path = tmp_path / "report.json"
     code = runner.main(
-        ["--scale", "small", "--only", "fig07", "--metrics-out", str(path), *extra]
+        ["--scale", "small", "--only", only, "--metrics-out", str(path), *extra]
     )
     assert code == 0
     return json.loads(path.read_text(encoding="utf-8"))
@@ -74,6 +75,19 @@ class TestMetricsOut:
         report = json.loads(path.read_text(encoding="utf-8"))
         assert validate_run_report(report) == []
         assert _counters(report)["salad.leaves.total"] > 0
+
+    def test_tradeoff_arms_nest_under_their_own_span(self, tmp_path):
+        """Both arms of one R run ``load_hosts``, whose ``place_replicas``
+        span used to land twice under ``fig-tradeoff`` -- a report the
+        repo's own validator (and ``python -m repro.obs``) rejected."""
+        report = _run(tmp_path, "--replication-factor", "3", only="fig-tradeoff")
+        assert validate_run_report(report) == []
+        (tradeoff,) = [p for p in report["phases"] if p["name"] == "fig-tradeoff"]
+        arms = {child["name"]: child for child in tradeoff["children"]}
+        assert set(arms) == {"r3-plain", "r3-dedup"}
+        for arm in arms.values():
+            assert [c["name"] for c in arm["children"]] == ["place_replicas"]
+        assert obs_main([str(tmp_path / "report.json")]) == 0
 
     def test_no_metrics_out_writes_nothing(self, tmp_path):
         code = runner.main(["--scale", "small", "--only", "dataset"])

@@ -178,3 +178,123 @@ class TestThreshold:
         for _, payload in pipeline.run.salad.collected_matches():
             assert payload.fingerprint.size >= 16 * 1024
         assert report.physically_reclaimed >= report.predicted_reclaimed
+
+
+def _shared_corpus():
+    """Six machines whose files share contents every way the loader can meet:
+    one content everywhere, one on two machines, one twice on one machine,
+    one identity at two sizes (two contents), and a unique file each."""
+    from repro.workload.corpus import Corpus, FileStat, MachineScan
+
+    machines = []
+    for index in range(6):
+        files = [FileStat(content_id=1, size=3000), FileStat(100 + index, 700 + index)]
+        if index in (1, 4):
+            files.append(FileStat(content_id=2, size=5000))
+        if index == 2:
+            files += [FileStat(3, 900), FileStat(3, 900), FileStat(3, 901)]
+        machines.append(MachineScan(machine_index=index, files=files))
+    return Corpus(machines=machines)
+
+
+def _files(corpus):
+    for machine in corpus.machines:
+        for index, stat in enumerate(machine.files):
+            yield f"m{machine.machine_index}-f{index}", machine.machine_index, stat
+
+
+class _Counting:
+    """A pass-through that records its calls, installed *by name* on the
+    pipeline module -- the way ``bench/trace.py`` wraps the same names."""
+
+    def __init__(self, monkeypatch, name):
+        from repro.farsite import dfc_pipeline
+
+        self.calls = []
+        self._real = getattr(dfc_pipeline, name)
+        monkeypatch.setattr(dfc_pipeline, name, self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(args)
+        return self._real(*args, **kwargs)
+
+
+class TestLoadHostsMaterializesPerContent:
+    @pytest.fixture(params=[1, 3])
+    def loaded(self, request):
+        corpus = _shared_corpus()
+        pipeline = DfcPipeline(
+            corpus, DfcConfig(seed=4, replication_factor=request.param)
+        )
+        pipeline.load_hosts()
+        yield corpus, pipeline
+        pipeline.close_stores()
+
+    def test_one_content_call_per_distinct_content(self, monkeypatch):
+        corpus = _shared_corpus()
+        content = _Counting(monkeypatch, "synthetic_content")
+        fingerprint = _Counting(monkeypatch, "synthetic_fingerprint")
+        placed = _Counting(monkeypatch, "place_replicas")
+        predicted = _Counting(monkeypatch, "reclaimed_bytes_from_matches")
+        pipeline = DfcPipeline(corpus, DfcConfig(seed=4, replication_factor=2))
+        pipeline.load_hosts()
+        distinct = {(stat.content_id, stat.size) for _, _, stat in _files(corpus)}
+        assert 0 < len(distinct) < corpus.total_files
+        assert sorted(content.calls) == sorted(distinct)
+        assert sorted(fingerprint.calls) == sorted((s, c) for c, s in distinct)
+        assert len(placed.calls) == 1
+        pipeline.report()
+        assert len(predicted.calls) == 1
+        pipeline.close_stores()
+
+    def test_loaded_state_equals_per_file_materialization(self, loaded):
+        """The reference stores a freshly generated blob per file on the
+        hosts placement chose; every observable of every store must agree."""
+        from repro.core.fingerprint import synthetic_fingerprint
+        from repro.farsite.sis import SingleInstanceStore
+        from repro.workload.content import synthetic_content
+
+        corpus, pipeline = loaded
+        reference = {host: SingleInstanceStore() for host in pipeline.hosts}
+        for file_id, machine_index, stat in _files(corpus):
+            fingerprint, hosts = pipeline.replicas[file_id]
+            assert fingerprint == synthetic_fingerprint(stat.size, stat.content_id)
+            assert pipeline.publishers[file_id] == pipeline.run.leaf_of_machine[machine_index]
+            for host in hosts:
+                reference[host].store(file_id, synthetic_content(stat.content_id, stat.size))
+        assert list(pipeline.replicas) == [file_id for file_id, _, _ in _files(corpus)]
+        for host, expected in reference.items():
+            sis = pipeline.hosts[host].sis
+            assert len(sis) == len(expected)
+            assert sis.blob_count() == expected.blob_count()
+            assert sis.stats() == expected.stats()
+        for file_id, (_, hosts) in pipeline.replicas.items():
+            for host in hosts:
+                sis = pipeline.hosts[host].sis
+                assert sis.link_count(file_id) == reference[host].link_count(file_id)
+                assert sis.read(file_id) == reference[host].read(file_id)
+
+    def test_hosts_of_one_content_hold_one_object(self, loaded):
+        """Resident content is one copy per distinct content, not one per
+        replica: the in-memory stores keep the very object they were given."""
+        _, pipeline = loaded
+        holders = {}
+        for file_id, (fingerprint, hosts) in pipeline.replicas.items():
+            for host in hosts:
+                holders.setdefault(fingerprint, []).append((host, file_id))
+        shared = [h for h in holders.values() if len({host for host, _ in h}) > 1]
+        assert shared
+        for replicas in shared:
+            blobs = [pipeline.hosts[host].sis.read(file_id) for host, file_id in replicas]
+            assert all(blob is blobs[0] for blob in blobs)
+
+    def test_r1_is_the_owner_hosted_single_copy(self):
+        corpus = _shared_corpus()
+        pipeline = DfcPipeline(corpus, DfcConfig(seed=4))
+        pipeline.load_hosts()
+        for file_id, machine_index, _ in _files(corpus):
+            owner = pipeline.run.leaf_of_machine[machine_index]
+            assert pipeline.replicas[file_id][1] == [owner]
+            assert file_id in pipeline.hosts[owner].sis
+        assert sum(len(host.sis) for host in pipeline.hosts.values()) == corpus.total_files
+        pipeline.close_stores()

@@ -12,9 +12,10 @@ from repro.farsite.placement import (
 )
 
 
-def make_problem(machines=10, files=8, r=3, capacity=None):
+def make_problem(machines=10, files=8, r=3, capacity=None, availability=None):
     rng = random.Random(1)
-    availability = {i: 0.3 + 0.6 * rng.random() for i in range(machines)}
+    if availability is None:
+        availability = {i: 0.3 + 0.6 * rng.random() for i in range(machines)}
     capacity = capacity or {i: files for i in range(machines)}
     return PlacementProblem(
         machine_availability=availability,
@@ -127,14 +128,15 @@ class TestProblemValidation:
 
 
 class TestHillClimbCachePinning:
-    """The availability cache must not change what the climb computes.
+    """Keeping the minimum must not change what the climb computes.
 
-    The pre-fix climb recomputed every file's availability each round
-    (O(files x swap_rounds)); the cached climb updates only the two
-    swapped files.  Same RNG stream, same float computations, same
-    tie-breaking -- so the final assignment must be *identical*, not just
-    equally good.  This pins that equivalence against a straightforward
-    recompute-everything reference.
+    The first climb recomputed every file's availability each round
+    (O(files x swap_rounds)); the shipped one keeps the per-file scores and
+    their minimum up to date from the two files a swap changes.  Same RNG
+    stream, same float computations, same first-in-list tie-break -- so the
+    final assignment must be *identical*, not just equally good.  This pins
+    that equivalence against a straightforward recompute-everything
+    reference.
     """
 
     @staticmethod
@@ -160,11 +162,75 @@ class TestHillClimbCachePinning:
                 assignment[low], assignment[high] = improved
         return {fid: tuple(hosts) for fid, hosts in assignment.items()}
 
+    #: name -> (make_problem arguments, swap rounds).  ``bench`` is the shape
+    #: of one dfc-corpus placement cut to a tenth of its files; the two tied
+    #: problems make nearly every round choose among equal minima, so the
+    #: first-in-list tie-break is pinned, not incidental.
+    SHAPES = {
+        "small": (dict(machines=14, files=12), 300),
+        "bench": (dict(machines=40, files=420), 2000),
+        "all-equal": (
+            dict(machines=12, files=60, availability={i: 0.5 for i in range(12)}),
+            400,
+        ),
+        "two-valued": (
+            dict(
+                machines=12,
+                files=60,
+                availability={i: 0.9 if i % 3 == 0 else 0.4 for i in range(12)},
+            ),
+            400,
+        ),
+    }
+
     @pytest.mark.parametrize("seed", [2, 9, 31])
-    def test_cached_climb_matches_recompute_reference(self, seed):
-        problem = make_problem(machines=14, files=12, r=3)
-        expected = self._reference_climb(problem, seed, swap_rounds=300)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cached_climb_matches_recompute_reference(self, shape, seed):
+        arguments, swap_rounds = self.SHAPES[shape]
+        problem = make_problem(r=3, **arguments)
+        expected = self._reference_climb(problem, seed, swap_rounds)
         cached = place_replicas(
-            problem, rng=random.Random(seed), swap_rounds=300
+            problem, rng=random.Random(seed), swap_rounds=swap_rounds
         )
         assert cached.assignment == expected
+
+    def test_two_valued_problem_swaps_among_tied_minima(self):
+        """The tie-heavy case is only a pin if the climb moves there: many
+        files share the least availability and swaps are accepted."""
+        arguments, swap_rounds = self.SHAPES["two-valued"]
+        problem = make_problem(r=3, **arguments)
+        greedy = place_replicas(problem, rng=random.Random(2), swap_rounds=0)
+        climbed = place_replicas(
+            problem, rng=random.Random(2), swap_rounds=swap_rounds
+        )
+        scores = list(greedy.file_availabilities().values())
+        assert scores.count(min(scores)) > 1
+        assert climbed.assignment != greedy.assignment
+
+    def test_scoring_calls_do_not_grow_with_files(self, monkeypatch):
+        """Calls to ``file_availability`` are at most ``files + c * rounds``.
+
+        One score per file up front; a round scores the pair (2), each of
+        the at most R^2 candidate swaps (2 each) and, when one is accepted,
+        the two changed files (2): c = 2 R^2 + 4, 22 at R = 3.  A climb that
+        rescored every file each round would need ``files * rounds``.  This
+        guards the per-file score cache.  It does not show that the
+        *minimum* is kept rather than searched for -- a scan of cached
+        scores calls nothing -- and no timing assertion is added for that:
+        the benchmark's ``farsite.placement.self_s`` is where it shows.
+        """
+        from repro.farsite import placement
+
+        calls = 0
+        real = placement.file_availability
+
+        def counting(hosts, availability):
+            nonlocal calls
+            calls += 1
+            return real(hosts, availability)
+
+        files, rounds, r = 420, 2000, 3
+        problem = make_problem(machines=40, files=files, r=r)
+        monkeypatch.setattr(placement, "file_availability", counting)
+        place_replicas(problem, rng=random.Random(7), swap_rounds=rounds)
+        assert files <= calls <= files + (2 * r * r + 4) * rounds

@@ -260,8 +260,18 @@ class TestSummaryAndCli:
         assert "schema problem" in capsys.readouterr().err
 
     def test_cli_usage(self, capsys):
-        assert report_main([]) == 2
-        assert "usage" in capsys.readouterr().err
+        for argv in ([], ["-h"], ["--help"], ["a.json", "b.json"]):
+            assert report_main(argv) == 2
+            assert capsys.readouterr().err.startswith("usage:")
+
+    def test_cli_bad_path_is_one_line_not_a_traceback(self, tmp_path, capsys):
+        not_json = tmp_path / "notes.txt"
+        not_json.write_text("not a report", encoding="utf-8")
+        for path in (tmp_path / "missing.json", not_json, tmp_path):
+            assert report_main([str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1 and str(path) in err
 
     def test_write_creates_parent_dirs(self, tmp_path):
         path = write_run_report(tmp_path / "deep" / "nested" / "r.json", _report())
