@@ -70,9 +70,7 @@ def run(
     # Grow the SALAD, measuring join-message traffic over the last half of
     # the growth (Eq. 17 counts join forwards only and is asymptotic in L).
     def join_messages() -> int:
-        return sum(
-            t.by_kind_sent.get("join", 0) for t in salad.network.traffic.values()
-        )
+        return salad.network.sent_by_kind.get("join", 0)
 
     half = system_size // 2
     salad.build(half)

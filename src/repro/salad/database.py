@@ -139,14 +139,18 @@ class RecordDatabase(RecordStore):
             return sort_key
         return None
 
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
+    def insert(
+        self, record: SaladRecord, limit: Optional[int] = None
+    ) -> Tuple[bool, List[SaladRecord]]:
         """Insert a record, applying the capacity policy.
 
         Returns ``(stored, matches)`` where *matches* are the records already
         present with the same fingerprint (computed before insertion, sorted
         by location, and regardless of whether the new record is stored -- a
         leaf that rejects a record for capacity can still report matches it
-        knows about).
+        knows about).  With a *limit*, only the first *limit* matches are
+        built: a widely shared content keeps dozens of locations in one cell,
+        and a leaf notifies at most ``notify_limit`` of them.
         """
         existing = self._by_fingerprint.get(record.fingerprint)
         if existing is None:
@@ -159,10 +163,12 @@ class RecordDatabase(RecordStore):
                 self._count += 1
                 return True, matches
         else:
-            matches = [
-                SaladRecord(fingerprint=record.fingerprint, location=location)
-                for location in sorted(existing)
-            ]
+            if limit is None or limit >= len(existing):
+                chosen = sorted(existing)
+            else:
+                chosen = heapq.nsmallest(limit, existing)
+            fingerprint = record.fingerprint
+            matches = [SaladRecord(fingerprint, location) for location in chosen]
             if record.location in existing:
                 return False, matches  # duplicate record; nothing to do
             if self.capacity is None:

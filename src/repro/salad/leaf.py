@@ -374,13 +374,28 @@ class SaladLeaf(SimMachine):
     # ------------------------------------------------------------------
     # record insertion & forwarding (Fig. 4)
     # ------------------------------------------------------------------
+    #
+    # Liveness invariant: message handlers, and insert_record(s) past their
+    # alive check, send with ``network.send(self.identifier, ...)`` instead
+    # of SimMachine.send.  The network hands a message only to a live
+    # machine and initiation refuses on a failed one, so SimMachine.send's
+    # own alive check is already met on those paths.  Paths the engine or
+    # an experiment calls directly (join initiation, departure, refresh,
+    # width recalculation) keep SimMachine.send.
 
-    def insert_record(self, record: SaladRecord) -> None:
-        """Locally initiate insertion of a record for one of this machine's files."""
+    def insert_record(self, record: SaladRecord) -> int:
+        """Locally initiate insertion of a record for one of this machine's files.
+
+        Returns 1, or 0 on a failed machine, which cannot publish: it stores
+        nothing and sends nothing.
+        """
+        if not self.alive:
+            return 0
         tracer = _tracing.ACTIVE
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_insert(record, self.identifier)
         self._process_batch([(record, 0)])
+        return 1
 
     def insert_records(self, records: Iterable[SaladRecord]) -> int:
         """Locally initiate a batch of records in one pass (Fig. 4, batched).
@@ -389,8 +404,12 @@ class SaladLeaf(SimMachine):
         RECORD_BATCH envelope per neighbor, so a machine publishing its whole
         file scan pays one message per neighbor per hop instead of one per
         record.  Routing decisions, storage, and match notifications are
-        per-record identical to :meth:`insert_record`.
+        per-record identical to :meth:`insert_record`.  Returns the number
+        of records initiated: 0 on a failed machine, as for
+        :meth:`insert_record`.
         """
+        if not self.alive:
+            return 0
         pairs = [(record, 0) for record in records]
         tracer = _tracing.ACTIVE  # one check per batch; None costs nothing more
         if tracer is not None:
@@ -437,9 +456,10 @@ class SaladLeaf(SimMachine):
         if hops >= 2 * self.dimensions:
             return  # hop budget exhausted: the record is lost
         forwarded = (record, hops + 1)
-        send = self.send
+        send = self.network.send
+        me = self.identifier
         for target in targets:
-            send(target, protocol.RECORD, forwarded)
+            send(me, target, protocol.RECORD, forwarded)
 
     def _on_record_batch(self, message: Message) -> None:
         tracer = _tracing.ACTIVE
@@ -468,11 +488,13 @@ class SaladLeaf(SimMachine):
         self._send_forwards(forwards)
 
     def _send_forwards(self, forwards: Dict[int, List[tuple]]) -> None:
+        send = self.network.send
+        me = self.identifier
         for target, batch in forwards.items():
             if len(batch) == 1:
-                self.send(target, protocol.RECORD, batch[0])
+                send(me, target, protocol.RECORD, batch[0])
             else:
-                self.send(target, protocol.RECORD_BATCH, tuple(batch))
+                send(me, target, protocol.RECORD_BATCH, tuple(batch))
                 if self.detailed_metrics:
                     size = len(batch)
                     self.batch_envelopes += 1
@@ -603,29 +625,27 @@ class SaladLeaf(SimMachine):
         self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
     ) -> None:
         """Cell-aligned arrival: replicate if self-initiated, store, notify."""
-        if record.location == self.identifier and hops == 0:
+        fingerprint, location = record.fingerprint, record.location
+        if location == self.identifier and hops == 0:
             # Special case: this leaf generated the record (hops == 0 marks
             # local initiation; a copy returning over the network must not
             # re-broadcast).  Replicate to the rest of the cell.
             for target in self._cellmates:
                 forwards.setdefault(target, []).append((record, hops + 1))
-        if self.database.has_location(record.fingerprint, record.location):
+        if self.database.has_location(fingerprint, location):
             return  # idempotent redelivery (multiple forwarders reach us)
-        stored, matching = self.database.insert(record)
-        matching = [m for m in matching if m.location != record.location]
-        if self.notify_limit is not None:
-            matching = matching[: self.notify_limit]
+        # Past the presence probe the record's own location is never among
+        # the matches, and the store builds only the notify_limit lowest.
+        matching = self.database.insert(record, self.notify_limit)[1]
+        if not matching:
+            return
+        send = self.network.send
+        me = self.identifier
+        notice = MatchPayload(fingerprint, location)  # the same for every match
         for match in matching:
-            self.send(
-                record.location,
-                protocol.MATCH,
-                MatchPayload(fingerprint=record.fingerprint, other_machine=match.location),
-            )
-            self.send(
-                match.location,
-                protocol.MATCH,
-                MatchPayload(fingerprint=record.fingerprint, other_machine=record.location),
-            )
+            other = match.location
+            send(me, location, protocol.MATCH, MatchPayload(fingerprint, other))
+            send(me, other, protocol.MATCH, notice)
 
     def _on_match(self, message: Message) -> None:
         self.matches.append(message.payload)
@@ -669,7 +689,9 @@ class SaladLeaf(SimMachine):
             s_diff = (n ^ s) & self._cell_mask
             sender_delta = sum(1 for d in range(eff) if s_diff & masks[d])
 
-        forward = JoinPayload(sender=self.identifier, new_leaf=n)
+        me = self.identifier
+        send = self.network.send
+        forward = JoinPayload(me, n)
         if sender_delta > delta:
             # Sender has higher dimensional alignment: move down one degree.
             if delta > 1:
@@ -677,12 +699,12 @@ class SaladLeaf(SimMachine):
                     if (d + 1) % eff in delta_set:
                         continue
                     for target in self._vector_members_key(d, n & masks[d]):
-                        self.send(target, protocol.JOIN, forward)
+                        send(me, target, protocol.JOIN, forward)
             elif delta == 1:
                 # I am vector-aligned: forward to every leaf in my vector.
                 for d in delta_set:  # exactly one element
                     for target in self._axis_members(d):
-                        self.send(target, protocol.JOIN, forward)
+                        send(me, target, protocol.JOIN, forward)
         elif sender_delta < delta:
             if delta < eff:
                 # Forward *up* one degree of alignment: pick a random matching
@@ -694,23 +716,23 @@ class SaladLeaf(SimMachine):
                 if coords:
                     c = self._rng.choice(coords)
                     for target in self._vector_members(d, c):
-                        self.send(target, protocol.JOIN, forward)
+                        send(me, target, protocol.JOIN, forward)
             elif delta > 1:
                 # I have minimal alignment with n: initiate the batches, one
                 # per mismatching dimension.
                 for d in delta_set:
                     for target in self._vector_members_key(d, n & masks[d]):
-                        self.send(target, protocol.JOIN, forward)
+                        send(me, target, protocol.JOIN, forward)
             else:
                 # I'm vector-aligned and effective dimensionality is 1:
                 # forward the join to everyone I know.
                 for target in self.leaf_table:
-                    self.send(target, protocol.JOIN, forward)
+                    send(me, target, protocol.JOIN, forward)
         # Equal alignment (sender_delta == delta) forwards nothing: the
         # sender's other recipients cover the remaining paths.
         if delta < 2:
             # I am vector-aligned (or cell-aligned) with the new leaf.
-            self.send(n, protocol.WELCOME)
+            send(me, n, protocol.WELCOME, None)
 
     def _on_welcome(self, message: Message) -> None:
         """Welcome from an extant leaf: add it, update estimate, acknowledge."""
@@ -718,7 +740,7 @@ class SaladLeaf(SimMachine):
         if self.knows(extant):
             return
         if self.add_leaf(extant):
-            self.send(extant, protocol.WELCOME_ACK)
+            self.network.send(self.identifier, extant, protocol.WELCOME_ACK, None)
 
     def _on_welcome_ack(self, message: Message) -> None:
         """Welcome-acknowledge: add the leaf and update the estimate; no reply."""
@@ -878,7 +900,9 @@ class SaladLeaf(SimMachine):
 
     def _on_leaf_request(self, message: Message) -> None:
         identifiers = tuple(self.leaf_table)
-        self.send(message.sender, protocol.LEAF_RESPONSE, identifiers)
+        self.network.send(
+            self.identifier, message.sender, protocol.LEAF_RESPONSE, identifiers
+        )
 
     def _on_leaf_response(self, message: Message) -> None:
         added = False
@@ -887,7 +911,9 @@ class SaladLeaf(SimMachine):
                 continue
             if self.add_leaf(identifier, recalculate=False):
                 # Introduce myself so knowledge stays symmetric.
-                self.send(identifier, protocol.WELCOME_ACK)
+                self.network.send(
+                    self.identifier, identifier, protocol.WELCOME_ACK, None
+                )
                 added = True
         if added:
             self._recalculate_width()

@@ -7,8 +7,7 @@ counters of Figs. 9-10 sum over exactly this vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.core.fingerprint import Fingerprint
 from repro.salad.records import SaladRecord
@@ -60,17 +59,20 @@ ALL_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class JoinPayload:
+class JoinPayload(NamedTuple):
     """`<s, n>` of Fig. 5: forwarding sender and the joining leaf."""
 
     sender: int
     new_leaf: int
 
 
-@dataclass(frozen=True)
-class MatchPayload:
-    """A duplicate notification: some other machine holds the same content."""
+class MatchPayload(NamedTuple):
+    """A duplicate notification: some other machine holds the same content.
+
+    Payloads are immutable tuples -- hashable, equal by value and cheap to
+    build, one per MATCH on the insert path -- so a store shares one
+    instance among every recipient of the same notice.
+    """
 
     fingerprint: Fingerprint
     other_machine: int

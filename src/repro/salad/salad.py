@@ -425,9 +425,7 @@ class Salad:
 
     def set_loss_probability(self, probability: float) -> None:
         """Every message is lost with this probability (Fig. 8 duty cycle)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0,1]: {probability}")
-        self.network.loss_probability = probability
+        self.network.loss_probability = probability  # validated by the network
 
     def crash_fraction(self, fraction: float, rng: random.Random) -> int:
         """Permanently crash an exact fraction of leaves; returns the count."""

@@ -57,6 +57,7 @@ the exact live state.
 from __future__ import annotations
 
 import abc
+import heapq
 import os
 import sqlite3
 import struct
@@ -98,6 +99,10 @@ class RecordStore(abc.ABC):
       records already present with the same fingerprint, sorted by
       location, computed before insertion and regardless of whether the new
       record is stored;
+    - ``insert(record, limit)`` returns exactly ``insert(record)`` with its
+      matches cut to the first *limit* (the *limit* lowest locations), and
+      leaves the same stored state; backends build only the matches they
+      return, which is what a leaf with a ``notify_limit`` asks for;
     - with a ``capacity``, an insert into a full store evicts the record
       with the lowest ``(sort_key, location)`` -- unless no stored record
       sorts below the new one, in which case the new record is rejected;
@@ -129,7 +134,9 @@ class RecordStore(abc.ABC):
     def records(self) -> Iterator[SaladRecord]: ...
 
     @abc.abstractmethod
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]: ...
+    def insert(
+        self, record: SaladRecord, limit: Optional[int] = None
+    ) -> Tuple[bool, List[SaladRecord]]: ...
 
     @abc.abstractmethod
     def remove_location(self, location: int) -> int: ...
@@ -270,21 +277,24 @@ class SqliteRecordStore(RecordStore):
                 location=_decode_location(location),
             )
 
-    def _matches(self, record: SaladRecord) -> List[SaladRecord]:
+    def _matches(self, key: bytes, fingerprint: Fingerprint, limit: int) -> List[SaladRecord]:
         rows = self._conn.execute(
-            "SELECT location FROM records WHERE sort_key = ? ORDER BY location",
-            (record.sort_key(),),
+            "SELECT location FROM records WHERE sort_key = ? ORDER BY location LIMIT ?",
+            (key, limit),
         )
         return [
-            SaladRecord(fingerprint=record.fingerprint, location=_decode_location(row[0]))
+            SaladRecord(fingerprint=fingerprint, location=_decode_location(row[0]))
             for row in rows
         ]
 
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
-        matches = self._matches(record)
-        if any(m.location == record.location for m in matches):
-            return False, matches
+    def insert(
+        self, record: SaladRecord, limit: Optional[int] = None
+    ) -> Tuple[bool, List[SaladRecord]]:
         key = record.sort_key()
+        # LIMIT -1 is sqlite's "no limit".
+        matches = self._matches(key, record.fingerprint, -1 if limit is None else limit)
+        if self.has_location(record.fingerprint, record.location):
+            return False, matches
         if self.capacity is not None and self._count >= self.capacity:
             lowest = self._conn.execute(
                 "SELECT sort_key, location FROM records"
@@ -472,8 +482,10 @@ class WalRecordStore(RecordStore):
 
     # -- mutations -------------------------------------------------------------
 
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
-        stored, matches = self._mem.insert(record)
+    def insert(
+        self, record: SaladRecord, limit: Optional[int] = None
+    ) -> Tuple[bool, List[SaladRecord]]:
+        stored, matches = self._mem.insert(record, limit)
         if stored:
             # Evictions need no log entry of their own: replaying the stored
             # inserts through the same capacity policy re-derives them.
@@ -910,19 +922,16 @@ class PagedWalRecordStore(RecordStore):
             cache.popitem(last=False)
 
     def _matches(self, sort_key: bytes, key: int) -> List[SaladRecord]:
-        """Live records whose sort key equals *sort_key*, sorted by location.
+        """Live records whose sort key equals *sort_key*, in slot order.
 
         The index key is only a 64-bit slice, so every candidate offset is
         read back and verified against the full sort key.
         """
-        out = [
+        return [
             record
             for offset in self._index.lookup(key)
             if (record := self._record_at(offset)).sort_key() == sort_key
         ]
-        if len(out) > 1:
-            out.sort(key=_by_location)
-        return out
 
     def _find(self, sort_key: bytes, key: int, location: int) -> Optional[int]:
         """Offset of the live record ``(sort_key, location)``; None if absent.
@@ -963,12 +972,21 @@ class PagedWalRecordStore(RecordStore):
 
     # -- mutations -------------------------------------------------------------
 
-    def insert(self, record: SaladRecord) -> Tuple[bool, List[SaladRecord]]:
+    def insert(
+        self, record: SaladRecord, limit: Optional[int] = None
+    ) -> Tuple[bool, List[SaladRecord]]:
         sort_key = record.sort_key()
         key = _key64(sort_key)
         location = record.location
-        matches = self._matches(sort_key, key)
-        for match in matches:
+        same = self._matches(sort_key, key)
+        # Every candidate is read back either way: the slot tag is 20 low
+        # bits of a location, which cannot order full locations.  Only the
+        # sort is cut to the matches returned.
+        if limit is None or limit >= len(same):
+            matches = sorted(same, key=_by_location)
+        else:
+            matches = heapq.nsmallest(limit, same, key=_by_location)
+        for match in same:
             if match.location == location:
                 return False, matches
         if not self._make_room(sort_key):

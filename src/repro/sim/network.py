@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.events import EventScheduler
 from repro.sim.topology import Topology
@@ -45,13 +45,12 @@ class Message:
 
 @dataclass(slots=True)
 class MachineTraffic:
-    """Per-machine traffic counters."""
+    """Per-machine traffic counters (per-kind counts are network-wide:
+    :attr:`Network.sent_by_kind`)."""
 
     sent: int = 0
     received: int = 0
     dropped_to: int = 0  # messages this machine sent that were dropped
-    by_kind_sent: Dict[str, int] = field(default_factory=dict)
-    by_kind_received: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -85,6 +84,17 @@ class Network:
     timestamp, which SALAD workloads never do (drivers schedule between
     quiescent rounds).  ``batch_delivery=False`` restores the seed's
     one-event-per-message behavior for oracle comparisons.
+
+    The fabric pays only for the features that are on.  Topology, jitter,
+    loss, partitions and cuts sit behind one flag, ``_features_on``, which
+    every send and every delivery reads afresh; with all of them off a send
+    makes no topology lookup, no RNG draw and no partition or cut probe, and
+    a delivery checks only that its recipient is registered and alive.
+    Everything that turns a feature on or off (the ``loss_probability``
+    setter, :meth:`partition`, :meth:`cut`, their heals, :meth:`deregister`)
+    recomputes the flag, so it takes effect on the very next send or
+    delivery, a handler's mid-window call included.  ``topology`` and
+    ``jitter`` are fixed at construction.
     """
 
     def __init__(
@@ -97,8 +107,6 @@ class Network:
         batch_delivery: bool = True,
         topology: Optional[Topology] = None,
     ):
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0,1]: {loss_probability}")
         if topology is not None and jitter:
             # Jitter was flat-fabric noise; with a topology the latency
             # classes carry the heterogeneity, and sub-quantum jitter would
@@ -108,7 +116,6 @@ class Network:
         self.scheduler = scheduler or EventScheduler()
         self.latency = latency
         self.jitter = jitter
-        self.loss_probability = loss_probability
         self.batch_delivery = batch_delivery
         self.topology = topology
         self._rng = rng or random.Random(0)
@@ -128,6 +135,9 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
+        #: Messages sent per protocol kind, network-wide (dropped ones
+        #: included, so the values sum to ``messages_sent``).
+        self.sent_by_kind: Dict[str, int] = {}
         #: Per-link-class message counters (topology mode only), keyed by
         #: class name ("rack"/"lan"/"wan") -- the raw data behind the
         #: fig_topology per-class load measurements.
@@ -155,6 +165,31 @@ class Network:
         # partition labels are dropped.  Unlabeled machines share the
         # implicit default partition.
         self._partition_of: Dict[int, object] = {}
+        self._features_on = False
+        self.loss_probability = loss_probability  # validates; sets _features_on
+
+    # -- fabric features -----------------------------------------------------
+
+    @property
+    def loss_probability(self) -> float:
+        """Probability that any one send is lost."""
+        return self._loss_probability
+
+    @loss_probability.setter
+    def loss_probability(self, probability: float) -> None:
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"loss probability must be in [0,1]: {probability}")
+        self._loss_probability = probability
+        self._refresh_features()
+
+    def _refresh_features(self) -> None:
+        self._features_on = bool(
+            self.topology is not None
+            or self.jitter
+            or self._loss_probability
+            or self._partition_of
+            or self._severed
+        )
 
     # -- membership ----------------------------------------------------------
 
@@ -171,6 +206,7 @@ class Network:
         # would let a later re-registration (or a reused identifier) silently
         # inherit a stale partition and drop traffic with no cut in force.
         self._partition_of.pop(identifier, None)
+        self._refresh_features()
 
     def machine(self, identifier: int) -> Optional["SimMachine"]:
         return self._machines.get(identifier)
@@ -204,11 +240,13 @@ class Network:
         for label, members in groups.items():
             for identifier in members:
                 self._partition_of[identifier] = label
+        self._refresh_features()
 
     def heal_partition(self) -> None:
         """Restore full connectivity (clears labels and topology cuts)."""
         self._partition_of = {}
         self._severed.clear()
+        self._refresh_features()
 
     def _partitioned(self, a: int, b: int) -> bool:
         return self._partition_of.get(a) != self._partition_of.get(b)
@@ -228,13 +266,15 @@ class Network:
             raise ValueError("cut() requires a Network with a topology")
         self.topology.validate_links(links)
         self._severed.update(links)
+        self._refresh_features()
 
     def heal(self, *links: str) -> None:
         """Heal named links severed by :meth:`cut` (no args: heal all cuts)."""
-        if not links:
+        if links:
+            self._severed.difference_update(links)
+        else:
             self._severed.clear()
-            return
-        self._severed.difference_update(links)
+        self._refresh_features()
 
     def severed_links(self) -> Set[str]:
         """The currently severed link names (a copy)."""
@@ -256,15 +296,48 @@ class Network:
         if traffic is None:
             traffic = self.traffic[sender] = MachineTraffic()
         traffic.sent += 1
-        traffic.by_kind_sent[kind] = traffic.by_kind_sent.get(kind, 0) + 1
         self.messages_sent += 1
+        by_kind = self.sent_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if self._features_on:
+            window = self._fabric_window(traffic, sender, recipient)
+            if window is None:
+                return  # dropped (and counted) by the fabric
+            key, delay = window
+        else:
+            delay = self.latency
+            key = self.scheduler.now + delay
+        # Built only for surviving messages: a dropped send never needs the
+        # object, and this runs once per send on the simulator's hottest path.
+        # Positional: keyword binding costs measurably more per construction.
+        message = Message(sender, recipient, kind, payload)
+        if self.batch_delivery:
+            # One scheduler event per delivery window: queue the message on
+            # its window's batch; the first message of a window schedules
+            # the flush.  FIFO within the batch preserves send order, so
+            # delivery order matches per-message scheduling.
+            pending = self._pending.get(key)
+            if pending is None:
+                self._pending[key] = [message]
+                self.scheduler.schedule(delay, lambda: self._deliver_pending(key))
+            else:
+                pending.append(message)
+        else:
+            self.scheduler.schedule(delay, lambda: self._deliver((message,)))
 
-        # One jitter draw and one loss draw per send, in a fixed order and
-        # from independent streams, *before* any drop decision.  A dropped
-        # message (partition cut or loss) therefore consumes exactly the
-        # same randomness as a delivered one, so the delivery timestamps of
-        # the surviving messages are identical across runs that differ only
-        # in loss/partition/cut settings.
+    def _fabric_window(
+        self, traffic: MachineTraffic, sender: int, recipient: int
+    ) -> Optional[Tuple[Any, float]]:
+        """``(window key, delay)`` of a send with fabric features on.
+
+        None means the send was lost, partitioned or cut; it is counted as
+        dropped here.  One jitter draw and one loss draw per send, in a
+        fixed order and from independent streams, *before* any drop
+        decision: a dropped message consumes exactly the same randomness as
+        a delivered one, so the delivery timestamps of the surviving
+        messages are identical across runs that differ only in
+        loss/partition/cut settings.
+        """
         topology = self.topology
         if topology is not None:
             link_name, link_class = topology.link(sender, recipient)
@@ -274,10 +347,9 @@ class Network:
         if self.jitter:
             delay += self._rng.random() * self.jitter
         lost = bool(
-            self.loss_probability
-            and self._loss_rng.random() < self.loss_probability
+            self._loss_probability
+            and self._loss_rng.random() < self._loss_probability
         )
-
         if (
             lost
             or (self._partition_of and self._partitioned(sender, recipient))
@@ -289,44 +361,15 @@ class Network:
                 self.class_dropped[class_name] = (
                     self.class_dropped.get(class_name, 0) + 1
                 )
-            return
-        # Built only for surviving messages: a dropped send never needs the
-        # object, and this runs once per send on the simulator's hottest path.
-        # Positional: keyword binding costs measurably more per construction.
-        message = Message(sender, recipient, kind, payload)
-        if topology is not None:
-            # Topology mode: the delivery window is an integer tick and the
-            # timestamp a single multiplication off it, so equal nominal
-            # delays always share a batch regardless of how many float
-            # additions produced "now".
-            due = self._now_tick() + link_class.latency_ticks
-            if self.batch_delivery:
-                pending = self._pending.get(due)
-                if pending is None:
-                    self._pending[due] = [message]
-                    self.scheduler.schedule_at(
-                        due * topology.quantum, lambda: self._deliver_pending(due)
-                    )
-                else:
-                    pending.append(message)
-            else:
-                self.scheduler.schedule_at(
-                    due * topology.quantum, lambda: self._deliver(message)
-                )
-        elif self.batch_delivery:
-            # One scheduler event per delivery timestep: queue the message
-            # on its timestamp's batch; the first message of a timestep
-            # schedules the flush.  FIFO within the batch preserves send
-            # order, so delivery order matches per-message scheduling.
-            time = self.scheduler.now + delay
-            pending = self._pending.get(time)
-            if pending is None:
-                self._pending[time] = [message]
-                self.scheduler.schedule(delay, lambda: self._deliver_pending(time))
-            else:
-                pending.append(message)
-        else:
-            self.scheduler.schedule(delay, lambda: self._deliver(message))
+            return None
+        if topology is None:
+            return self.scheduler.now + delay, delay
+        # Topology mode: the delivery window is an integer tick and the
+        # timestamp a single multiplication off it, so equal nominal delays
+        # always share a batch regardless of how many float additions
+        # produced "now".
+        due = self._now_tick() + link_class.latency_ticks
+        return due, due * topology.quantum - self.scheduler.now
 
     def _now_tick(self) -> int:
         """The current integer tick of the topology quantum clock.
@@ -356,15 +399,14 @@ class Network:
         self._post_window.append(callback)
         return True
 
-    def _deliver_pending(self, time: Any) -> None:
+    def _deliver_pending(self, key: Any) -> None:
         if self.topology is not None:
-            self._current_tick = time  # batch keys are integer ticks
-        window = iter(self._pending.pop(time))
+            self._current_tick = key  # batch keys are integer ticks
+        window = iter(self._pending.pop(key))
         try:
             self._delivering = True
             try:
-                for message in window:
-                    self._deliver(message)
+                self._deliver(window)
             finally:
                 self._delivering = False
             if self._post_window:
@@ -387,41 +429,48 @@ class Network:
             class_name = self.topology.link(message.sender, message.recipient)[1].name
             self.class_dropped[class_name] = self.class_dropped.get(class_name, 0) + 1
 
-    def _deliver(self, message: Message) -> None:
-        # Partition membership is re-checked at delivery time, mirroring the
-        # machine.alive check below: a partition that forms while a message
-        # is in flight severs it, exactly as a machine that crashes while a
-        # message is in flight drops it.  (Send-time checking alone would
-        # deliver messages across a cut that formed mid-settle.)
+    def _deliver(self, window: Iterable[Message]) -> None:
+        """Deliver a window's messages in order: one frame for the window.
+
+        Stops at the first handler exception and leaves the rest of
+        *window* unconsumed (the caller counts it as dropped).  Liveness is
+        checked per message, as are partitions and cuts when the fabric has
+        features on: a machine that crashes, or a partition or cut that
+        forms, while a message is in flight -- a handler earlier in this
+        same window included -- drops it.  (Send-time checking alone would
+        deliver messages across a cut that formed mid-settle.)
+        """
+        machines = self._machines
+        traffic = self.traffic
+        for message in window:
+            recipient = message.recipient
+            machine = machines.get(recipient)
+            if (
+                machine is None
+                or not machine.alive
+                or (self._features_on and not self._fabric_delivers(message))
+            ):
+                self._count_dropped(message)
+                continue
+            traffic[recipient].received += 1  # registered => has counters
+            self.messages_delivered += 1
+            machine.receive(message)
+
+    def _fabric_delivers(self, message: Message) -> bool:
+        """Partition and cut checks of a delivery; counts its link class."""
+        sender, recipient = message.sender, message.recipient
+        if self._partition_of and self._partitioned(sender, recipient):
+            return False
         topology = self.topology
         if topology is not None:
-            link_name, link_class = topology.link(message.sender, message.recipient)
+            link_name, link_class = topology.link(sender, recipient)
+            if self._severed and link_name in self._severed:
+                return False
             class_name = link_class.name
-        machine = self._machines.get(message.recipient)
-        if (
-            machine is None
-            or not machine.alive
-            or (
-                self._partition_of
-                and self._partitioned(message.sender, message.recipient)
-            )
-            or (topology is not None and self._severed and link_name in self._severed)
-        ):
-            self._count_dropped(message)
-            return
-        traffic = self.traffic.get(message.recipient)
-        if traffic is None:
-            traffic = self.traffic[message.recipient] = MachineTraffic()
-        traffic.received += 1
-        traffic.by_kind_received[message.kind] = (
-            traffic.by_kind_received.get(message.kind, 0) + 1
-        )
-        self.messages_delivered += 1
-        if topology is not None:
             self.class_delivered[class_name] = (
                 self.class_delivered.get(class_name, 0) + 1
             )
-        machine.receive(message)
+        return True
 
     def run(self, **kwargs: Any) -> int:
         """Drain the event loop (delegates to the scheduler)."""

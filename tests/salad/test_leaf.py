@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.core.fingerprint import synthetic_fingerprint
+from repro.salad import protocol
 from repro.salad.ids import compose_cell_id
 from repro.salad.leaf import SaladLeaf
+from repro.salad.protocol import MatchPayload
+from repro.salad.records import SaladRecord
+from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
 from repro.sim.network import Network
 
@@ -159,3 +164,87 @@ class TestWidthRecalculationCost:
             <= 1
         )
         assert leaf._next_width_survivors == expected
+
+
+class TestFailedLeafPublishesNothing:
+    """A failed machine cannot publish: initiation is a no-op returning 0."""
+
+    def _salad_with_a_dead_leaf(self):
+        salad = Salad(SaladConfig(seed=5))
+        salad.build(8)
+        dead = salad.alive_leaves()[3]
+        dead.fail()
+        return salad, dead
+
+    def _own_records(self, leaf, count):
+        return [
+            SaladRecord(synthetic_fingerprint(2048 + i, i), leaf.identifier)
+            for i in range(count)
+        ]
+
+    def test_insert_records_on_a_failed_leaf(self):
+        salad, dead = self._salad_with_a_dead_leaf()
+        sent = salad.network.messages_sent
+        assert dead.insert_records(self._own_records(dead, 50)) == 0
+        salad.run()
+        assert len(dead.database) == 0
+        assert salad.network.messages_sent == sent
+
+    def test_insert_record_on_a_failed_leaf(self):
+        salad, dead = self._salad_with_a_dead_leaf()
+        sent = salad.network.messages_sent
+        assert dead.insert_record(self._own_records(dead, 1)[0]) == 0
+        salad.run()
+        assert len(dead.database) == 0
+        assert salad.network.messages_sent == sent
+
+    def test_a_live_leaf_still_publishes(self):
+        salad, dead = self._salad_with_a_dead_leaf()
+        live = salad.alive_leaves()[0]
+        assert live.insert_record(self._own_records(live, 1)[0]) == 1
+        assert live.insert_records(self._own_records(live, 5)) == 5
+
+
+class TestMatchNotifications:
+    """The store builds only the notify_limit matches the leaf sends."""
+
+    LOCATIONS = (0x90, 0x30, 0x70, 0x10, 0x50, 0xB0)
+
+    class RecordingNetwork(Network):
+        def __init__(self):
+            super().__init__(EventScheduler())
+            self.sent = []
+
+        def send(self, sender, recipient, kind, payload):
+            self.sent.append((sender, recipient, kind, payload))
+            super().send(sender, recipient, kind, payload)
+
+    @pytest.mark.parametrize("limit", [1, 2, 4, None])
+    @pytest.mark.parametrize("copies", [0, 1, 3, 6])
+    def test_two_matches_per_notified_copy(self, limit, copies):
+        network = self.RecordingNetwork()
+        leaf = SaladLeaf(0x5, network, notify_limit=limit)
+        fingerprint = synthetic_fingerprint(4096, 1)
+        for location in self.LOCATIONS[:copies]:
+            leaf.database.insert(SaladRecord(fingerprint, location))
+        limits = []
+        insert = leaf.database.insert
+        leaf.database.insert = lambda record, limit=None: (
+            limits.append(limit) or insert(record, limit)
+        )
+        newcomer = SaladRecord(fingerprint, 0xF0)
+        leaf._store_record(newcomer, 1, {})
+        assert limits == [limit]
+        # Per-match construction, as the leaf built the payloads before
+        # sharing the notice: (new record's machine, other) then the reverse.
+        expected = []
+        for other in sorted(self.LOCATIONS[:copies])[:limit]:
+            to_newcomer = MatchPayload(fingerprint=fingerprint, other_machine=other)
+            to_other = MatchPayload(fingerprint=fingerprint, other_machine=0xF0)
+            expected += [
+                (0x5, 0xF0, protocol.MATCH, to_newcomer),
+                (0x5, other, protocol.MATCH, to_other),
+            ]
+        assert network.sent == expected
+        cap = copies if limit is None else min(limit, copies)
+        assert len(network.sent) == 2 * cap

@@ -82,6 +82,18 @@ class TestContract:
         assert all(m.fingerprint == rec(100).fingerprint for m in matches)
         store.close()
 
+    def test_limited_matches_are_the_lowest_locations(self, backend, tmp_path):
+        store = make(backend, tmp_path)
+        for location in (9, 3, 7):
+            store.insert(rec(100, location=location))
+        stored, matches = store.insert(rec(100, location=5), 2)
+        assert stored and [m.location for m in matches] == [3, 7]
+        # A duplicate whose location lies past the limit is still a no-op.
+        again, matches = store.insert(rec(100, location=9), 1)
+        assert not again and [m.location for m in matches] == [3]
+        assert len(store) == 4
+        store.close()
+
     def test_records_iterate_in_sort_key_then_location_order(self, backend, tmp_path):
         store = make(backend, tmp_path)
         inserted = [rec(300, location=2), rec(100, location=9), rec(100, location=4)]

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from repro.core.fingerprint import synthetic_fingerprint
+from repro.salad.records import SaladRecord
+from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
 from repro.sim.machine import SimMachine, UnknownMessageError
 from repro.sim.network import Network
-from repro.sim.topology import one_site
+from repro.sim.topology import one_site, parse_topology
 
 
 class Echo(SimMachine):
@@ -45,8 +48,7 @@ class TestDelivery:
         assert net.traffic[1].sent == 1 and net.traffic[1].received == 1
         assert net.traffic[2].sent == 1 and net.traffic[2].received == 1
         assert net.traffic[1].total == 2
-        assert net.traffic[1].by_kind_sent == {"ping": 1}
-        assert net.traffic[2].by_kind_received == {"ping": 1}
+        assert net.sent_by_kind == {"ping": 1, "pong": 1}
 
     def test_latency_orders_delivery(self):
         net = make_net()
@@ -320,3 +322,107 @@ class TestHandlerExceptionMidWindow:
         assert b.log == [("ping", 1)] and a.log == [("pong", 2)]
         assert net.scheduler.now == 7.0
         assert net.messages_sent == net.messages_delivered + net.messages_dropped
+
+
+def assert_accounted(net):
+    assert net.messages_sent == net.messages_delivered + net.messages_dropped
+    assert sum(net.sent_by_kind.values()) == net.messages_sent
+
+
+def salad_wave(salad, wave, per_leaf=4):
+    """Every live leaf publishes *per_leaf* records from a shared content pool."""
+    salad.insert_records(
+        {
+            leaf.identifier: [
+                SaladRecord(
+                    synthetic_fingerprint(4096 + content, 100 * wave + content),
+                    leaf.identifier,
+                )
+                for content in range(index % 5, index % 5 + per_leaf)
+            ]
+            for index, leaf in enumerate(salad.alive_leaves())
+        }
+    )
+
+
+class TestFeaturesSwitchedOnMidRun:
+    """Loss, partitions and cuts take effect on the next send or delivery.
+
+    The fabric skips every feature check while all features are off, so
+    each way of turning one on -- or off -- must reach the per-message
+    path at once, and the counters must balance in every case.
+    """
+
+    def test_plain_fabric_pays_for_no_feature(self):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"feature path touched: {name}")
+
+        net = make_net()
+        a, b = Echo(1, net), Echo(2, net)
+        net._rng = net._loss_rng = Untouchable()  # no RNG draw
+        net._partitioned = Untouchable  # no partition probe (calling it raises)
+        a.send(2, "ping")
+        net.run()
+        assert a.log == [("pong", 2)]
+        assert_accounted(net)
+
+    def test_loss_switched_on_and_off_between_waves(self):
+        salad = Salad(SaladConfig(seed=3))
+        salad.build(16)
+        net = salad.network
+        salad_wave(salad, 0)
+        assert net.messages_dropped == 0
+        salad.set_loss_probability(0.3)
+        salad_wave(salad, 1)
+        dropped = net.messages_dropped
+        assert dropped > 0
+        assert_accounted(net)
+        salad.set_loss_probability(0.0)
+        salad_wave(salad, 2)
+        assert net.messages_dropped == dropped
+        assert_accounted(net)
+
+    def test_partition_from_a_handler_mid_window(self):
+        net = make_net()
+        a, b, c = Echo(1, net), Echo(2, net), Echo(3, net)
+        b.on("split", lambda msg: net.partition({"island": [3]}))
+        a.send(2, "split")
+        a.send(3, "ping")  # same window, after the split: now cross-partition
+        a.send(2, "ping")  # same window, same side: still delivered
+        net.run()
+        assert c.log == []
+        assert b.log == [("ping", 1)] and a.log == [("pong", 2)]
+        assert net.messages_dropped == 1 and net.traffic[1].dropped_to == 1
+        assert_accounted(net)
+
+    def test_cut_in_topology_mode_between_waves(self):
+        topology = parse_topology("corporate")
+        salad = Salad(SaladConfig(seed=3, topology=topology))
+        salad.build(24)
+        net = salad.network
+        salad_wave(salad, 0)
+        assert net.messages_dropped == 0
+        net.cut(*topology.wan_links())
+        salad_wave(salad, 1)
+        assert net.class_dropped == {"wan": net.messages_dropped} != {"wan": 0}
+        for counts in (net.class_sent, net.class_delivered, net.class_dropped):
+            assert set(counts) <= {"rack", "lan", "wan"}
+        assert sum(net.class_sent.values()) == net.messages_sent
+        assert sum(net.class_delivered.values()) == net.messages_delivered
+        assert_accounted(net)
+
+    def test_deregister_after_partition_switches_the_feature_off(self):
+        net = make_net()
+        a, b, c = Echo(1, net), Echo(2, net), Echo(3, net)
+        net.partition({"island": [2]})
+        a.send(2, "ping")  # dropped at send
+        b.depart()  # takes its label along: nothing is partitioned any more
+        assert not net._features_on
+        a.send(3, "ping")
+        returning = Echo(2, net)  # a re-registered id inherits no stale label
+        a.send(2, "ping")
+        net.run()
+        assert c.log == [("ping", 1)] and returning.log == [("ping", 1)]
+        assert net.messages_dropped == 1
+        assert_accounted(net)
