@@ -44,7 +44,7 @@ from repro.salad.records import SaladRecord
 from repro.salad.width import (
     attenuated_redundancy,
     estimate_system_size,
-    known_leaf_ratio,
+    steady_band,
     target_width,
 )
 from repro.sim.machine import SimMachine
@@ -123,6 +123,9 @@ class SaladLeaf(SimMachine):
         # recomputed by _rebuild_index.
         self._cell_mask = 0
         self._axis_masks = axis_masks(0, dimensions)
+        # Per axis, the cell-ID bits *not* on it: a leaf is vector-aligned
+        # along d iff its xor with me has no bit under the d-th of these.
+        self._off_axis_masks = (0,) * dimensions
         # Width-increase lookahead: masks for width W+1 plus an incrementally
         # maintained two-bucket partition of the leaf table by "would this
         # entry stay vector-aligned at W+1?".  The survivor bucket is
@@ -135,7 +138,19 @@ class SaladLeaf(SimMachine):
         self._next_axis_masks = axis_masks(1, dimensions)
         self._next_width_survivors = 0
         self._next_width_dropped: Set[int] = set()
+        # Incrementing W adds one cell-ID bit, bit W, to one axis, W mod D
+        # (Eq. 10 interleaves bits round-robin).  An entry therefore leaves
+        # the table at W+1 only if it already differs from me on some other
+        # axis and also differs on bit W: one AND and one compare per entry.
+        self._grow_bit = 1
+        self._grow_axis = 0
         self.survivor_scans = 0
+        # Fig. 6's steady band, refreshed with the index: the table sizes
+        # (self included) at which the procedure changes nothing
+        # (repro.salad.width.steady_band).
+        self._steady_lo, self._steady_hi = steady_band(
+            0, dimensions, target_redundancy, damping
+        )
         # Width-maintenance path selection, mirroring `reference_routing`:
         # the reference path re-derives the dropped bucket with a full scan
         # at every committed increase (the seed behavior), the default path
@@ -194,6 +209,12 @@ class SaladLeaf(SimMachine):
         # the cycle and loses nothing (the first arrival already triggered
         # this leaf's forwarding and welcome).
         self._seen_joins: Set[int] = set()
+        # JOIN arrivals by cause: first sight of a new leaf (handled per
+        # Fig. 5), a repeat the flood suppression drops, or this leaf's own
+        # join coming back.  Their sum is the JOIN messages delivered here.
+        self.join_fresh = 0
+        self.join_duplicates = 0
+        self.join_echoes = 0
 
         self._in_recalculate = False
         self.width_changes = 0
@@ -250,7 +271,11 @@ class SaladLeaf(SimMachine):
         return len(self.leaf_table)
 
     def _survives_next_width(self, identifier: int) -> bool:
-        """Would *identifier* stay vector-aligned at width W+1?"""
+        """Would *identifier* stay vector-aligned at width W+1?
+
+        The full-mask form of the ``_grow_bit`` / ``_grow_axis`` rule, kept
+        for the ``reference_width`` oracle's partition scan.
+        """
         diff = (identifier ^ self.identifier) & self._next_cell_mask
         if not diff:
             return True
@@ -269,26 +294,31 @@ class SaladLeaf(SimMachine):
         width (in which case it does not belong in the table at all).
         """
         # Inline of the Delta-set scan over the leaf's cached masks: coords
-        # on axis d agree iff the xor has no bits under that axis's mask.
-        diff = (identifier ^ self.identifier) & self._cell_mask
+        # on axis d agree iff the xor has no bits under that axis's mask, so
+        # a leaf is d-vector-aligned iff it has none off that axis.
+        xor = identifier ^ self.identifier
+        diff = xor & self._cell_mask
         if not diff:
             self._cellmates.add(identifier)
-            self._next_hop_cache.clear()
-            if self._survives_next_width(identifier):
-                self._next_width_survivors += 1
+            survives = True  # only bit W can differ at W+1: one axis at most
+        else:
+            axis = 0
+            for off_axis in self._off_axis_masks:
+                if not diff & off_axis:
+                    break
+                axis += 1
             else:
-                self._next_width_dropped.add(identifier)
-            return True
-        axis = -1
-        for d, mask in enumerate(self._axis_masks):
-            if diff & mask:
-                if axis >= 0:
-                    return False  # two mismatching axes: not vector-aligned
-                axis = d
-        key = identifier & self._axis_masks[axis]
-        self._vectors[axis].setdefault(key, set()).add(identifier)
+                return False  # two mismatching axes: not vector-aligned
+            groups = self._vectors[axis]
+            key = identifier & self._axis_masks[axis]
+            members = groups.get(key)
+            if members is None:
+                groups[key] = {identifier}
+            else:
+                members.add(identifier)
+            survives = axis == self._grow_axis or not xor & self._grow_bit
         self._next_hop_cache.clear()
-        if self._survives_next_width(identifier):
+        if survives:
             self._next_width_survivors += 1
         else:
             self._next_width_dropped.add(identifier)
@@ -308,17 +338,28 @@ class SaladLeaf(SimMachine):
         self._next_hop_cache.clear()
 
     def _rebuild_index(self) -> None:
-        self._cell_mask = (1 << self.width) - 1
-        self._axis_masks = axis_masks(self.width, self.dimensions)
-        self._next_cell_mask = (1 << (self.width + 1)) - 1
-        self._next_axis_masks = axis_masks(self.width + 1, self.dimensions)
+        """Re-derive every width-dependent field and re-index the table."""
+        width, dimensions = self.width, self.dimensions
+        self._cell_mask = (1 << width) - 1
+        self._axis_masks = axis_masks(width, dimensions)
+        self._off_axis_masks = tuple(
+            self._cell_mask ^ mask for mask in self._axis_masks
+        )
+        self._next_cell_mask = (1 << (width + 1)) - 1
+        self._next_axis_masks = axis_masks(width + 1, dimensions)
+        self._grow_bit = 1 << width
+        self._grow_axis = width % dimensions
+        self._steady_lo, self._steady_hi = steady_band(
+            width, dimensions, self.target_redundancy, self.damping
+        )
         self._next_width_survivors = 0
         self._next_width_dropped = set()
         self._next_hop_cache.clear()
         self._cellmates = set()
-        self._vectors = {d: {} for d in range(self.dimensions)}
+        self._vectors = {d: {} for d in range(dimensions)}
+        index_add = self._index_add
         for identifier in self.leaf_table:
-            self._index_add(identifier)
+            index_add(identifier)
 
     def add_leaf(self, identifier: int, recalculate: bool = True) -> bool:
         """Add a vector-aligned leaf to the table; returns True if added."""
@@ -668,10 +709,13 @@ class SaladLeaf(SimMachine):
         payload: JoinPayload = message.payload
         s, n = payload.sender, payload.new_leaf
         if n == self.identifier:
+            self.join_echoes += 1
             return  # my own join echoed back; nothing to do
         if n in self._seen_joins:
+            self.join_duplicates += 1
             return  # flood suppression; already forwarded and welcomed
         self._seen_joins.add(n)
+        self.join_fresh += 1
         eff = self.effective_dimensions
 
         # Mask arithmetic: coordinate d of two identifiers differs iff their
@@ -807,6 +851,12 @@ class SaladLeaf(SimMachine):
             if self.network.defer_post_window(self._flush_deferred_recalc):
                 self._recalc_deferred = True
                 return
+        self.width_recalcs += 1
+        if self._steady_lo <= len(self.leaf_table) + 1 < self._steady_hi:
+            # Inside the steady band neither loop of the procedure would
+            # take a step (repro.salad.width.steady_band); most
+            # recalculations end here.
+            return
         self._in_recalculate = True
         try:
             self._recalculate_width_inner()
@@ -816,16 +866,12 @@ class SaladLeaf(SimMachine):
     def _flush_deferred_recalc(self) -> None:
         """Run the one coalesced recalculation at the window boundary."""
         self._recalc_deferred = False
-        if not self.alive:
-            return
-        self._in_recalculate = True
-        try:
-            self._recalculate_width_inner()
-        finally:
-            self._in_recalculate = False
+        if self.alive:
+            # The window has drained, so the network refuses a deferral and
+            # this runs the procedure eagerly.
+            self._recalculate_width()
 
     def _recalculate_width_inner(self) -> None:
-        self.width_recalcs += 1
         d_count = self.dimensions
         table_with_self = len(self.leaf_table) + 1
         estimate = estimate_system_size(table_with_self, self.width, d_count)

@@ -32,6 +32,7 @@ def harvest_salad_metrics(
     registry.gauge("salad.config.dimensions").set(dimensions)
 
     hits = misses = scans = width_changes = width_recalcs = 0
+    join_fresh = join_duplicates = join_echoes = 0
     arrivals = hops = notifications = 0
     envelopes = envelope_records = 0
     stored = evictions = rejections = 0
@@ -50,6 +51,9 @@ def harvest_salad_metrics(
         scans += leaf.survivor_scans
         width_changes += leaf.width_changes
         width_recalcs += leaf.width_recalcs
+        join_fresh += leaf.join_fresh
+        join_duplicates += leaf.join_duplicates
+        join_echoes += leaf.join_echoes
         arrivals += leaf.record_arrivals
         hops += leaf.record_hops
         # Notifications *delivered*: the recipient's matches list is already
@@ -85,6 +89,9 @@ def harvest_salad_metrics(
     registry.counter("salad.routing.survivor_scans").inc(scans)
     registry.counter("salad.width.changes").inc(width_changes)
     registry.counter("salad.width.recalcs").inc(width_recalcs)
+    registry.counter("salad.join.fresh").inc(join_fresh)
+    registry.counter("salad.join.duplicates").inc(join_duplicates)
+    registry.counter("salad.join.echoes").inc(join_echoes)
     registry.counter("salad.records.arrivals").inc(arrivals)
     registry.counter("salad.records.hops").inc(hops)
     registry.counter("salad.records.stored").inc(stored)

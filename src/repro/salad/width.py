@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, Tuple
 
 from repro.salad.ids import coordinate_width
 
@@ -72,3 +73,45 @@ def estimate_system_size(table_size_with_self: int, width: int, dimensions: int)
     """Invert Eq. 18: L = T / r, with T counting the leaf itself."""
     r = known_leaf_ratio(width, dimensions)
     return table_size_with_self / r
+
+
+@lru_cache(maxsize=4096)
+def steady_band(
+    width: int, dimensions: int, target_redundancy: float, damping: float
+) -> Tuple[int, int]:
+    """The table sizes (self included) at which Fig. 6 leaves W alone.
+
+    Returns ``[lo, hi)``: for T in it the fold test ``target(Lambda') < W``
+    and the growth test ``target(Lambda) > W`` are both false, so the
+    procedure neither folds nor tries a tentative width.  Both targets are
+    non-decreasing in T (each step is a monotone float operation), so each
+    test flips at most once, and a search with the same calls Fig. 6 makes
+    finds the exact flip points (tests/property/test_prop_width_band.py).
+    The band is empty (lo >= hi) when no T satisfies both.
+    """
+    reduced = attenuated_redundancy(target_redundancy, damping)
+
+    def target(table_with_self: int, redundancy: float) -> int:
+        estimate = estimate_system_size(table_with_self, width, dimensions)
+        return target_width(estimate, redundancy)
+
+    lo = _first_true(lambda t: target(t, reduced) >= width)
+    hi = _first_true(lambda t: target(t, target_redundancy) > width)
+    return lo, hi
+
+
+def _first_true(predicate: Callable[[int], bool]) -> int:
+    """The least T >= 1 where a monotone false-then-true *predicate* holds."""
+    if predicate(1):
+        return 1
+    above = 2
+    while not predicate(above):
+        above *= 2
+    below = above // 2  # predicate(below) is false, predicate(above) true
+    while above - below > 1:
+        middle = (below + above) // 2
+        if predicate(middle):
+            above = middle
+        else:
+            below = middle
+    return above

@@ -86,6 +86,30 @@ class TestJoinTraffic:
         cost = salad.network.messages_sent - before
         assert cost < 60 * 10  # far below anything storm-like
 
+    @pytest.mark.parametrize("dimensions", [1, 2, 3])
+    def test_join_causes_sum_to_joins_delivered(self, dimensions):
+        """Every JOIN a leaf receives is fresh, a suppressed duplicate, or
+        its own join echoed back; the harvest reports the same split."""
+        from repro.obs.registry import MetricsRegistry
+        from repro.salad import protocol
+
+        salad = Salad(SaladConfig(dimensions=dimensions, seed=7))
+        salad.build(120)
+        net = salad.network
+        assert net.messages_dropped == 0  # so every JOIN sent was delivered
+        leaves = salad.alive_leaves()
+        fresh = sum(leaf.join_fresh for leaf in leaves)
+        duplicates = sum(leaf.join_duplicates for leaf in leaves)
+        echoes = sum(leaf.join_echoes for leaf in leaves)
+        assert fresh + duplicates + echoes == net.sent_by_kind[protocol.JOIN]
+        assert fresh > 0 and duplicates > 0
+        totals = salad.collect_metrics(MetricsRegistry()).counter_totals()
+        assert (
+            totals["salad.join.fresh"],
+            totals["salad.join.duplicates"],
+            totals["salad.join.echoes"],
+        ) == (fresh, duplicates, echoes)
+
     def test_departed_leaf_forgotten(self):
         salad = Salad(SaladConfig(target_redundancy=2.0, seed=6))
         salad.build(30)

@@ -95,3 +95,51 @@ class TestEstimate:
 
     def test_width_zero_estimate_is_table_size(self):
         assert estimate_system_size(5, 0, 2) == 5.0
+
+
+class TestSteadyBandBypass:
+    """A leaf skips Fig. 6 inside the steady band; running it instead must
+    change nothing a leaf or the network can observe."""
+
+    @staticmethod
+    def _grow(dimensions):
+        import random
+
+        from repro.salad.salad import Salad, SaladConfig
+
+        salad = Salad(SaladConfig(dimensions=dimensions, seed=19))
+        salad.build(70)
+        for identifier in sorted(salad.alive_identifiers())[::6]:
+            salad.depart_leaf(identifier, settle=False)
+        salad.run()
+        salad.crash_fraction(0.1, random.Random(3))
+        for leaf in salad.alive_leaves():
+            leaf.send_refreshes()
+        salad.run()
+        net = salad.network
+        return {
+            "leaves": {
+                leaf.identifier: (
+                    leaf.width,
+                    sorted(leaf.leaf_table),
+                    leaf.width_recalcs,
+                    leaf.width_changes,
+                )
+                for leaf in salad.leaves.values()
+            },
+            "traffic": {
+                identifier: (t.sent, t.received, t.dropped_to)
+                for identifier, t in net.traffic.items()
+            },
+            "sent_by_kind": dict(net.sent_by_kind),
+        }
+
+    @pytest.mark.parametrize("dimensions", [1, 2, 3])
+    def test_skip_matches_running_fig6(self, dimensions, monkeypatch):
+        import repro.salad.leaf as leaf_module
+
+        skipped = self._grow(dimensions)
+        monkeypatch.setattr(leaf_module, "steady_band", lambda *args: (1, 1))
+        ran = self._grow(dimensions)
+        assert skipped == ran
+        assert any(changes for _, _, _, changes in skipped["leaves"].values())
