@@ -92,9 +92,9 @@ def run(
             )
             records.append(record)
             batches.setdefault(leaf.identifier, []).append(record)
-        before = salad.network.messages_sent
+        before = salad.messages_carried()
         salad.insert_records(batches)
-        record_messages[d] = (salad.network.messages_sent - before) / record_count
+        record_messages[d] = (salad.messages_carried() - before) / record_count
 
         stored = set()
         for leaf in leaves:

@@ -198,6 +198,22 @@ class SaladLeaf(SimMachine):
         # it into the `salad.routing.batch_size` histogram.  A plain dict
         # increment keeps the per-envelope cost to one hash op.
         self.batch_size_counts: Dict[int, int] = {}
+        # The paper counts records and notices, the network counts
+        # envelopes.  Each RECORD_BATCH / MATCH_BATCH envelope adds the
+        # items it carries beyond its first, once per envelope, so that
+        # envelopes plus these give the paper's unit (Figs. 9-10).  Always
+        # on: they cost one add per batch envelope, never one per item.
+        self.extra_records_sent = 0
+        self.extra_notices_sent = 0
+        self.extra_received = 0
+
+        # Per-window outbox.  While a delivery window drains, record
+        # forwards and MATCH notices are staged here per recipient, and
+        # _flush_outbox sends each recipient one envelope per kind once
+        # the window has drained.  Both are None between windows: the
+        # first staged item opens them (see _open_outbox).
+        self._out_records: Optional[Dict[int, List[tuple]]] = None
+        self._out_notices: Optional[Dict[int, List[MatchPayload]]] = None
 
         # Duplicate notifications received for this machine's own files.
         self.matches: List[MatchPayload] = []
@@ -230,6 +246,7 @@ class SaladLeaf(SimMachine):
         self.on(protocol.DEPARTURE, self._on_departure)
         self.on(protocol.REFRESH, self._on_refresh)
         self.on(protocol.MATCH, self._on_match)
+        self.on(protocol.MATCH_BATCH, self._on_match_batch)
 
     # ------------------------------------------------------------------
     # identifiers & coordinates (always under *this leaf's* current width)
@@ -423,6 +440,13 @@ class SaladLeaf(SimMachine):
     # own alive check is already met on those paths.  Paths the engine or
     # an experiment calls directly (join initiation, departure, refresh,
     # width recalculation) keep SimMachine.send.
+    #
+    # Outbox rule: inside a delivery window, record forwards and MATCH
+    # notices go to the outbox instead of the network, and the window's
+    # end sends them (_flush_outbox); outside one (a leaf initiating its
+    # own records, a direct handler call) they are sent at once.  The
+    # outbox opens only when an item is staged, so the order in which
+    # leaves flush is the order in which they first had something to send.
 
     def insert_record(self, record: SaladRecord) -> int:
         """Locally initiate insertion of a record for one of this machine's files.
@@ -466,9 +490,8 @@ class SaladLeaf(SimMachine):
         Same decision, counters and send order as handing
         ``[(record, hops)]`` to :meth:`_process_batch` (the routing
         equivalence property test holds the two together), without the
-        one-element list and the ``forwards`` dict per arrival: nothing can
-        coalesce with a single record, so each target in the cached next-hop
-        tuple gets its RECORD straight away.
+        one-element list and the ``forwards`` dict per arrival: each target
+        in the cached next-hop tuple is staged straight into the outbox.
         """
         record, hops = message.payload
         tracer = _tracing.ACTIVE
@@ -492,24 +515,43 @@ class SaladLeaf(SimMachine):
             forwards: Dict[int, List[tuple]] = {}
             self._store(record, hops, forwards)
             if forwards:
-                self._send_forwards(forwards)
+                self._stage_forwards(forwards)
             return
-        if hops >= 2 * self.dimensions:
-            return  # hop budget exhausted: the record is lost
+        if hops >= 2 * self.dimensions or not targets:
+            return  # hop budget exhausted (the record is lost) or no target
         forwarded = (record, hops + 1)
-        send = self.network.send
-        me = self.identifier
+        out = self._out_records
+        if out is None:
+            if not self._open_outbox():
+                send = self.network.send
+                me = self.identifier
+                for target in targets:
+                    send(me, target, protocol.RECORD, forwarded)
+                return
+            out = self._out_records
         for target in targets:
-            send(me, target, protocol.RECORD, forwarded)
+            bucket = out.get(target)
+            if bucket is None:
+                out[target] = [forwarded]
+            else:
+                bucket.append(forwarded)
 
     def _on_record_batch(self, message: Message) -> None:
+        pairs = message.payload
+        self.extra_received += len(pairs) - 1
         tracer = _tracing.ACTIVE
         if tracer is not None:
             sender = message.sender
-            for record, hops in message.payload:
+            for record, hops in pairs:
                 if tracer.sampled(record._rid):
                     tracer.record_hop(record, hops, sender, self.identifier)
-        self._process_batch(message.payload)
+        out = self._out_records
+        if out is None or self.reference_routing:
+            self._process_batch(pairs)
+        else:
+            # The outbox is open: route straight into it.  Same staged lists
+            # and recipient order as routing into a fresh dict and merging.
+            self._route_batch_indexed(pairs, out)
 
     def _process_batch(self, pairs: Iterable[tuple]) -> None:
         """Route/store a batch of ``(record, hops)`` pairs, coalescing forwards.
@@ -526,18 +568,64 @@ class SaladLeaf(SimMachine):
                 route(record, hops, forwards)
         else:
             self._route_batch_indexed(pairs, forwards)
-        self._send_forwards(forwards)
+        self._stage_forwards(forwards)
+
+    def _open_outbox(self) -> bool:
+        """Open this window's outbox; False outside a delivery window."""
+        if not self.network.defer_post_window(self._flush_outbox):
+            return False
+        self._out_records = {}
+        self._out_notices = {}
+        return True
+
+    def _stage_forwards(self, forwards: Dict[int, List[tuple]]) -> None:
+        """Stage *forwards* in the outbox, or send them outside a window."""
+        if not forwards:
+            return
+        out = self._out_records
+        if out is None:
+            if self._open_outbox():
+                self._out_records = forwards  # nothing staged yet: adopt
+            else:
+                self._send_forwards(forwards)
+            return
+        for target, batch in forwards.items():
+            bucket = out.get(target)
+            if bucket is None:
+                out[target] = batch
+            else:
+                bucket.extend(batch)
+
+    def _flush_outbox(self) -> None:
+        """Send what the window staged: records, then notices.
+
+        One envelope per recipient and kind, recipients in first-staged
+        order.  Runs for a leaf that failed after staging too: those sends
+        were made while it was alive.
+        """
+        records, notices = self._out_records, self._out_notices
+        self._out_records = self._out_notices = None
+        self._send_forwards(records)
+        send = self.network.send
+        me = self.identifier
+        for target, batch in notices.items():
+            if len(batch) == 1:
+                send(me, target, protocol.MATCH, batch[0])
+            else:
+                send(me, target, protocol.MATCH_BATCH, tuple(batch))
+                self.extra_notices_sent += len(batch) - 1
 
     def _send_forwards(self, forwards: Dict[int, List[tuple]]) -> None:
         send = self.network.send
         me = self.identifier
         for target, batch in forwards.items():
-            if len(batch) == 1:
+            size = len(batch)
+            if size == 1:
                 send(me, target, protocol.RECORD, batch[0])
             else:
                 send(me, target, protocol.RECORD_BATCH, tuple(batch))
+                self.extra_records_sent += size - 1
                 if self.detailed_metrics:
-                    size = len(batch)
                     self.batch_envelopes += 1
                     self.batch_records += size
                     counts = self.batch_size_counts
@@ -555,7 +643,8 @@ class SaladLeaf(SimMachine):
         while converting pathological cycles into ordinary lossiness.
 
         Outbound forwards are appended to *forwards* (target -> pairs) for
-        the caller to coalesce; match notifications are sent immediately.
+        the caller to coalesce; match notifications leave through the store
+        path (:meth:`_store_record`).
 
         This is the seed's implementation -- per-axis coordinate extraction
         on every record, no caching.  It stays in-tree as the oracle the
@@ -680,16 +769,39 @@ class SaladLeaf(SimMachine):
         matching = self.database.insert(record, self.notify_limit)[1]
         if not matching:
             return
-        send = self.network.send
-        me = self.identifier
         notice = MatchPayload(fingerprint, location)  # the same for every match
+        notices = self._out_notices
+        if notices is None:
+            if not self._open_outbox():
+                send = self.network.send
+                me = self.identifier
+                for match in matching:
+                    other = match.location
+                    send(me, location, protocol.MATCH, MatchPayload(fingerprint, other))
+                    send(me, other, protocol.MATCH, notice)
+                return
+            notices = self._out_notices
+        # Staged in the eager send order: (record's machine, other) pairs.
+        # Past the presence probe no match is the record's own location.
+        mine = notices.get(location)
+        if mine is None:
+            mine = notices[location] = []
         for match in matching:
             other = match.location
-            send(me, location, protocol.MATCH, MatchPayload(fingerprint, other))
-            send(me, other, protocol.MATCH, notice)
+            mine.append(MatchPayload(fingerprint, other))
+            bucket = notices.get(other)
+            if bucket is None:
+                notices[other] = [notice]
+            else:
+                bucket.append(notice)
 
     def _on_match(self, message: Message) -> None:
         self.matches.append(message.payload)
+
+    def _on_match_batch(self, message: Message) -> None:
+        notices = message.payload
+        self.extra_received += len(notices) - 1
+        self.matches.extend(notices)
 
     # ------------------------------------------------------------------
     # join protocol (Fig. 5)

@@ -45,6 +45,11 @@ REFRESH = "refresh"
 #: Duplicate notification: "machine k has a file with fingerprint f" (Fig. 4).
 MATCH = "match"
 
+#: The duplicate notifications one leaf owes one machine in one delivery
+#: window.  Payload: tuple of :class:`MatchPayload`.  Like RECORD_BATCH, it
+#: changes only the envelope count; the notices are those of Fig. 4.
+MATCH_BATCH = "match_batch"
+
 ALL_KINDS = (
     RECORD,
     RECORD_BATCH,
@@ -56,6 +61,7 @@ ALL_KINDS = (
     DEPARTURE,
     REFRESH,
     MATCH,
+    MATCH_BATCH,
 )
 
 

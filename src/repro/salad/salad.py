@@ -494,9 +494,28 @@ class Salad:
         return [len(leaf.database) for leaf in leaves]
 
     def message_totals(self, alive_only: bool = False) -> List[int]:
-        """Per-machine messages sent plus received (Figs. 9-10)."""
+        """Per-machine messages sent plus received (Figs. 9-10).
+
+        In the paper's unit: a batch envelope counts once per record or
+        notice it carries, so the totals do not depend on how a leaf's
+        sends were grouped into envelopes.
+        """
         leaves = self.alive_leaves() if alive_only else list(self.leaves.values())
-        return [self.network.traffic[leaf.identifier].total for leaf in leaves]
+        traffic = self.network.traffic
+        return [
+            traffic[leaf.identifier].total
+            + leaf.extra_records_sent
+            + leaf.extra_notices_sent
+            + leaf.extra_received
+            for leaf in leaves
+        ]
+
+    def messages_carried(self) -> int:
+        """Messages sent network-wide, in the unit of :meth:`message_totals`."""
+        return self.network.messages_sent + sum(
+            leaf.extra_records_sent + leaf.extra_notices_sent
+            for leaf in self.leaves.values()
+        )
 
     def width_distribution(self) -> Dict[int, int]:
         """How many alive leaves currently use each cell-ID width."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.obs.registry import MetricsRegistry
+from repro.salad import protocol
 
 
 def harvest_salad_metrics(
@@ -35,6 +36,7 @@ def harvest_salad_metrics(
     join_fresh = join_duplicates = join_echoes = 0
     arrivals = hops = notifications = 0
     envelopes = envelope_records = 0
+    extra_records = extra_notices = 0
     stored = evictions = rejections = 0
     alive = total = 0
     batch_hist = registry.histogram("salad.routing.batch_size")
@@ -61,6 +63,8 @@ def harvest_salad_metrics(
         notifications += len(leaf.matches)
         envelopes += leaf.batch_envelopes
         envelope_records += leaf.batch_records
+        extra_records += leaf.extra_records_sent
+        extra_notices += leaf.extra_notices_sent
         for size, n in leaf.batch_size_counts.items():
             batch_hist.observe_count(size, n)
         db = leaf.database
@@ -98,6 +102,19 @@ def harvest_salad_metrics(
     registry.counter("salad.records.match_notifications").inc(notifications)
     registry.counter("salad.routing.envelopes").inc(envelopes)
     registry.counter("salad.routing.envelope_records").inc(envelope_records)
+    # The paper's unit beside the envelope count: record hops and notices
+    # sent, a batch envelope counting once per item it carries.
+    by_kind = network.sent_by_kind
+    registry.counter("salad.routing.records_carried").inc(
+        by_kind.get(protocol.RECORD, 0)
+        + by_kind.get(protocol.RECORD_BATCH, 0)
+        + extra_records
+    )
+    registry.counter("salad.routing.notices_carried").inc(
+        by_kind.get(protocol.MATCH, 0)
+        + by_kind.get(protocol.MATCH_BATCH, 0)
+        + extra_notices
+    )
     registry.counter("salad.storage.evictions").inc(evictions)
     registry.counter("salad.storage.rejections").inc(rejections)
     registry.counter("salad.storage.sqlite.flushes").inc(flushes)

@@ -74,16 +74,12 @@ class Network:
     byte-for-byte the flat fabric, and the degenerate one-site topology
     (``topology.one_site(latency)``) reproduces its traces bit-identically.
 
-    With *batch_delivery* (the default), messages sharing a delivery
-    timestamp are queued on one scheduler event per timestep instead of one
-    closure-carrying event each, and delivered in send order when that
-    timestep fires.  Relative delivery order among messages is exactly that
-    of per-message scheduling (time, then send order), so traces and
-    counters are unchanged; the only observable difference is against
-    non-message events a driver schedules *between* sends at the very same
-    timestamp, which SALAD workloads never do (drivers schedule between
-    quiescent rounds).  ``batch_delivery=False`` restores the seed's
-    one-event-per-message behavior for oracle comparisons.
+    Messages sharing a delivery timestamp form one *delivery window*: they
+    are queued on one scheduler event per timestep and delivered in send
+    order when that timestep fires.  A machine may defer work to the end of
+    the window it is being delivered in (:meth:`defer_post_window`); SALAD
+    leaves stage their record forwards and duplicate notices that way and
+    send each recipient one envelope per window.
 
     The fabric pays only for the features that are on.  Topology, jitter,
     loss, partitions and cuts sit behind one flag, ``_features_on``, which
@@ -104,7 +100,6 @@ class Network:
         jitter: float = 0.0,
         loss_probability: float = 0.0,
         rng: Optional[random.Random] = None,
-        batch_delivery: bool = True,
         topology: Optional[Topology] = None,
     ):
         if topology is not None and jitter:
@@ -116,7 +111,6 @@ class Network:
         self.scheduler = scheduler or EventScheduler()
         self.latency = latency
         self.jitter = jitter
-        self.batch_delivery = batch_delivery
         self.topology = topology
         self._rng = rng or random.Random(0)
         # Loss draws get their own substream, seeded once from the main rng.
@@ -311,19 +305,15 @@ class Network:
         # object, and this runs once per send on the simulator's hottest path.
         # Positional: keyword binding costs measurably more per construction.
         message = Message(sender, recipient, kind, payload)
-        if self.batch_delivery:
-            # One scheduler event per delivery window: queue the message on
-            # its window's batch; the first message of a window schedules
-            # the flush.  FIFO within the batch preserves send order, so
-            # delivery order matches per-message scheduling.
-            pending = self._pending.get(key)
-            if pending is None:
-                self._pending[key] = [message]
-                self.scheduler.schedule(delay, lambda: self._deliver_pending(key))
-            else:
-                pending.append(message)
+        # One scheduler event per delivery window: queue the message on its
+        # window's batch; the first message of a window schedules the
+        # delivery.  FIFO within the batch preserves send order.
+        pending = self._pending.get(key)
+        if pending is None:
+            self._pending[key] = [message]
+            self.scheduler.schedule(delay, lambda: self._deliver_pending(key))
         else:
-            self.scheduler.schedule(delay, lambda: self._deliver((message,)))
+            pending.append(message)
 
     def _fabric_window(
         self, traffic: MachineTraffic, sender: int, recipient: int
@@ -392,7 +382,9 @@ class Network:
         first-queued order, at the current timestep; anything it sends joins
         the next delivery window after every handler-originated message of
         this one (the queue drains after the batch, so its sends append to
-        the pending batches last).
+        the pending batches last).  The queue drains even when a handler
+        raised mid-window, so no callback outlives the window that queued
+        it.  A callback must not raise.
         """
         if not self._delivering:
             return False
@@ -409,10 +401,12 @@ class Network:
                 self._deliver(window)
             finally:
                 self._delivering = False
-            if self._post_window:
-                callbacks, self._post_window = self._post_window, []
-                for callback in callbacks:
-                    callback()
+                # Even after a handler raised: a callback left queued would
+                # run at the end of some later window instead of this one.
+                if self._post_window:
+                    callbacks, self._post_window = self._post_window, []
+                    for callback in callbacks:
+                        callback()
         finally:
             self._current_tick = None
             # Non-empty only when a handler raised mid-window: the popped

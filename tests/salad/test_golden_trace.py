@@ -1,13 +1,14 @@
 """Golden-trace equivalence of the optimized and reference execution paths.
 
-The PR's claim is that three optimizations -- indexed next-hop routing in
-the leaf, the calendar-queue scheduler, and per-timestep message batching in
-the network -- are *observably identical* to the seed's implementations, not
-merely statistically similar.  These tests pin that down at the strongest
-level available: the full ordered message trace (time, sender, recipient,
-kind, payload) and the per-machine traffic counters of a seeded
-build-then-insert workload must match message-for-message across every
-combination of optimized and reference components.
+Two optimizations -- indexed next-hop routing in the leaf and the
+calendar-queue scheduler -- are *observably identical* to the seed's
+implementations, not merely statistically similar.  These tests pin that
+down at the strongest level available: the full ordered message trace
+(time, sender, recipient, kind, payload) and the per-machine traffic
+counters of a seeded build-then-insert workload must match
+message-for-message across every combination of optimized and reference
+components, on the network's windowed delivery (which the leaves' per-window
+outboxes are defined on).
 """
 
 import random
@@ -26,7 +27,7 @@ RECORDS_PER_LEAF = 15
 CONTENT_POOL = 120  # small pool => plenty of duplicate groups => MATCH traffic
 
 
-def _run_workload(sched_cls, batch_delivery, reference_routing, churn=False):
+def _run_workload(sched_cls, reference_routing, churn=False):
     """One seeded build + insert (+ optional churn); returns (trace, counters)."""
     config = SaladConfig(
         dimensions=2, seed=11, reference_routing=reference_routing
@@ -35,7 +36,6 @@ def _run_workload(sched_cls, batch_delivery, reference_routing, churn=False):
         scheduler=sched_cls(),
         latency=config.latency,
         rng=random.Random(123),
-        batch_delivery=batch_delivery,
     )
     salad = Salad(config, network=network)
     tracer = NetworkTracer(network)
@@ -89,17 +89,17 @@ def _run_workload(sched_cls, batch_delivery, reference_routing, churn=False):
 
 class TestRoutingGoldenTrace:
     def test_indexed_routing_matches_reference_trace(self):
-        reference = _run_workload(EventScheduler, True, reference_routing=True)
-        indexed = _run_workload(EventScheduler, True, reference_routing=False)
+        reference = _run_workload(EventScheduler, reference_routing=True)
+        indexed = _run_workload(EventScheduler, reference_routing=False)
         assert indexed[0] == reference[0]  # ordered message-for-message
         assert indexed[1] == reference[1]  # per-machine traffic counters
 
     def test_indexed_routing_matches_reference_under_churn(self):
         reference = _run_workload(
-            EventScheduler, True, reference_routing=True, churn=True
+            EventScheduler, reference_routing=True, churn=True
         )
         indexed = _run_workload(
-            EventScheduler, True, reference_routing=False, churn=True
+            EventScheduler, reference_routing=False, churn=True
         )
         assert indexed[0] == reference[0]
         assert indexed[1] == reference[1]
@@ -107,19 +107,23 @@ class TestRoutingGoldenTrace:
 
 class TestEngineGoldenTrace:
     def test_calendar_batched_matches_heap_unbatched(self):
-        # The seed configuration: heap scheduler, one event per message.
+        # The seed configuration's heap scheduler against the calendar queue.
+        # Windowed delivery is the network's only path, so both runs batch
+        # per window and flush the leaves' outboxes the same way.
         seed_style = _run_workload(
-            ReferenceEventScheduler, False, reference_routing=False
+            ReferenceEventScheduler, reference_routing=False
         )
-        optimized = _run_workload(EventScheduler, True, reference_routing=False)
+        optimized = _run_workload(EventScheduler, reference_routing=False)
         assert optimized[0] == seed_style[0]
         assert optimized[1] == seed_style[1]
 
+    # [True-ReferenceEventScheduler] is the seed configuration: heap
+    # scheduler and per-axis routing scan.
     @pytest.mark.parametrize("sched_cls", [EventScheduler, ReferenceEventScheduler])
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_all_engine_combinations_agree(self, sched_cls, batch):
-        baseline = _run_workload(EventScheduler, True, reference_routing=False)
-        variant = _run_workload(sched_cls, batch, reference_routing=False)
+    @pytest.mark.parametrize("reference_routing", [True, False])
+    def test_all_engine_combinations_agree(self, sched_cls, reference_routing):
+        baseline = _run_workload(EventScheduler, reference_routing=False)
+        variant = _run_workload(sched_cls, reference_routing=reference_routing)
         assert variant[0] == baseline[0]
         assert variant[1] == baseline[1]
 
@@ -127,10 +131,10 @@ class TestEngineGoldenTrace:
 class TestFullCrossProduct:
     def test_everything_reference_matches_everything_optimized(self):
         all_reference = _run_workload(
-            ReferenceEventScheduler, False, reference_routing=True, churn=True
+            ReferenceEventScheduler, reference_routing=True, churn=True
         )
         all_optimized = _run_workload(
-            EventScheduler, True, reference_routing=False, churn=True
+            EventScheduler, reference_routing=False, churn=True
         )
         assert all_optimized[0] == all_reference[0]
         assert all_optimized[1] == all_reference[1]

@@ -18,6 +18,7 @@ class TestVocabulary:
             "departure",
             "refresh",
             "match",
+            "match_batch",
         }
 
     def test_kinds_are_distinct(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.fingerprint import synthetic_fingerprint
+from repro.salad import protocol
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
@@ -213,24 +214,7 @@ class TestRegistration:
 
 
 class TestDeliveryBatching:
-    """Per-timestep batching must be invisible relative to per-message mode."""
-
-    def test_batched_and_unbatched_deliver_identically(self):
-        def drive(batch):
-            net = Network(
-                EventScheduler(),
-                latency=1.0,
-                rng=random.Random(1),
-                batch_delivery=batch,
-            )
-            a, b, c = Echo(1, net), Echo(2, net), Echo(3, net)
-            a.send(2, "ping")
-            a.send(3, "ping")
-            b.send(3, "ping")
-            net.run()
-            return a.log, b.log, c.log, net.messages_delivered
-
-        assert drive(True) == drive(False)
+    """Messages sharing a timestep are one delivery window, in send order."""
 
     def test_one_scheduler_event_per_timestep(self):
         net = Network(EventScheduler(), latency=1.0, rng=random.Random(1))
@@ -322,6 +306,31 @@ class TestHandlerExceptionMidWindow:
         assert b.log == [("ping", 1)] and a.log == [("pong", 2)]
         assert net.scheduler.now == 7.0
         assert net.messages_sent == net.messages_delivered + net.messages_dropped
+
+    def test_post_window_callbacks_do_not_outlive_the_window(self):
+        # Under deferred_width_recalc a leaf that adds a table entry queues
+        # its Fig. 6 recalculation for the end of the window.  A raise in
+        # that window must not carry the callback into the next window,
+        # nor leave the leaf believing a recalculation is pending.
+        salad = Salad(SaladConfig(seed=3, deferred_width_recalc=True))
+        salad.build(16)
+        net = salad.network
+        newcomer = salad.add_leaf(settle=False)
+        welcome = newcomer._handlers[protocol.WELCOME]
+
+        def welcome_then_raise(message):
+            welcome(message)  # adds the sender: a deferred recalculation
+            raise RuntimeError("handler failed mid-window")
+
+        newcomer.on(protocol.WELCOME, welcome_then_raise)
+        with pytest.raises(RuntimeError):
+            net.run()
+        assert newcomer.table_size == 1
+        assert not net._post_window
+        assert not any(leaf._recalc_deferred for leaf in salad.leaves.values())
+        newcomer.on(protocol.WELCOME, welcome)
+        salad_wave(salad, 0)
+        assert_accounted(net)
 
 
 def assert_accounted(net):
