@@ -26,7 +26,7 @@ current fast paths so every snapshot carries its own before/after ratio:
   records/sec to quiescence plus the topology observables (quiescence
   ticks, per-class message split, cut losses, hot-cell stress);
 - ``db_backends``: insert/lookup throughput per record-store backend
-  (memory vs sqlite vs WAL vs the paging WAL), contract-identity asserted
+  (memory vs WAL vs the paging WAL), contract-identity asserted
   before timing;
 - ``tradeoff``: the fig-tradeoff replication x dedup frontier -- reclaimed
   fraction and min file availability per (R, dedup) arm, the replica-set
@@ -67,7 +67,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.report import build_run_report, print_summary, write_run_report
 from repro.obs.spans import phase
 from repro.salad.records import SaladRecord
-from repro.salad.salad import Salad, SaladConfig, set_detailed_metrics
+from repro.salad.salad import Salad, SaladConfig
 
 MIB = 1 << 20
 
@@ -512,9 +512,6 @@ def main(argv=None) -> int:
     global _BENCH_REGISTRY
     if args.metrics_out:
         _BENCH_REGISTRY = MetricsRegistry()
-        # Record-flow counters are opt-in (they cost hot-path time, which
-        # shows up in the recorded rates); asking for a report opts in.
-        set_detailed_metrics(True)
     today = datetime.date.today().isoformat()
     if args.output:
         output = Path(args.output)

@@ -24,7 +24,7 @@ from repro.core.fingerprint import synthetic_fingerprint
 from repro.experiments.scales import ExperimentScale
 from repro.salad.model import expected_leaf_table_size, loss_probability
 from repro.salad.records import SaladRecord
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad
 
 
 @dataclass
@@ -63,6 +63,7 @@ def run(
     target_redundancy: float = 2.5,
     record_count: int = 1500,
     seed: int = 0,
+    settings: RunSettings = RunSettings(),
 ) -> DimensionalityResult:
     system_size = scale.machines
     mean_table: Dict[int, float] = {}
@@ -73,7 +74,7 @@ def run(
 
     for d in dimensions:
         salad = Salad(
-            SaladConfig(target_redundancy=target_redundancy, dimensions=d, seed=seed)
+            settings.config(target_redundancy=target_redundancy, dimensions=d, seed=seed)
         )
         salad.build(system_size)
         sizes = salad.leaf_table_sizes()
@@ -104,6 +105,7 @@ def run(
             1 for r in records if (r.fingerprint, r.location) not in stored
         )
         measured_loss[d] = lost / record_count
+        salad.shutdown()
 
     return DimensionalityResult(
         dimensions=tuple(dimensions),

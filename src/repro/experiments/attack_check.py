@@ -26,7 +26,7 @@ from repro.experiments.scales import ExperimentScale
 from repro.salad.attack import craft_attack_identifiers, measure_record_redundancy
 from repro.salad.model import actual_redundancy, attacked_redundancy
 from repro.salad.records import SaladRecord
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad
 
 
 @dataclass
@@ -65,9 +65,10 @@ def run(
     sybil_fraction: float = 0.3,
     record_count: int = 400,
     seed: int = 0,
+    settings: RunSettings = RunSettings(),
 ) -> AttackCheckResult:
     system_size = max(scale.machines, 64)
-    salad = Salad(SaladConfig(target_redundancy=2.5, seed=seed))
+    salad = Salad(settings.config(target_redundancy=2.5, seed=seed))
     salad.build(system_size)
     rng = random.Random(seed + 7)
     victim = salad.alive_leaves()[0]
@@ -97,6 +98,7 @@ def run(
     attacked_records = _victim_records(salad, victim.identifier, record_count, 30_000_000)
     salad.insert_records({victim.identifier: attacked_records})
     attacked = measure_record_redundancy(salad, attacked_records)
+    salad.shutdown()
 
     total = len(salad.leaves)
     predicted = attacked_redundancy(

@@ -19,6 +19,7 @@ from repro.analysis.reporting import render_table
 from repro.experiments.dfc_run import DfcConfig, DfcRun
 from repro.experiments.scales import ExperimentScale
 from repro.salad.maintenance import RefreshDriver
+from repro.salad.salad import RunSettings
 from repro.sim.failure import ChurnSchedule
 from repro.workload.corpus import Corpus
 from repro.workload.generator import generate_corpus
@@ -56,6 +57,7 @@ def run(
     horizon: float = 200.0,
     seed: int = 0,
     corpus: Corpus = None,
+    settings: RunSettings = RunSettings(),
 ) -> ChurnResult:
     """Sweep Poisson failure rates; machines recover after *downtime*.
 
@@ -73,7 +75,9 @@ def run(
     for index, rate in enumerate(rates):
         # Same seed for every rate: identical corpus, SALAD, and routing, so
         # the sweep isolates the effect of churn alone.
-        run_ = DfcRun(corpus, DfcConfig(target_redundancy=2.5, seed=seed))
+        run_ = DfcRun(
+            corpus, DfcConfig(target_redundancy=2.5, seed=seed, settings=settings)
+        )
         run_.build()
         scheduler = run_.salad.network.scheduler
         rng = random.Random(seed + 100 + index)
@@ -112,6 +116,7 @@ def run(
 
         reclaimed[rate] = run_.reclaimed_fraction()
         flushed[rate] = driver.stats.entries_flushed
+        run_.close()
 
     return ChurnResult(
         rates=tuple(rates),

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.space import SpaceAccounting
 from repro.salad.records import SaladRecord
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad, SaladConfig
 from repro.sim.metrics import mean
 from repro.workload.corpus import Corpus
 
@@ -34,13 +34,6 @@ class DfcConfig:
     #: default to the scalable policy.
     notify_limit: Optional[int] = 4
     seed: int = 0
-    #: Record-store backend per leaf ("memory" | "sqlite" | "wal"; None =
-    #: session default, see repro.salad.storage).  The durable backends keep
-    #: the 10M-record full-scale corpus out of RAM and survive crashes; all
-    #: three are contract-identical, so reported numbers never change.
-    db_backend: Optional[str] = None
-    #: Directory for durable record stores (None = session default/tempdir).
-    db_dir: Optional[str] = None
     #: Replicas per logical file (Farsite's R).  1 keeps the seed's
     #: single-copy pipeline bit-identical; >= 2 places each file on R
     #: distinct hosts via the availability-driven hill-climbing placement
@@ -50,30 +43,26 @@ class DfcConfig:
     #: byte-level DfcPipeline materializes replicas; the statistics-only
     #: experiments ignore this knob.
     replication_factor: int = 1
+    #: The run's record-store backend, store directory and tracing switches
+    #: (see RunSettings).  The backends are contract-identical, so reported
+    #: numbers never change; the durable ones keep the 10M-record
+    #: full-scale corpus out of RAM and survive crashes.
+    settings: RunSettings = RunSettings()
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
             raise ValueError(
                 f"replication factor must be >= 1: {self.replication_factor}"
             )
-    #: Run the opt-in invariant tracer (repro.sim.tracer) inside the engine
-    #: and feed violation counters into harvested metrics.  None = session
-    #: default (``repro.salad.salad.set_trace_invariants``, wired to the
-    #: experiment CLI's ``--trace-invariants``).  Retains every message in
-    #: memory, so opt in deliberately.
-    trace_invariants: Optional[bool] = None
 
     def salad_config(self) -> SaladConfig:
-        return SaladConfig(
+        return self.settings.config(
             target_redundancy=self.target_redundancy,
             dimensions=self.dimensions,
             damping=self.damping,
             database_capacity=self.database_capacity,
             notify_limit=self.notify_limit,
             seed=self.seed,
-            db_backend=self.db_backend,
-            db_dir=self.db_dir,
-            trace_invariants=self.trace_invariants,
         )
 
 

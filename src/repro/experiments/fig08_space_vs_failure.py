@@ -21,6 +21,7 @@ from repro.analysis.reporting import format_bytes, render_table
 from repro.experiments.dfc_run import DfcConfig, DfcRun
 from repro.experiments.pool import parallel_map
 from repro.experiments.scales import PAPER_LAMBDAS, ExperimentScale
+from repro.salad.salad import RunSettings
 from repro.workload.corpus import Corpus
 from repro.workload.generator import generate_corpus
 
@@ -60,8 +61,10 @@ def _run_one_point(task):
     Each point is a fully independent DFC run, so the whole lambdas x
     probabilities grid fans out across a pool without any shared state.
     """
-    corpus, lam, i, p, seed, crash = task
-    run_ = DfcRun(corpus, DfcConfig(target_redundancy=lam, seed=seed + i))
+    corpus, lam, i, p, seed, crash, settings = task
+    run_ = DfcRun(
+        corpus, DfcConfig(target_redundancy=lam, seed=seed + i, settings=settings)
+    )
     try:
         run_.build()
         if crash:
@@ -81,9 +84,10 @@ def _run_grid(
     seed: int,
     crash: bool,
     workers: int,
+    settings: RunSettings = RunSettings(),
 ) -> Fig08Result:
     tasks = [
-        (corpus, lam, i, p, seed, crash)
+        (corpus, lam, i, p, seed, crash, settings)
         for lam in lambdas
         for i, p in enumerate(probabilities)
     ]
@@ -110,10 +114,14 @@ def run(
     seed: int = 0,
     corpus: Corpus = None,
     workers: int = 1,
+    settings: RunSettings = RunSettings(),
 ) -> Fig08Result:
     if corpus is None:
         corpus = generate_corpus(scale.corpus_spec(), seed=seed)
-    return _run_grid(corpus, lambdas, probabilities, seed, crash=False, workers=workers)
+    return _run_grid(
+        corpus, lambdas, probabilities, seed, crash=False, workers=workers,
+        settings=settings,
+    )
 
 
 def run_crash_ablation(

@@ -57,14 +57,9 @@ def run(
     scale: ExperimentScale,
     seed: int = 0,
     sweep: ThresholdSweepResult = None,
-    db_backend: str = None,
-    db_dir: str = None,
 ) -> Fig12Result:
-    """``db_backend``/``db_dir`` thread through to the per-leaf record
-    stores (used only when this figure runs its own sweep); the backends
-    are contract-identical, so the CDFs are backend-independent."""
     if sweep is None:
-        sweep = run_threshold_sweep(scale, seed=seed, db_backend=db_backend, db_dir=db_dir)
+        sweep = run_threshold_sweep(scale, seed=seed)
     samples = {f"Lambda={lam}": sweep.database_sizes[lam] for lam in sweep.lambdas}
     cdfs = cdf_series(samples)
     cov = {lam: Cdf.from_samples(sweep.database_sizes[lam]).cov for lam in sweep.lambdas}

@@ -18,13 +18,14 @@ table shows the absolute record limits used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.reporting import format_bytes, render_table
 from repro.experiments.dfc_run import DfcConfig, DfcRun
 from repro.experiments.pool import parallel_map
 from repro.experiments.scales import PAPER_LAMBDAS, ExperimentScale
 from repro.salad.model import expected_records_per_leaf
+from repro.salad.salad import RunSettings
 from repro.workload.corpus import Corpus
 from repro.workload.generator import generate_corpus
 
@@ -68,15 +69,11 @@ def _run_one_limit(task):
     Module-level so process pools can pickle it; every point is an
     independent simulation over the shared (read-only) corpus.
     """
-    corpus, lam, limit, seed, db_backend, db_dir = task
+    corpus, lam, limit, seed, settings = task
     run_ = DfcRun(
         corpus,
         DfcConfig(
-            target_redundancy=lam,
-            database_capacity=limit,
-            seed=seed,
-            db_backend=db_backend,
-            db_dir=db_dir,
+            target_redundancy=lam, database_capacity=limit, seed=seed, settings=settings
         ),
     )
     try:
@@ -94,11 +91,10 @@ def run(
     seed: int = 0,
     corpus: Corpus = None,
     workers: int = 1,
-    db_backend: Optional[str] = None,
-    db_dir: Optional[str] = None,
+    settings: RunSettings = RunSettings(),
 ) -> Fig13Result:
     """Fig. 13 is *the* capacity-eviction experiment, so it exercises the
-    backend eviction paths hardest; ``db_backend``/``db_dir`` select the
+    backend eviction paths hardest; ``settings.db_backend`` selects the
     per-leaf store (contract-identical -- consumed space is unchanged)."""
     if corpus is None:
         corpus = generate_corpus(scale.corpus_spec(), seed=seed)
@@ -109,7 +105,7 @@ def run(
         sorted({max(1, int(round(mean_records * frac))) for frac in limit_fractions})
     )
     tasks = [
-        (corpus, lam, limit, seed, db_backend, db_dir)
+        (corpus, lam, limit, seed, settings)
         for lam in lambdas
         for limit in (*limits, None)  # None = the no-limit baseline run
     ]

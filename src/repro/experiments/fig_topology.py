@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.scales import ExperimentScale
 from repro.obs.registry import MetricsRegistry
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad
 from repro.sim.topology import Topology, parse_topology
 from repro.workload.traffic import SkewedTraffic, TrafficSpec, parse_traffic
 
@@ -128,6 +128,7 @@ def run(
     seed: int = 0,
     topology: Union[Topology, str, None] = None,
     traffic: Union[TrafficSpec, str, None] = None,
+    settings: RunSettings = RunSettings(),
 ) -> FigTopologyResult:
     """Run the topology experiment at *scale*.
 
@@ -144,7 +145,7 @@ def run(
         topo = topology
     spec = traffic if isinstance(traffic, TrafficSpec) else parse_traffic(traffic)
 
-    engine = Salad(SaladConfig(seed=seed, topology=topo))
+    engine = Salad(settings.config(seed=seed, topology=topo))
     network = engine.network
     try:
         engine.build(scale.machines, settle_each=True)

@@ -39,6 +39,7 @@ from repro.experiments.scales import ExperimentScale
 from repro.farsite.dfc_pipeline import DfcPipeline
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import span
+from repro.salad.salad import RunSettings
 from repro.salad.telemetry import harvest_tradeoff_metrics
 from repro.sim.failure import CrashRecoveryHarness, measure_replica_loss
 from repro.workload.generator import CorpusSpec, generate_corpus
@@ -169,9 +170,13 @@ def _run_point(
     replication: int,
     dedup: bool,
     registry: Optional[MetricsRegistry],
+    settings: RunSettings,
 ) -> TradeoffPoint:
     config = DfcConfig(
-        target_redundancy=2.5, seed=seed, replication_factor=replication
+        target_redundancy=2.5,
+        seed=seed,
+        replication_factor=replication,
+        settings=settings,
     )
     pipeline = DfcPipeline(corpus, config)
     # One span per arm: every load_hosts opens a ``place_replicas`` span, and
@@ -240,6 +245,7 @@ def run(
     seed: int = 0,
     replication: Optional[int] = None,
     sweep: Optional[Sequence[int]] = None,
+    settings: RunSettings = RunSettings(),
 ) -> FigTradeoffResult:
     """Run the tradeoff sweep at *scale*.
 
@@ -262,7 +268,7 @@ def run(
     points: List[TradeoffPoint] = []
     for r in factors:
         for dedup in (False, True):
-            points.append(_run_point(corpus, seed, r, dedup, registry))
+            points.append(_run_point(corpus, seed, r, dedup, registry, settings))
     harvest_tradeoff_metrics(registry, points)
     return FigTradeoffResult(
         machines=spec.machines,

@@ -45,12 +45,7 @@ from repro.obs.report import (
 )
 from repro.obs.spans import phase, reset_spans, span
 from repro.salad.records import SaladRecord
-from repro.salad.salad import (
-    Salad,
-    SaladConfig,
-    set_detailed_metrics,
-    set_trace_sample_rate,
-)
+from repro.salad.salad import RunSettings, Salad
 from repro.salad.storage import BACKENDS
 
 FULL_LEAVES = 100_000
@@ -100,8 +95,7 @@ def run_flagship(
     leaves: int,
     records: int,
     seed: int = 0,
-    db_backend: Optional[str] = "wal-paged",
-    db_dir: Optional[str] = None,
+    settings: RunSettings = RunSettings(db_backend="wal-paged"),
     eager_width: bool = False,
     reference_width: bool = False,
     registry: Optional[MetricsRegistry] = None,
@@ -112,16 +106,14 @@ def run_flagship(
     bench section read; wall-clock per phase comes from the span tree, not
     from here.
     """
-    config = SaladConfig(
-        dimensions=2,
-        seed=seed,
-        db_backend=db_backend,
-        db_dir=db_dir,
-        reference_width=reference_width,
-        deferred_width_recalc=not eager_width and not reference_width,
-        detailed_metrics=registry is not None,
+    sim = Salad(
+        settings.config(
+            dimensions=2,
+            seed=seed,
+            reference_width=reference_width,
+            deferred_width_recalc=not eager_width and not reference_width,
+        )
     )
-    sim = Salad(config)
     per_leaf = max(1, records // leaves)
     waves = min(per_leaf, 4)
     pool = max(records // 4, 16)  # ~4 copies per content => duplicate groups
@@ -195,9 +187,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=sorted(BACKENDS),
         default="wal-paged",
         help="record-store backend per leaf (default: wal-paged, the backend "
-        "that bounds peak RSS at this scale)",
+        "that bounds peak RSS at this scale; memory and wal hold every "
+        "record in RAM)",
     )
-    parser.add_argument("--db-dir", metavar="DIR", default=None)
+    parser.add_argument(
+        "--db-dir",
+        metavar="DIR",
+        default=None,
+        help="directory for the durable record stores, kept after the run "
+        "(default: a tempdir, deleted when the run ends)",
+    )
     parser.add_argument(
         "--eager-width",
         action="store_true",
@@ -239,11 +238,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.leaves, args.records = SMOKE_LEAVES, SMOKE_RECORDS
     if args.leaves < 1 or args.records < 1:
         parser.error("--leaves and --records must be positive")
-    set_detailed_metrics(bool(args.metrics_out))
-    # Set even when the flag is absent (0 = off), so a rate from an earlier
-    # in-process main() cannot carry into this run.
     try:
-        set_trace_sample_rate(args.trace_sample_rate)
+        settings = RunSettings(
+            db_backend=args.db_backend,
+            db_dir=args.db_dir,
+            trace_sample_rate=args.trace_sample_rate,
+        )
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     if args.flight_recorder:
@@ -261,8 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.leaves,
                 args.records,
                 seed=args.seed,
-                db_backend=args.db_backend,
-                db_dir=args.db_dir,
+                settings=settings,
                 eager_width=args.eager_width,
                 reference_width=args.reference_width,
                 registry=registry,

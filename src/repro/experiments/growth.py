@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.pool import parallel_map
 from repro.obs.registry import MetricsRegistry
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad
 
 
 @dataclass
@@ -61,13 +61,14 @@ def run_growth(
     sample_sizes: Sequence[int] = None,
     dimensions: int = 2,
     seed: int = 0,
+    settings: RunSettings = RunSettings(),
 ) -> GrowthResult:
     """Grow one SALAD to *max_leaves*, snapshotting leaf-table sizes."""
     if sample_sizes is None:
         sample_sizes = growth_sample_points(max_leaves)
     wanted = sorted(set(s for s in sample_sizes if s <= max_leaves))
     salad = Salad(
-        SaladConfig(
+        settings.config(
             target_redundancy=target_redundancy, dimensions=dimensions, seed=seed
         )
     )
@@ -96,8 +97,8 @@ def run_growth(
 
 def _growth_one(task):
     """One Lambda's growth run (module-level so process pools can pickle it)."""
-    lam, max_leaves, sample_sizes, dimensions, seed = task
-    return run_growth(lam, max_leaves, sample_sizes, dimensions, seed)
+    lam, max_leaves, sample_sizes, dimensions, seed, settings = task
+    return run_growth(lam, max_leaves, sample_sizes, dimensions, seed, settings)
 
 
 def run_growth_suite(
@@ -107,9 +108,10 @@ def run_growth_suite(
     dimensions: int = 2,
     seed: int = 0,
     workers: int = 1,
+    settings: RunSettings = RunSettings(),
 ) -> Dict[float, GrowthResult]:
     """Per-Lambda growth runs; independent, so ``workers > 1`` fans them out."""
     sizes = tuple(sample_sizes) if sample_sizes is not None else None
-    tasks = [(lam, max_leaves, sizes, dimensions, seed) for lam in lambdas]
+    tasks = [(lam, max_leaves, sizes, dimensions, seed, settings) for lam in lambdas]
     results = parallel_map(_growth_one, tasks, workers)
     return dict(zip(lambdas, results))

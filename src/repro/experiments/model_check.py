@@ -23,7 +23,7 @@ from repro.salad.model import (
     loss_probability,
 )
 from repro.salad.records import SaladRecord
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad
 
 
 @dataclass
@@ -63,9 +63,10 @@ def run(
     target_redundancy: float = 2.0,
     record_count: int = 3000,
     seed: int = 0,
+    settings: RunSettings = RunSettings(),
 ) -> ModelCheckResult:
     system_size = scale.machines
-    salad = Salad(SaladConfig(target_redundancy=target_redundancy, seed=seed))
+    salad = Salad(settings.config(target_redundancy=target_redundancy, seed=seed))
 
     # Grow the SALAD, measuring join-message traffic over the last half of
     # the growth (Eq. 17 counts join forwards only and is asymptotic in L).
@@ -98,6 +99,7 @@ def run(
     )
 
     table_sizes = salad.leaf_table_sizes()
+    salad.shutdown()
     return ModelCheckResult(
         system_size=system_size,
         target_redundancy=target_redundancy,

@@ -52,12 +52,8 @@ from repro.obs.spans import reset_spans, span
 from repro.experiments.scales import PAPER_LAMBDAS, SCALES, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.obs import tracing
-from repro.salad.salad import (
-    set_detailed_metrics,
-    set_trace_invariants,
-    set_trace_sample_rate,
-)
-from repro.salad.storage import BACKENDS, set_default_db_backend
+from repro.salad.salad import RunSettings
+from repro.salad.storage import BACKENDS
 
 SWEEP_FIGURES = {"fig07", "fig09", "fig10", "fig11", "fig12"}
 GROWTH_FIGURES = {"fig14", "fig15"}
@@ -116,8 +112,7 @@ def run_experiments(
     scale_name: str,
     seed: int = 0,
     raw: bool = False,
-    db_backend: str = None,
-    db_dir: str = None,
+    settings: RunSettings = RunSettings(),
     registry: MetricsRegistry = None,
     topology: str = None,
     traffic: str = None,
@@ -126,10 +121,10 @@ def run_experiments(
 ) -> Dict[str, Any]:
     """Run the named experiments; returns rendered output (or raw results) per name.
 
-    ``db_backend``/``db_dir`` select the per-leaf record-store backend for
-    the database-centric experiments (the shared threshold sweep feeding
-    Figs. 7/9-12, and Fig. 13's capacity runs); every backend reports
-    identical numbers, the durable ones just bound RAM at full scale.
+    *settings* (record-store backend and directory, invariant tracing,
+    causal-trace sampling) reach every engine the experiments build, pool
+    processes included; every backend reports identical numbers, the
+    durable ones just bound RAM at full scale.
     ``registry`` collects telemetry (repro.obs) from the runs that harvest
     it -- the shared sweep and growth engines, and the topology experiment
     -- for a ``--metrics-out`` RunReport.  ``topology``/``traffic`` are the
@@ -148,7 +143,7 @@ def run_experiments(
     if SWEEP_FIGURES & set(names):
         with span("threshold_sweep"):
             sweep = run_threshold_sweep(
-                scale, seed=seed, workers=workers, db_backend=db_backend, db_dir=db_dir
+                scale, seed=seed, workers=workers, settings=settings
             )
         if registry is not None:
             for dump in sweep.metrics.values():
@@ -162,7 +157,8 @@ def run_experiments(
         )
         with span("growth_suite"):
             growth = run_growth_suite(
-                PAPER_LAMBDAS, scale.growth_max_leaves, sample_sizes, seed=seed, workers=workers
+                PAPER_LAMBDAS, scale.growth_max_leaves, sample_sizes,
+                seed=seed, workers=workers, settings=settings,
             )
         if registry is not None:
             for result in growth.values():
@@ -176,7 +172,9 @@ def run_experiments(
             elif name == "fig07":
                 result = fig07_space_vs_minsize.run(scale, seed, sweep)
             elif name == "fig08":
-                result = fig08_space_vs_failure.run(scale, seed=seed, workers=workers)
+                result = fig08_space_vs_failure.run(
+                    scale, seed=seed, workers=workers, settings=settings
+                )
             elif name == "fig09":
                 result = fig09_messages_vs_minsize.run(scale, seed, sweep)
             elif name == "fig10":
@@ -184,12 +182,10 @@ def run_experiments(
             elif name == "fig11":
                 result = fig11_dbsize_vs_minsize.run(scale, seed, sweep)
             elif name == "fig12":
-                result = fig12_dbsize_cdf.run(
-                    scale, seed, sweep, db_backend=db_backend, db_dir=db_dir
-                )
+                result = fig12_dbsize_cdf.run(scale, seed, sweep)
             elif name == "fig13":
                 result = fig13_space_vs_dblimit.run(
-                    scale, seed=seed, workers=workers, db_backend=db_backend, db_dir=db_dir
+                    scale, seed=seed, workers=workers, settings=settings
                 )
             elif name == "fig14":
                 result = fig14_leaftable_vs_size.run(scale, PAPER_LAMBDAS, seed, growth)
@@ -197,26 +193,26 @@ def run_experiments(
                 result = fig15_leaftable_cdf.run(scale, PAPER_LAMBDAS, seed, growth)
             elif name == "fig-topology":
                 result = fig_topology.run(
-                    scale, seed=seed, topology=topology, traffic=traffic
+                    scale, seed=seed, topology=topology, traffic=traffic, settings=settings
                 )
                 if registry is not None and result.metrics:
                     registry.merge_dict(result.metrics)
             elif name == "fig-tradeoff":
                 result = fig_tradeoff.run(
-                    scale, seed=seed, replication=replication_factor
+                    scale, seed=seed, replication=replication_factor, settings=settings
                 )
                 if registry is not None and result.metrics:
                     registry.merge_dict(result.metrics)
             elif name == "model":
-                result = model_check.run(scale, seed=seed)
+                result = model_check.run(scale, seed=seed, settings=settings)
             elif name == "attack":
-                result = attack_check.run(scale, seed=seed)
+                result = attack_check.run(scale, seed=seed, settings=settings)
             elif name == "ablation-blocks":
                 result = ablation_blocks.run(scale, seed=seed)
             elif name == "ablation-dim":
-                result = ablation_dimensionality.run(scale, seed=seed)
+                result = ablation_dimensionality.run(scale, seed=seed, settings=settings)
             elif name == "churn":
-                result = churn.run(scale, seed=seed)
+                result = churn.run(scale, seed=seed, settings=settings)
             else:
                 raise ValueError(f"unknown experiment {name!r}")
         outputs[name] = result if raw else result.render()
@@ -253,15 +249,17 @@ def main(argv: List[str] = None) -> int:
         "--db-backend",
         choices=sorted(BACKENDS),
         default="memory",
-        help="record-store backend per leaf (memory = all-RAM; sqlite, wal "
-        "and wal-paged spill to disk with crash recovery; results are "
+        help="record-store backend per leaf, for every engine the run builds "
+        "(memory = all-RAM; wal and wal-paged log to disk with crash "
+        "recovery, wal-paged keeping record bodies there too; results are "
         "identical)",
     )
     parser.add_argument(
         "--db-dir",
         metavar="DIR",
         default=None,
-        help="directory for durable record stores (default: a tempdir)",
+        help="directory for durable record stores, kept after the run "
+        "(default: a tempdir per engine, deleted when the engine shuts down)",
     )
     parser.add_argument(
         "--topology",
@@ -347,20 +345,15 @@ def main(argv: List[str] = None) -> int:
         parse_traffic(args.traffic)
     except ValueError as exc:
         parser.error(str(exc))
-    # Session default so every Salad built anywhere in the run (including
-    # experiments that build their own) picks up the chosen backend; the
-    # database-centric experiments additionally get it threaded explicitly.
-    set_default_db_backend(args.db_backend, args.db_dir)
-    set_trace_invariants(args.trace_invariants)
-    # Set even when the flag is absent (0 = off), so a rate from an earlier
-    # in-process main() cannot carry into this run.
     try:
-        set_trace_sample_rate(args.trace_sample_rate)
+        settings = RunSettings(
+            db_backend=args.db_backend,
+            db_dir=args.db_dir,
+            trace_invariants=args.trace_invariants,
+            trace_sample_rate=args.trace_sample_rate,
+        )
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    # Detailed record-flow counters cost hot-path time, so only runs that
-    # actually write a report pay for them.
-    set_detailed_metrics(bool(args.metrics_out))
 
     registry = MetricsRegistry() if args.metrics_out else None
     names = args.only or ALL_EXPERIMENTS
@@ -378,8 +371,7 @@ def main(argv: List[str] = None) -> int:
             args.scale,
             seed=args.seed,
             raw=bool(args.json),
-            db_backend=args.db_backend,
-            db_dir=args.db_dir,
+            settings=settings,
             registry=registry,
             topology=args.topology,
             traffic=args.traffic,

@@ -12,12 +12,13 @@ Figs. 10 and 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.dfc_run import DfcConfig, DfcRun, SweepPoint
 from repro.experiments.scales import PAPER_LAMBDAS, PAPER_THRESHOLDS, ExperimentScale
 from repro.experiments.pool import parallel_map
 from repro.obs.registry import MetricsRegistry
+from repro.salad.salad import RunSettings
 from repro.workload.corpus import Corpus, CorpusSummary
 from repro.workload.generator import generate_corpus
 
@@ -70,13 +71,8 @@ class ThresholdSweepResult:
 
 def _sweep_one_lambda(task):
     """One Lambda's full DFC run (module-level so process pools can pickle it)."""
-    corpus, lam, thresholds, seed, db_backend, db_dir = task
-    run = DfcRun(
-        corpus,
-        DfcConfig(
-            target_redundancy=lam, seed=seed, db_backend=db_backend, db_dir=db_dir
-        ),
-    )
+    corpus, lam, thresholds, seed, settings = task
+    run = DfcRun(corpus, DfcConfig(target_redundancy=lam, seed=seed, settings=settings))
     try:
         run.build()
         points = run.insert_sweep(list(thresholds))
@@ -95,23 +91,18 @@ def run_threshold_sweep(
     seed: int = 0,
     corpus: Corpus = None,
     workers: int = 1,
-    db_backend: Optional[str] = None,
-    db_dir: Optional[str] = None,
+    settings: RunSettings = RunSettings(),
 ) -> ThresholdSweepResult:
     """Run the sweep at the given scale (shared by Figs. 7, 9, 10, 11, 12).
 
     The per-Lambda runs are independent simulations (each builds its own
     SALAD from the shared corpus), so ``workers > 1`` fans them out across a
-    process pool; results are identical to the serial loop.
-    ``db_backend``/``db_dir`` select the per-leaf record-store backend
-    (contract-identical, so every reported number is unchanged; the durable
-    backends bound RAM at full scale).
+    process pool; results are identical to the serial loop.  *settings*
+    reach every run's engine, in a pool process too.
     """
     if corpus is None:
         corpus = generate_corpus(scale.corpus_spec(), seed=seed)
-    tasks = [
-        (corpus, lam, tuple(thresholds), seed, db_backend, db_dir) for lam in lambdas
-    ]
+    tasks = [(corpus, lam, tuple(thresholds), seed, settings) for lam in lambdas]
     results = parallel_map(_sweep_one_lambda, tasks, workers)
     points: Dict[float, List[SweepPoint]] = {}
     message_totals: Dict[float, List[int]] = {}

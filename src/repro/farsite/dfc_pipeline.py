@@ -29,9 +29,11 @@ and would outlive ``close_stores``.
 
 from __future__ import annotations
 
-import os
 import random
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.space import reclaimed_bytes_from_matches
@@ -47,7 +49,6 @@ from repro.farsite.relocation import RelocationPlan, RelocationPlanner
 from repro.farsite.sis import SingleInstanceStore
 from repro.obs.spans import phase, span
 from repro.obs.tracing import heartbeat
-from repro.salad.storage import resolve_db_backend, resolve_db_dir
 from repro.workload.content import synthetic_content
 from repro.workload.corpus import Corpus
 
@@ -111,7 +112,7 @@ class DfcPipeline:
         self.planner = RelocationPlanner(
             replication_factor=config.replication_factor
         )
-        self._sis_dir: Optional[os.PathLike] = None
+        self._sis_dir: Optional[Path] = None
         # Lifetime stage totals, harvested by collect_metrics().
         self._migrations = 0
         self._copies = 0
@@ -121,18 +122,29 @@ class DfcPipeline:
     def _make_sis(self, host_id: int) -> SingleInstanceStore:
         """One SIS per host; durable (sqlite-blob-backed) when the run's
         record-store backend is durable, so blob bytes leave RAM too."""
-        if resolve_db_backend(self.config.db_backend) == "memory":
+        settings = self.config.settings
+        if settings.db_backend == "memory":
             return SingleInstanceStore()
         if self._sis_dir is None:
-            self._sis_dir = resolve_db_dir(self.config.db_dir) / f"sis-{os.getpid()}"
-            self._sis_dir.mkdir(parents=True, exist_ok=True)
+            # Its own directory, like each Salad's: two pipelines never open
+            # each other's blob files.
+            if settings.db_dir is not None:
+                Path(settings.db_dir).mkdir(parents=True, exist_ok=True)
+            self._sis_dir = Path(tempfile.mkdtemp(prefix="sis-", dir=settings.db_dir))
         return SingleInstanceStore(db_path=self._sis_dir / f"sis-host-{host_id:040x}.sqlite")
 
     def close_stores(self) -> None:
-        """Flush and release every host's SIS (and the SALAD's leaf stores)."""
+        """Flush and release every host's SIS and the SALAD's leaf stores.
+
+        Store directories this pipeline made (its settings name no
+        ``db_dir``) are deleted with them; a named ``db_dir`` is kept.
+        """
         for host in self.hosts.values():
             host.sis.close()
-        self.run.salad.close_databases()
+        self.run.close()
+        if self._sis_dir is not None and self.config.settings.db_dir is None:
+            shutil.rmtree(self._sis_dir, ignore_errors=True)
+            self._sis_dir = None
 
     # -- phase 1: load every machine's files onto its host ---------------------
 

@@ -16,13 +16,16 @@ Module map:
 - :mod:`repro.salad.database` -- per-leaf in-memory record store with the
   Fig. 13 size-limit eviction policy.
 - :mod:`repro.salad.storage` -- the RecordStore backend contract plus the
-  durable sqlite and append-log (WAL) implementations with crash recovery.
+  two durable append-log (WAL) implementations with crash recovery: the
+  plain WAL and the paged WAL that keeps record bodies on disk.
 - :mod:`repro.salad.leaf` -- the leaf state machine (leaf table, record
   insertion per Fig. 4, join handling per Fig. 5, width recalc per Fig. 6).
 - :mod:`repro.salad.width` -- the Fig. 6 cell-ID width procedure.
 - :mod:`repro.salad.model` -- the paper's analytic formulas (Eqs. 5-20).
 - :mod:`repro.salad.attack` -- the section 4.7 targeted-attack model.
-- :mod:`repro.salad.salad` -- whole-system orchestration over the simulator.
+- :mod:`repro.salad.salad` -- whole-system orchestration over the simulator,
+  configured by :class:`SaladConfig` alone (:class:`RunSettings` carries the
+  fields a CLI run sets for every engine).
 """
 
 from repro.salad.ids import cell_id, cell_id_width, coordinate, coordinate_width, coordinates
@@ -36,22 +39,23 @@ from repro.salad.alignment import (
 from repro.salad.database import RecordDatabase
 from repro.salad.leaf import SaladLeaf
 from repro.salad.records import SaladRecord
-from repro.salad.salad import Salad, SaladConfig
+from repro.salad.salad import RunSettings, Salad, SaladConfig
 from repro.salad.storage import (
+    BACKENDS,
+    PagedWalRecordStore,
     RecordStore,
-    SqliteRecordStore,
     WalRecordStore,
     make_record_store,
-    set_default_db_backend,
 )
 
 __all__ = [
     "RecordDatabase",
+    "BACKENDS",
+    "PagedWalRecordStore",
     "RecordStore",
-    "SqliteRecordStore",
     "WalRecordStore",
     "make_record_store",
-    "set_default_db_backend",
+    "RunSettings",
     "Salad",
     "SaladConfig",
     "SaladLeaf",

@@ -69,7 +69,6 @@ class SaladLeaf(SimMachine):
         rng: Optional[random.Random] = None,
         reference_routing: bool = False,
         database: Optional[RecordStore] = None,
-        detailed_metrics: bool = False,
         reference_width: bool = False,
         deferred_width_recalc: bool = False,
     ):
@@ -84,9 +83,9 @@ class SaladLeaf(SimMachine):
         self.dimensions = dimensions
         self.damping = damping
         self.width = 0
-        # Any repro.salad.storage.RecordStore works here (the memory, sqlite,
-        # and WAL backends are contract-identical); callers that don't pass
-        # one get the in-memory default.
+        # Any repro.salad.storage.RecordStore works here (the memory and WAL
+        # backends are contract-identical); callers that don't pass one get
+        # the in-memory default.
         self.database = (
             database
             if database is not None
@@ -173,30 +172,24 @@ class SaladLeaf(SimMachine):
         # Telemetry: plain attributes bumped on the hot paths, harvested
         # into a MetricsRegistry at report time (repro.salad.telemetry).
         # Identical across engines: every field below is driven purely by
-        # the deterministic message trace.  Record-flow tallies are gated
-        # on `detailed_metrics` because even bare integer increments cost
-        # several percent at ~15k arrivals per 2k-record insert; the store
-        # path is method-swapped here so the disabled path pays nothing.
-        self.detailed_metrics = detailed_metrics
-        self._store_impl = (
-            self._store_record_metered if detailed_metrics else self._store_record
-        )
-        # Causal tracing composes the same way: when a recorder is active at
-        # construction (the engine activates before building leaves), the
-        # store path goes through the traced wrapper; otherwise the disabled
-        # path pays nothing -- not even a global read per stored record.
+        # the deterministic message trace.  When a causal-trace recorder is
+        # active at construction (the engine activates before building
+        # leaves), the store path goes through the traced wrapper; otherwise
+        # the untraced path pays nothing -- not even a global read per
+        # stored record.
         self._store = (
             self._store_record_traced
             if _tracing.ACTIVE is not None
-            else self._store_impl
+            else self._store_record
         )
+        # Cell-aligned arrivals (records handed to the store path) and the
+        # hops they took; the routing loops count them in locals and add
+        # once per batch, like next_hop_hits.
         self.record_arrivals = 0
         self.record_hops = 0
-        self.batch_envelopes = 0
-        self.batch_records = 0
-        # Exact size -> envelope-count mapping; the telemetry harvest folds
-        # it into the `salad.routing.batch_size` histogram.  A plain dict
-        # increment keeps the per-envelope cost to one hash op.
+        # Exact size -> RECORD_BATCH-count mapping; the telemetry harvest
+        # folds it into the `salad.routing.batch_size` histogram.  A plain
+        # dict increment keeps the per-envelope cost to one hash op.
         self.batch_size_counts: Dict[int, int] = {}
         # The paper counts records and notices, the network counts
         # envelopes.  Each RECORD_BATCH / MATCH_BATCH envelope adds the
@@ -510,6 +503,8 @@ class SaladLeaf(SimMachine):
         else:
             self.next_hop_hits += 1
         if targets is _LOCAL:
+            self.record_arrivals += 1
+            self.record_hops += hops
             # Only a hand-built hops == 0 arrival of my own record makes
             # _store replicate to cellmates; engine forwards carry hops >= 1.
             forwards: Dict[int, List[tuple]] = {}
@@ -625,11 +620,8 @@ class SaladLeaf(SimMachine):
             else:
                 send(me, target, protocol.RECORD_BATCH, tuple(batch))
                 self.extra_records_sent += size - 1
-                if self.detailed_metrics:
-                    self.batch_envelopes += 1
-                    self.batch_records += size
-                    counts = self.batch_size_counts
-                    counts[size] = counts.get(size, 0) + 1
+                counts = self.batch_size_counts
+                counts[size] = counts.get(size, 0) + 1
 
     def _route_record_reference(
         self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
@@ -661,6 +653,8 @@ class SaladLeaf(SimMachine):
                 for target in self._vector_members(d, self.coord(routing_id, d)):
                     forwards.setdefault(target, []).append((record, hops + 1))
                 return
+        self.record_arrivals += 1
+        self.record_hops += hops
         self._store(record, hops, forwards)
 
     def _route_batch_indexed(
@@ -687,7 +681,7 @@ class SaladLeaf(SimMachine):
         mask = self._cell_mask
         hop_budget = 2 * self.dimensions
         store = self._store
-        hits = misses = 0
+        hits = misses = arrivals = hop_sum = 0
         for record, hops in pairs:
             rid = record._rid  # precomputed routing_id; property skipped
             cell = rid & mask
@@ -699,6 +693,8 @@ class SaladLeaf(SimMachine):
             else:
                 hits += 1
             if targets is _LOCAL:
+                arrivals += 1
+                hop_sum += hops
                 store(record, hops, forwards)
                 continue
             if hops >= hop_budget:
@@ -712,6 +708,8 @@ class SaladLeaf(SimMachine):
                     bucket.append(forwarded)
         self.next_hop_hits += hits
         self.next_hop_misses += misses
+        self.record_arrivals += arrivals
+        self.record_hops += hop_sum
 
     def _compute_next_hop(self, routing_id: int) -> object:
         """First-mismatching-axis targets for a cell, or _LOCAL if mine.
@@ -730,14 +728,6 @@ class SaladLeaf(SimMachine):
                 return tuple(self._vector_members_key(d, routing_id & masks[d]))
         return _LOCAL  # unreachable: every cell-ID bit belongs to some axis
 
-    def _store_record_metered(
-        self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
-    ) -> None:
-        """:meth:`_store_record` plus the detailed record-flow tallies."""
-        self.record_arrivals += 1
-        self.record_hops += hops
-        self._store_record(record, hops, forwards)
-
     def _store_record_traced(
         self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
     ) -> None:
@@ -749,7 +739,7 @@ class SaladLeaf(SimMachine):
         tracer = _tracing.ACTIVE
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_store(record, self.identifier, hops)
-        self._store_impl(record, hops, forwards)
+        self._store_record(record, hops, forwards)
 
     def _store_record(
         self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]

@@ -14,9 +14,10 @@ notifications from which reclaimed space is computed (Figs. 7-8).
 
 from __future__ import annotations
 
-import itertools
-import os
+import dataclasses
 import random
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -24,103 +25,21 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.salad.leaf import SaladLeaf
 from repro.salad.protocol import MatchPayload
 from repro.salad.records import SaladRecord
-from repro.salad.storage import (
-    make_record_store,
-    resolve_db_backend,
-    resolve_db_dir,
-)
+from repro.salad.storage import check_backend, make_record_store
 from repro.sim.events import EventScheduler
 from repro.sim.failure import fail_exact_fraction
 from repro.sim.network import Network
 from repro.sim.topology import Topology
 
-#: Per-process sequence distinguishing the durable-store directories of
-#: multiple Salad instances built in one process (e.g. one per sweep point).
-_salad_sequence = itertools.count()
-
 #: Identifier width: 20-byte hashes (section 2).
 IDENTIFIER_BITS = 160
 
-#: Session default for SaladConfig.trace_invariants = None (the CLI
-#: ``--trace-invariants`` hook; mirrors set_default_db_backend).
-_default_trace_invariants = False
-
-
-def set_trace_invariants(enabled: bool) -> None:
-    """Set the process-wide default for runtime invariant tracing.
-
-    Configs whose ``trace_invariants`` is ``None`` resolve to this value,
-    so one CLI flag turns on tracing for every Salad an experiment builds
-    (including those built inside worker processes, which re-apply the flag
-    on startup).
-    """
-    global _default_trace_invariants
-    _default_trace_invariants = bool(enabled)
-
-
-def resolve_trace_invariants(value) -> bool:
-    """``None`` means the session default; anything else is a plain bool."""
-    return _default_trace_invariants if value is None else bool(value)
-
-
-#: Session default for SaladConfig.detailed_metrics = None (set by
-#: ``--metrics-out`` on the CLIs; mirrors set_trace_invariants).
-_default_detailed_metrics = False
-
-
-def set_detailed_metrics(enabled: bool) -> None:
-    """Set the process-wide default for detailed record-flow metrics.
-
-    Detailed metrics (per-record arrival/hop counts and per-envelope batch
-    statistics) cost real time on the routing hot path -- measurably so on
-    insert-heavy workloads -- so they are off unless a run asks for a
-    report.  Configs whose ``detailed_metrics`` is ``None`` resolve to this
-    value.
-    """
-    global _default_detailed_metrics
-    _default_detailed_metrics = bool(enabled)
-
-
-def resolve_detailed_metrics(value) -> bool:
-    """``None`` means the session default; anything else is a plain bool."""
-    return _default_detailed_metrics if value is None else bool(value)
-
-
-#: Session default for SaladConfig.trace_sample_rate = None (set by
-#: ``--trace-sample-rate`` on the CLIs; mirrors set_detailed_metrics).
-_default_trace_sample_rate = 0.0
-
-
-def set_trace_sample_rate(rate: float) -> None:
-    """Set the process-wide default causal-trace sampling rate.
-
-    A rate in (0, 1] turns on :mod:`repro.obs.tracing`: a deterministic
-    hash of each record's routing id selects the sampled fraction, and
-    every engine the session builds emits per-record causal events for
-    them.  0 disables tracing entirely (the hot paths pay one ``is None``
-    check per batch).  Configs whose ``trace_sample_rate`` is ``None``
-    resolve to this value.
-    """
-    validate_trace_sample_rate(rate)
-    global _default_trace_sample_rate
-    _default_trace_sample_rate = float(rate)
-
-
-def resolve_trace_sample_rate(value) -> float:
-    """``None`` means the session default; anything else is validated."""
-    if value is None:
-        return _default_trace_sample_rate
-    validate_trace_sample_rate(value)
-    return float(value)
-
 
 def validate_trace_sample_rate(value) -> None:
-    """Validate a ``trace_sample_rate`` knob without resolving it."""
-    if value is None:
-        return
+    """Raise unless *value* is a ``trace_sample_rate`` in [0, 1]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(
-            f"trace_sample_rate must be a number in [0, 1] or None, got "
+            f"trace_sample_rate must be a number in [0, 1], got "
             f"{type(value).__name__}: {value!r}"
         )
     if not 0.0 <= value <= 1.0:
@@ -180,40 +99,29 @@ class SaladConfig:
     #: turns it on.
     deferred_width_recalc: bool = False
     #: Record-database backend per leaf: one of repro.salad.storage.BACKENDS
-    #: ("memory", the default, "sqlite", "wal" or "wal-paged").  None defers
-    #: to the session default set by set_default_db_backend (the CLI
-    #: --db-backend hook).  All four are contract-identical; the durable
-    #: three trade insert speed for a bounded memory footprint and crash
-    #: recovery.
-    db_backend: Optional[str] = None
-    #: Directory durable backends write under (each Salad instance gets its
-    #: own subdirectory so repeated runs never reopen each other's files).
-    #: None = the session default, falling back to a per-process tempdir.
+    #: ("memory", "wal" or "wal-paged").  All three are contract-identical;
+    #: the durable two trade insert speed for crash recovery, and
+    #: "wal-paged" also for a bounded memory footprint.
+    db_backend: str = "memory"
+    #: Directory durable backends write under; each Salad makes its own
+    #: subdirectory there, so repeated runs never reopen each other's files,
+    #: and never deletes it.  None = a tempdir of this engine's own, deleted
+    #: at :meth:`Salad.shutdown`.
     db_dir: Optional[str] = None
     #: Trace every message and check protocol invariants at harvest time
     #: (the ``--trace-invariants`` runtime mode; see repro.sim.tracer).
-    #: None = the session default set by :func:`set_trace_invariants`.
     #: Tracing does not alter the message trace, but it retains every
     #: message in memory -- opt in deliberately on large runs.
-    trace_invariants: Optional[bool] = None
-    #: Count per-record arrivals/hops and per-envelope batch sizes
-    #: (``salad.records.arrivals``/``hops``, ``salad.routing.envelopes``/
-    #: ``envelope_records``/``batch_size``).  These increments sit on the
-    #: routing hot path, so they are opt-in: ``--metrics-out`` turns them
-    #: on; None = the session default set by :func:`set_detailed_metrics`.
-    #: Never alters the message trace -- only whether flow counters tally.
-    detailed_metrics: Optional[bool] = None
+    trace_invariants: bool = False
     #: Causal-trace sampling rate in [0, 1] (see :mod:`repro.obs.tracing`):
     #: a deterministic hash of each record's routing id samples this
     #: fraction of inserts, and sampled records emit per-hop/per-store
     #: trace events that export to Perfetto.  Sampling consumes no RNG and
-    #: never alters the message trace; 0 disables tracing.  None = the
-    #: session default set by :func:`set_trace_sample_rate` (the CLI
-    #: ``--trace-sample-rate`` hook).
-    trace_sample_rate: Optional[float] = None
+    #: never alters the message trace; 0 disables tracing.
+    trace_sample_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        resolve_db_backend(self.db_backend)  # fail fast on unknown names
+        check_backend(self.db_backend)  # fail fast on unknown names
         validate_trace_sample_rate(self.trace_sample_rate)
         if self.topology is not None and not isinstance(self.topology, Topology):
             raise ValueError(
@@ -228,6 +136,32 @@ class SaladConfig:
             )
         if self.bootstrap_count < 1:
             raise ValueError(f"bootstrap count must be >= 1: {self.bootstrap_count}")
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """The :class:`SaladConfig` fields a run sets for every engine it builds.
+
+    An experiment picks the protocol parameters of its engines (Lambda, D,
+    seed, limits); a CLI run picks these four once (``--db-backend``,
+    ``--db-dir``, ``--trace-invariants``, ``--trace-sample-rate``) and hands
+    them to every experiment, which passes them on to each engine it builds
+    -- pool tasks included, since the value travels in the task.  Defaults
+    and meanings are SaladConfig's.
+    """
+
+    db_backend: str = "memory"
+    db_dir: Optional[str] = None
+    trace_invariants: bool = False
+    trace_sample_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_backend(self.db_backend)
+        validate_trace_sample_rate(self.trace_sample_rate)
+
+    def config(self, **protocol) -> SaladConfig:
+        """A SaladConfig with the *protocol* fields and these settings."""
+        return SaladConfig(**protocol, **dataclasses.asdict(self))
 
 
 class Salad:
@@ -253,39 +187,36 @@ class Salad:
         # built (and after the network-seed RNG draw above, so traced and
         # untraced runs see identical randomness).
         self.tracer = None
-        if resolve_trace_invariants(config.trace_invariants):
+        if config.trace_invariants:
             from repro.sim.tracer import NetworkTracer
 
             self.tracer = NetworkTracer(self.network)
-        # Resolved once so every leaf this SALAD builds counts identically.
-        self._detailed_metrics = resolve_detailed_metrics(config.detailed_metrics)
         # Causal tracing (repro.obs.tracing): latest engine wins the module
         # recorder, so sweeps that build several Salads trace the active
         # one.  Activation at rate 0 clears any stale recorder.
-        self._trace_sample_rate = resolve_trace_sample_rate(config.trace_sample_rate)
         from repro.obs import tracing
 
         tracing.activate(
-            self._trace_sample_rate,
+            config.trace_sample_rate,
             now=lambda: self.network.scheduler.now,
             link_of=_topology_link_of(config.topology),
         )
-        # Durable-store housing: resolved lazily so memory-backed SALADs
-        # (the default) never touch the filesystem.
-        self._db_backend = resolve_db_backend(config.db_backend)
+        # Durable-store housing: made lazily so memory-backed SALADs (the
+        # default) never touch the filesystem.
         self._db_dir: Optional[Path] = None
 
     def _database_for(self, identifier: int):
         """The record store a new leaf gets under this SALAD's backend."""
-        if self._db_backend == "memory":
-            return make_record_store("memory", capacity=self.config.database_capacity)
+        backend = self.config.db_backend
+        if backend == "memory":
+            return make_record_store(capacity=self.config.database_capacity)
         if self._db_dir is None:
-            self._db_dir = (
-                resolve_db_dir(self.config.db_dir)
-                / f"salad-{os.getpid()}-{next(_salad_sequence)}"
-            )
+            parent = self.config.db_dir
+            if parent is not None:
+                Path(parent).mkdir(parents=True, exist_ok=True)
+            self._db_dir = Path(tempfile.mkdtemp(prefix="salad-", dir=parent))
         return make_record_store(
-            self._db_backend,
+            backend,
             capacity=self.config.database_capacity,
             db_dir=self._db_dir,
             name=f"leaf-{identifier:040x}",
@@ -329,7 +260,6 @@ class Salad:
             rng=random.Random(self._rng.getrandbits(64)),
             reference_routing=self.config.reference_routing,
             database=self._database_for(identifier),
-            detailed_metrics=self._detailed_metrics,
             reference_width=self.config.reference_width,
             deferred_width_recalc=self.config.deferred_width_recalc,
         )
@@ -432,8 +362,15 @@ class Salad:
         return len(fail_exact_fraction(list(self.leaves.values()), fraction, rng))
 
     def shutdown(self) -> None:
-        """Release resources (flush and close every leaf's record store)."""
+        """Release resources: flush and close every leaf's record store.
+
+        The stores' directory goes too when this engine made it (a config
+        naming no ``db_dir``); a named ``db_dir`` is never deleted.
+        """
         self.close_databases()
+        if self._db_dir is not None and self.config.db_dir is None:
+            shutil.rmtree(self._db_dir, ignore_errors=True)
+            self._db_dir = None
 
     # ------------------------------------------------------------------
     # records

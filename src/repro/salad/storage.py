@@ -5,13 +5,8 @@ The paper's full-scale deployment implies on the order of 10M
 (section 5); holding them all in RAM is what blocks a laptop-scale
 full-corpus run.  This module extracts the :class:`RecordStore` contract
 that :class:`repro.salad.database.RecordDatabase` (the in-memory store)
-already implements and adds three durable backends:
+already implements and adds two durable backends:
 
-- :class:`SqliteRecordStore` -- records live in a single-file sqlite3
-  database whose ``WITHOUT ROWID`` primary key ``(sort_key, location)`` *is*
-  the covering index over the fingerprint sort order, so the Fig. 13
-  lowest-fingerprint eviction probe stays one O(log n) B-tree descent and
-  lookups by fingerprint are a prefix range scan of the same tree;
 - :class:`WalRecordStore` -- an append-only write-ahead log of state-changing
   operations with per-entry CRC32 framing.  Replay rebuilds the in-memory
   index; a truncated or corrupt tail (a torn write from a crash) is detected
@@ -22,9 +17,11 @@ already implements and adds three durable backends:
   key->offset index (16 bytes per slot: a 64-bit key, and a 44-bit log offset
   above a 20-bit location tag) plus a small LRU record cache, and record
   bodies are read back from the log on demand.  This is the backend
-  that bounds a flagship-scale run's RSS: the plain WAL store keeps a full
-  :class:`~repro.salad.database.RecordDatabase` in memory and therefore
-  *tracks* the memory backend's footprint, it never beats it.
+  that bounds a flagship-scale run's RSS.  The plain WAL store keeps a full
+  :class:`~repro.salad.database.RecordDatabase` in memory, so at 10^6
+  records it *tracks* the memory backend's footprint; at the benchmark's
+  ~10^4 records per run it is the faster durable store (docs/PERFORMANCE.md,
+  "Record-store backends on salad-durable").
 
 All backends are observably identical for in-memory behavior: the
 shared contract suite (``tests/salad/test_record_stores.py``) runs them
@@ -35,9 +32,8 @@ duplicate matches are returned sorted by location, and :meth:`records`
 iterates in ``(sort_key, location)`` order.
 
 Backend selection threads through :class:`repro.salad.salad.SaladConfig`
-(``db_backend`` / ``db_dir``) and the experiment CLIs (``--db-backend
-memory|sqlite|wal|wal-paged``, ``--db-dir``); :func:`set_default_db_backend` sets the
-process-wide default that configs with ``db_backend=None`` resolve to.
+(``db_backend`` / ``db_dir``), which the experiment CLIs (``--db-backend
+memory|wal|wal-paged``, ``--db-dir``) fill in for every engine they build.
 
 WAL format (version 1)::
 
@@ -59,10 +55,7 @@ from __future__ import annotations
 import abc
 import heapq
 import os
-import sqlite3
 import struct
-import tempfile
-import time
 import zlib
 from array import array
 from bisect import insort
@@ -72,16 +65,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.fingerprint import FINGERPRINT_BYTES, Fingerprint
-from repro.obs.registry import Histogram
 from repro.salad.records import SaladRecord
 
 #: Known backend names, in documentation order.
-BACKENDS = ("memory", "sqlite", "wal", "wal-paged")
-
-#: Fixed-width big-endian location encoding for sqlite: lexicographic blob
-#: order equals numeric order, so ``ORDER BY location`` is the numeric sort
-#: the match-order contract requires.  32 bytes covers 160-bit machine ids.
-_LOCATION_BYTES = 32
+BACKENDS = ("memory", "wal", "wal-paged")
 
 WAL_MAGIC = b"SALADWAL1\n"
 _OP_INSERT = 0x01
@@ -173,194 +160,6 @@ class RecordStore(abc.ABC):
     def pending_records(self) -> int:
         """Stored records that would be lost if the process crashed now."""
         return len(self)
-
-
-def _encode_location(location: int) -> bytes:
-    return location.to_bytes(_LOCATION_BYTES, "big")
-
-
-def _decode_location(blob: bytes) -> int:
-    return int.from_bytes(blob, "big")
-
-
-class SqliteRecordStore(RecordStore):
-    """Records in a single-file sqlite3 database (stdlib, no extra deps).
-
-    Schema::
-
-        CREATE TABLE records (
-            sort_key BLOB NOT NULL,    -- fingerprint.to_bytes(): size || hash
-            location BLOB NOT NULL,    -- 32-byte big-endian machine id
-            PRIMARY KEY (sort_key, location)
-        ) WITHOUT ROWID
-
-    The primary key doubles as the covering index over the fingerprint sort
-    order: the Fig. 13 eviction probe (``ORDER BY sort_key, location LIMIT
-    1``) and fingerprint lookups (prefix range scans) both resolve inside
-    one B-tree, so inserts stay O(log n) under heavy eviction churn.  A
-    secondary index on ``location`` keeps machine departures
-    (:meth:`remove_location`) from scanning the whole table.
-
-    Writes batch into transactions committed every ``commit_every``
-    operations (and on :meth:`flush` / :meth:`close`); a crash loses at most
-    the uncommitted tail, which :attr:`pending_records` reports.
-    """
-
-    def __init__(
-        self,
-        path: os.PathLike,
-        capacity: Optional[int] = None,
-        commit_every: int = 256,
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be positive if set: {capacity}")
-        if commit_every < 1:
-            raise ValueError(f"commit_every must be positive: {commit_every}")
-        self.capacity = capacity
-        self.path = Path(path)
-        self.evictions = 0
-        self.rejections = 0
-        self._commit_every = commit_every
-        self._uncommitted = 0
-        self._pending = 0  # net stored-record delta not yet committed
-        # Telemetry (harvested by repro.salad.telemetry): commits are rare
-        # (every commit_every mutations), so timing them is off-hot-path.
-        self.flushes = 0
-        self.flush_seconds = Histogram()
-        self._conn = sqlite3.connect(self.path)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS records ("
-            " sort_key BLOB NOT NULL,"
-            " location BLOB NOT NULL,"
-            " PRIMARY KEY (sort_key, location)"
-            ") WITHOUT ROWID"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS records_by_location ON records(location)"
-        )
-        self._conn.commit()
-        self._count = self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM records WHERE sort_key = ? LIMIT 1",
-            (fingerprint.to_bytes(),),
-        ).fetchone()
-        return row is not None
-
-    def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        rows = self._conn.execute(
-            "SELECT location FROM records WHERE sort_key = ?",
-            (fingerprint.to_bytes(),),
-        )
-        return {_decode_location(row[0]) for row in rows}
-
-    def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM records WHERE sort_key = ? AND location = ?",
-            (fingerprint.to_bytes(), _encode_location(location)),
-        ).fetchone()
-        return row is not None
-
-    def records(self) -> Iterator[SaladRecord]:
-        rows = self._conn.execute(
-            "SELECT sort_key, location FROM records ORDER BY sort_key, location"
-        )
-        for sort_key, location in rows:
-            yield SaladRecord(
-                fingerprint=Fingerprint.from_bytes(sort_key),
-                location=_decode_location(location),
-            )
-
-    def _matches(self, key: bytes, fingerprint: Fingerprint, limit: int) -> List[SaladRecord]:
-        rows = self._conn.execute(
-            "SELECT location FROM records WHERE sort_key = ? ORDER BY location LIMIT ?",
-            (key, limit),
-        )
-        return [
-            SaladRecord(fingerprint=fingerprint, location=_decode_location(row[0]))
-            for row in rows
-        ]
-
-    def insert(
-        self, record: SaladRecord, limit: Optional[int] = None
-    ) -> Tuple[bool, List[SaladRecord]]:
-        key = record.sort_key()
-        # LIMIT -1 is sqlite's "no limit".
-        matches = self._matches(key, record.fingerprint, -1 if limit is None else limit)
-        if self.has_location(record.fingerprint, record.location):
-            return False, matches
-        if self.capacity is not None and self._count >= self.capacity:
-            lowest = self._conn.execute(
-                "SELECT sort_key, location FROM records"
-                " ORDER BY sort_key, location LIMIT 1"
-            ).fetchone()
-            if lowest is None or key <= lowest[0]:
-                self.rejections += 1
-                return False, matches
-            self._conn.execute(
-                "DELETE FROM records WHERE sort_key = ? AND location = ?", lowest
-            )
-            self._count -= 1
-            self.evictions += 1
-            self._mutated()
-        self._conn.execute(
-            "INSERT INTO records (sort_key, location) VALUES (?, ?)",
-            (key, _encode_location(record.location)),
-        )
-        self._count += 1
-        self._pending += 1
-        self._mutated()
-        return True, matches
-
-    def insert_many(
-        self, records: Iterable[SaladRecord]
-    ) -> List[Tuple[SaladRecord, bool, List[SaladRecord]]]:
-        results = [(record, *self.insert(record)) for record in records]
-        self.flush()  # batch boundary: commit the whole batch
-        return results
-
-    def remove_location(self, location: int) -> int:
-        cursor = self._conn.execute(
-            "DELETE FROM records WHERE location = ?", (_encode_location(location),)
-        )
-        removed = cursor.rowcount
-        if removed:
-            self._count -= removed
-            self._mutated()
-        return removed
-
-    def _mutated(self) -> None:
-        self._uncommitted += 1
-        if self._uncommitted >= self._commit_every:
-            self.flush()
-
-    def flush(self) -> None:
-        start = time.perf_counter()
-        self._conn.commit()
-        self.flush_seconds.observe(time.perf_counter() - start)
-        self.flushes += 1
-        self._uncommitted = 0
-        self._pending = 0
-
-    def close(self) -> None:
-        self.flush()
-        self._conn.close()
-
-    def crash(self) -> None:
-        # Roll back the open transaction: exactly what a process crash does
-        # to uncommitted sqlite writes.
-        self._conn.rollback()
-        self._conn.close()
-
-    @property
-    def pending_records(self) -> int:
-        return min(self._pending, self._count)
 
 
 class WalRecordStore(RecordStore):
@@ -1208,73 +1007,37 @@ class PagedWalRecordStore(RecordStore):
 
 
 # ----------------------------------------------------------------------------
-# factory & session defaults
+# factory
 # ----------------------------------------------------------------------------
 
-_default_backend: str = "memory"
-_default_db_dir: Optional[Path] = None
-_process_tmp_dir: Optional[Path] = None
 
-
-def set_default_db_backend(backend: str, db_dir: Optional[os.PathLike] = None) -> None:
-    """Set the process-wide backend default (the CLI ``--db-backend`` hook).
-
-    Configs whose ``db_backend`` is ``None`` resolve to this value, so one
-    CLI flag steers every Salad an experiment builds (including those built
-    inside a sweep's pool processes, which fork with the default already
-    set).
-    """
-    global _default_backend, _default_db_dir
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown db backend {backend!r}; choose from {BACKENDS}")
-    _default_backend = backend
-    _default_db_dir = Path(db_dir) if db_dir is not None else None
-
-
-def resolve_db_backend(backend: Optional[str]) -> str:
-    """``None`` means the session default; anything else must be known."""
-    if backend is None:
-        return _default_backend
+def check_backend(backend: str) -> str:
+    """*backend* itself, if it names one of :data:`BACKENDS`."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown db backend {backend!r}; choose from {BACKENDS}")
     return backend
 
 
-def resolve_db_dir(db_dir: Optional[os.PathLike]) -> Path:
-    """The directory durable stores live in; a per-process tempdir by default."""
-    global _process_tmp_dir
-    if db_dir is not None:
-        path = Path(db_dir)
-    elif _default_db_dir is not None:
-        path = _default_db_dir
-    else:
-        if _process_tmp_dir is None:
-            _process_tmp_dir = Path(tempfile.mkdtemp(prefix="salad-db-"))
-        path = _process_tmp_dir
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def make_record_store(
-    backend: Optional[str] = None,
+    backend: str = "memory",
     capacity: Optional[int] = None,
     db_dir: Optional[os.PathLike] = None,
     name: str = "records",
 ) -> RecordStore:
     """Create (or reopen) a record store of the requested backend.
 
-    *name* identifies the store within *db_dir*; reusing an existing name
-    with a durable backend reopens that store and recovers its records,
-    which is exactly what the crash-recovery harness does.
+    *name* identifies the store within *db_dir*, which every durable backend
+    needs; reusing an existing name reopens that store and recovers its
+    records, which is exactly what the crash-recovery harness does.
     """
-    backend = resolve_db_backend(backend)
-    if backend == "memory":
+    if check_backend(backend) == "memory":
         from repro.salad.database import RecordDatabase
 
         return RecordDatabase(capacity=capacity)
-    directory = resolve_db_dir(db_dir)
-    if backend == "sqlite":
-        return SqliteRecordStore(directory / f"{name}.sqlite", capacity=capacity)
+    if db_dir is None:
+        raise ValueError(f"the {backend!r} backend needs a db_dir")
+    directory = Path(db_dir)
+    directory.mkdir(parents=True, exist_ok=True)
     if backend == "wal-paged":
         # Same file format and extension as "wal": a log written by either
         # class reopens under the other.

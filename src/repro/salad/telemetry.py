@@ -6,9 +6,7 @@ report time: :meth:`repro.salad.salad.Salad.collect_metrics` harvests the
 leaves it holds.
 
 Because a harvest is a snapshot of trace-driven attributes, two runs of
-the same golden trace harvest bit-identical counter totals.  Wall-clock
-quantities (sqlite flush latency) are histograms, never counters, so that
-identity stays exact.
+the same golden trace harvest bit-identical counter totals.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ def harvest_salad_metrics(
     hits = misses = scans = width_changes = width_recalcs = 0
     join_fresh = join_duplicates = join_echoes = 0
     arrivals = hops = notifications = 0
-    envelopes = envelope_records = 0
     extra_records = extra_notices = 0
     stored = evictions = rejections = 0
     alive = total = 0
     batch_hist = registry.histogram("salad.routing.batch_size")
-    flush_hist = registry.histogram("salad.storage.sqlite.flush_seconds")
-    flushes = compactions = sync_writes = 0
+    compactions = sync_writes = 0
     recovered = torn_bytes = log_ops = 0
     page_hits = page_misses = tag_rejects = 0
     for leaf in leaves:
@@ -61,8 +57,6 @@ def harvest_salad_metrics(
         # Notifications *delivered*: the recipient's matches list is already
         # maintained by the protocol, so this costs the hot path nothing.
         notifications += len(leaf.matches)
-        envelopes += leaf.batch_envelopes
-        envelope_records += leaf.batch_records
         extra_records += leaf.extra_records_sent
         extra_notices += leaf.extra_notices_sent
         for size, n in leaf.batch_size_counts.items():
@@ -71,10 +65,6 @@ def harvest_salad_metrics(
         stored += len(db)
         evictions += db.evictions
         rejections += db.rejections
-        db_flush_hist = getattr(db, "flush_seconds", None)
-        if db_flush_hist is not None:  # sqlite backend
-            flushes += db.flushes
-            flush_hist.merge_from(db_flush_hist)
         if getattr(db, "compactions", None) is not None:  # WAL backends
             compactions += db.compactions
             sync_writes += db.sync_writes
@@ -100,11 +90,14 @@ def harvest_salad_metrics(
     registry.counter("salad.records.hops").inc(hops)
     registry.counter("salad.records.stored").inc(stored)
     registry.counter("salad.records.match_notifications").inc(notifications)
+    # RECORD_BATCH envelopes have one send site (SaladLeaf._send_forwards),
+    # which adds each envelope's items beyond its first to extra_records.
+    by_kind = network.sent_by_kind
+    envelopes = by_kind.get(protocol.RECORD_BATCH, 0)
     registry.counter("salad.routing.envelopes").inc(envelopes)
-    registry.counter("salad.routing.envelope_records").inc(envelope_records)
+    registry.counter("salad.routing.envelope_records").inc(envelopes + extra_records)
     # The paper's unit beside the envelope count: record hops and notices
     # sent, a batch envelope counting once per item it carries.
-    by_kind = network.sent_by_kind
     registry.counter("salad.routing.records_carried").inc(
         by_kind.get(protocol.RECORD, 0)
         + by_kind.get(protocol.RECORD_BATCH, 0)
@@ -117,7 +110,6 @@ def harvest_salad_metrics(
     )
     registry.counter("salad.storage.evictions").inc(evictions)
     registry.counter("salad.storage.rejections").inc(rejections)
-    registry.counter("salad.storage.sqlite.flushes").inc(flushes)
     registry.counter("salad.storage.wal.compactions").inc(compactions)
     registry.counter("salad.storage.wal.sync_writes").inc(sync_writes)
     registry.counter("salad.storage.wal.recovered_records").inc(recovered)

@@ -6,22 +6,8 @@ import pytest
 
 from repro.experiments import flagship
 from repro.obs import tracing
-from repro.salad.salad import (
-    resolve_trace_sample_rate,
-    set_detailed_metrics,
-    set_trace_sample_rate,
-)
 
 TINY = ["--leaves", "8", "--records", "16", "--db-backend", "memory"]
-
-
-@pytest.fixture(autouse=True)
-def _reset_session_defaults():
-    yield
-    set_detailed_metrics(False)
-    set_trace_sample_rate(0.0)
-    tracing.deactivate()
-    tracing.uninstall_flight_recorder()
 
 
 def _run(tmp_path, *extra):
@@ -35,8 +21,12 @@ def test_trace_rate_does_not_leak_into_the_next_main(tmp_path):
     assert traced["traces"]["sample_rate"] == 0.5
     assert traced["traces"]["events"]
     untraced = _run(tmp_path)  # same process, flag absent
-    assert resolve_trace_sample_rate(None) == 0.0
     assert "traces" not in untraced
+    assert not [
+        entry["name"]
+        for entry in untraced["metrics"]["counters"]
+        if entry["name"].startswith("sim.trace.")
+    ]
 
 
 def test_failing_run_keeps_the_flight_recorder_tail(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.scales import ExperimentScale, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
-from repro.salad.salad import set_trace_sample_rate
 
 TINY = ExperimentScale(
     name="tiny",
@@ -82,18 +81,15 @@ class TestCli:
     def test_trace_sampling_with_a_pool_rejected(self, capsys):
         """Sampled events stay in the pool process that recorded them, so a
         pooled run used to write an empty --trace-out."""
-        try:
-            with pytest.raises(SystemExit):
-                runner.main(
-                    [
-                        "--scale", "small",
-                        "--only", "dataset",
-                        "--workers", "2",
-                        "--trace-sample-rate", "0.05",
-                    ]
-                )
-        finally:
-            set_trace_sample_rate(0.0)
+        with pytest.raises(SystemExit):
+            runner.main(
+                [
+                    "--scale", "small",
+                    "--only", "dataset",
+                    "--workers", "2",
+                    "--trace-sample-rate", "0.05",
+                ]
+            )
         assert "--trace-sample-rate needs --workers 1" in capsys.readouterr().err
 
     def test_no_worker_count_survives_main(self, monkeypatch, capsys):

@@ -3,32 +3,15 @@
 Every experiment CLI must emit a schema-valid RunReport whose registry
 carries the harvested engine counters; with ``--trace-invariants`` the
 opt-in tracer's violation counters appear (at zero on healthy runs), and
-``--trace-sample-rate`` holds for the one ``main()`` call that names it.
+the run-wide flags hold for the one ``main()`` call that names them -- in
+every engine it builds, pool processes included, and in no later call.
 """
 
 import json
 
-import pytest
-
 from repro.experiments import runner
-from repro.obs import tracing
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import validate_run_report
-from repro.salad.salad import (
-    resolve_trace_sample_rate,
-    set_detailed_metrics,
-    set_trace_invariants,
-    set_trace_sample_rate,
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_session_defaults():
-    yield
-    set_trace_invariants(False)
-    set_detailed_metrics(False)
-    set_trace_sample_rate(0.0)
-    tracing.deactivate()
 
 
 def _run(tmp_path, *extra, only="fig07"):
@@ -116,12 +99,46 @@ class TestTraceInvariants:
         assert all(v == 0 for v in labeled.values())
         assert report["environment"]["trace_invariants"] is True
 
+    def test_pool_tasks_trace_as_the_serial_run_does(self, tmp_path):
+        # The flag travels in each sweep task, so the invariant tracer runs
+        # in pool processes exactly as it does in this one.
+        serial = _counters(_run(tmp_path, "--trace-invariants", "--workers", "1"))
+        pooled = _counters(_run(tmp_path, "--trace-invariants", "--workers", "2"))
+        traced = "sim.invariants.messages_traced"
+        assert pooled[traced] == serial[traced] > 0
+
 
 class TestTraceSampleRate:
     def test_rate_does_not_leak_into_the_next_main(self, tmp_path):
-        traced = _run(tmp_path, "--trace-sample-rate", "0.5")
+        traced = _run(
+            tmp_path, "--trace-sample-rate", "0.5", "--trace-invariants"
+        )
         assert traced["traces"]["sample_rate"] == 0.5
         assert traced["traces"]["events"]
-        untraced = _run(tmp_path)  # same process, flag absent
-        assert resolve_trace_sample_rate(None) == 0.0
+        assert "sim.invariants.messages_traced" in _counters(traced)
+        untraced = _run(tmp_path)  # same process, flags absent
         assert "traces" not in untraced
+        assert not [
+            entry["name"]
+            for entry in untraced["metrics"]["counters"]
+            if entry["name"].startswith(("sim.invariants.", "sim.trace."))
+        ]
+
+
+class TestDbBackend:
+    def test_pool_tasks_write_their_stores_under_db_dir(self, tmp_path):
+        db_dir = tmp_path / "stores"
+        code = runner.main(
+            [
+                "--scale", "small",
+                "--only", "fig13",
+                "--workers", "2",
+                "--db-backend", "wal",
+                "--db-dir", str(db_dir),
+            ]
+        )
+        assert code == 0
+        # A named directory outlives the run, with one subdirectory per
+        # engine: fig13 runs one per (Lambda, limit) point.
+        engines = [path for path in db_dir.iterdir() if any(path.glob("leaf-*.wal"))]
+        assert len(engines) > 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.dfc_run import DfcConfig
 from repro.farsite.dfc_pipeline import DfcPipeline
+from repro.salad.salad import RunSettings
 from repro.workload.generator import CorpusSpec, generate_corpus
 
 # Small corpus with capped file sizes: the pipeline materializes bytes.
@@ -298,3 +299,30 @@ class TestLoadHostsMaterializesPerContent:
             assert file_id in pipeline.hosts[owner].sis
         assert sum(len(host.sis) for host in pipeline.hosts.values()) == corpus.total_files
         pipeline.close_stores()
+
+
+class TestDurableStoreDirectories:
+    """A durable pipeline's SIS and leaf stores live where its settings say."""
+
+    @staticmethod
+    def _loaded(settings):
+        pipeline = DfcPipeline(_shared_corpus(), DfcConfig(seed=4, settings=settings))
+        pipeline.load_hosts()
+        leaf_dirs = {leaf.database.path.parent for leaf in pipeline.run.salad.leaves.values()}
+        return pipeline, pipeline._sis_dir, leaf_dirs
+
+    def test_own_tempdirs_are_removed_by_close_stores(self):
+        pipeline, sis_dir, (leaf_dir,) = self._loaded(RunSettings(db_backend="wal"))
+        assert any(sis_dir.glob("sis-host-*.sqlite"))
+        assert any(leaf_dir.glob("leaf-*.wal"))
+        pipeline.close_stores()
+        assert not sis_dir.exists()
+        assert not leaf_dir.exists()
+
+    def test_named_db_dir_is_kept(self, tmp_path):
+        settings = RunSettings(db_backend="wal-paged", db_dir=str(tmp_path))
+        pipeline, sis_dir, (leaf_dir,) = self._loaded(settings)
+        pipeline.close_stores()
+        assert sis_dir.parent == leaf_dir.parent == tmp_path
+        assert any(sis_dir.glob("sis-host-*.sqlite"))
+        assert any(leaf_dir.glob("leaf-*.wal"))

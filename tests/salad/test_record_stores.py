@@ -1,7 +1,7 @@
 """Shared contract suite for the record-store backends.
 
-Every backend -- the in-memory :class:`RecordDatabase`, the sqlite store,
-and the append-log (WAL) store -- must be observably identical for
+Every backend -- the in-memory :class:`RecordDatabase` and the plain and
+paged append-log (WAL) stores -- must be observably identical for
 in-memory behavior: same associative-insert semantics, same duplicate-match
 return order, same capacity-eviction policy, same iteration order.  The
 durable backends additionally pin reopen-after-close, crash (unflushed tail
@@ -25,7 +25,6 @@ from repro.salad.storage import (
     BACKENDS,
     WAL_MAGIC,
     PagedWalRecordStore,
-    SqliteRecordStore,
     WalRecordStore,
     _insert_frame,
     make_record_store,
@@ -259,12 +258,7 @@ class TestBackendEquivalence:
                 store.rejections,
             )
             store.close()
-        assert (
-            outcomes["memory"]
-            == outcomes["sqlite"]
-            == outcomes["wal"]
-            == outcomes["wal-paged"]
-        )
+        assert outcomes["memory"] == outcomes["wal"] == outcomes["wal-paged"]
 
 
 class TestDurability:
@@ -589,34 +583,6 @@ class TestPagedWalRecovery:
         store.close()
 
 
-class TestSqliteIndexing:
-    def test_eviction_probe_uses_the_primary_key(self, tmp_path):
-        store = SqliteRecordStore(tmp_path / "t.sqlite", capacity=4)
-        (plan,) = {
-            row[3]
-            for row in store._conn.execute(
-                "EXPLAIN QUERY PLAN SELECT sort_key, location FROM records"
-                " ORDER BY sort_key, location LIMIT 1"
-            )
-        }
-        # WITHOUT ROWID: the PK *is* the table's B-tree, so the probe must
-        # scan it directly -- no sort step, no temp B-tree.
-        assert "USING INDEX" not in plan.upper() or "PRIMARY KEY" in plan.upper()
-        assert "USE TEMP B-TREE" not in plan.upper()
-        store.close()
-
-    def test_remove_location_uses_the_location_index(self, tmp_path):
-        store = SqliteRecordStore(tmp_path / "t.sqlite")
-        plans = [
-            row[3]
-            for row in store._conn.execute(
-                "EXPLAIN QUERY PLAN DELETE FROM records WHERE location = x'00'"
-            )
-        ]
-        assert any("records_by_location" in p for p in plans)
-        store.close()
-
-
 class TestLeafCallSequence:
     """The benchmark's tracer wraps ``has_location`` and ``insert`` on these
     two classes and counts a wrapped method that is never called as a failed
@@ -684,3 +650,43 @@ class TestLeafCallSequence:
         assert rejects > 0
         totals = registry.counter_totals()
         assert totals["salad.storage.wal.tag_rejects"] == rejects
+
+
+class TestEngineStoreDirectory:
+    """Where an engine's durable stores live, and when they go away."""
+
+    @staticmethod
+    def _engine(**store):
+        salad = Salad(SaladConfig(seed=1, **store))
+        salad.build(8)
+        wave = {
+            identifier: [rec(100 + n, content=n % 3, location=identifier)]
+            for n, identifier in enumerate(salad.alive_identifiers())
+        }
+        assert salad.insert_records(wave) == 8
+        (directory,) = {leaf.database.path.parent for leaf in salad.leaves.values()}
+        return salad, directory
+
+    def test_own_tempdir_is_removed_at_shutdown(self):
+        salad, directory = self._engine(db_backend="wal-paged")
+        assert sorted(path.suffix for path in directory.iterdir()) == [".wal"] * 8
+        salad.shutdown()
+        assert not directory.exists()
+
+    def test_crash_and_rejoin_before_shutdown_recover_every_settled_record(self):
+        from repro.sim.failure import CrashRecoveryHarness
+
+        salad, directory = self._engine(db_backend="wal-paged")
+        harness = CrashRecoveryHarness()
+        harness.crash(list(salad.leaves.values())[:3])
+        report = harness.rejoin()
+        assert report.records_before > 0
+        assert report.recovered_fraction == 1.0
+        salad.shutdown()
+        assert not directory.exists()
+
+    def test_named_db_dir_survives_shutdown(self, tmp_path):
+        salad, directory = self._engine(db_backend="wal", db_dir=str(tmp_path))
+        salad.shutdown()
+        assert directory.parent == tmp_path
+        assert len(list(directory.glob("leaf-*.wal"))) == 8

@@ -37,7 +37,7 @@ def _clean_tracing_state():
 
 
 def _config(**overrides):
-    return SaladConfig(dimensions=2, seed=11, detailed_metrics=True, **overrides)
+    return SaladConfig(dimensions=2, seed=11, **overrides)
 
 
 def _records_for(identifiers, rng, per_leaf=RECORDS_PER_LEAF):

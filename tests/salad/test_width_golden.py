@@ -35,7 +35,7 @@ SCAN_COUNTER = "salad.routing.survivor_scans"
 
 
 def _config(**overrides):
-    base = dict(dimensions=2, seed=11, detailed_metrics=True)
+    base = dict(dimensions=2, seed=11)
     base.update(overrides)
     return SaladConfig(**base)
 

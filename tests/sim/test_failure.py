@@ -111,12 +111,28 @@ class TestCrashRecoveryHarness:
         salad.insert_records(batches)
         return salad, members
 
-    @pytest.mark.parametrize("backend", ["sqlite", "wal"])
-    def test_durable_backends_recover_all_settled_records(self, backend, tmp_path):
+    @pytest.mark.parametrize(
+        "backend, compacted",
+        [
+            pytest.param("wal", False, id="wal"),
+            pytest.param("wal-paged", False, id="wal-paged"),
+            # The settled log is rewritten as a snapshot before the crash,
+            # so recovery replays the compacted file, not the original log.
+            pytest.param("wal", True, id="snapshot-wal"),
+            pytest.param("wal-paged", True, id="snapshot-wal-paged"),
+        ],
+    )
+    def test_durable_backends_recover_all_settled_records(
+        self, backend, compacted, tmp_path
+    ):
         from repro.sim.failure import CrashRecoveryHarness
 
         salad, members = self._populated_salad(backend, tmp_path)
         victims = members[:3]
+        if compacted:
+            for leaf in victims:
+                leaf.database.compact()
+                assert leaf.database.compactions == 1
         before = {leaf.identifier: len(leaf.database) for leaf in victims}
         harness = CrashRecoveryHarness()
         harness.crash(victims)
@@ -133,7 +149,7 @@ class TestCrashRecoveryHarness:
             assert len(leaf.database) == before[leaf.identifier]
         salad.close_databases()
 
-    @pytest.mark.parametrize("backend", ["sqlite", "wal"])
+    @pytest.mark.parametrize("backend", ["wal", "wal-paged"])
     def test_unflushed_tail_is_lost_but_prediction_still_met(self, backend, tmp_path):
         from repro.core.fingerprint import synthetic_fingerprint
         from repro.salad.records import SaladRecord
@@ -243,7 +259,7 @@ class TestReplicaSetKill:
         from repro.sim.failure import CrashRecoveryHarness
 
         salad, members = TestCrashRecoveryHarness._populated_salad(
-            "sqlite", tmp_path
+            "wal-paged", tmp_path
         )
         kill_set = [leaf.identifier for leaf in members[:2]]
         before = sum(len(salad.leaves[i].database) for i in kill_set)
