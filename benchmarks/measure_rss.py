@@ -10,7 +10,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/measure_rss.py --records 1000000
     PYTHONPATH=src python benchmarks/measure_rss.py --records 100000 \
-        --backends memory wal-paged --json rss.json
+        --backends memory wal --json rss.json
 
 A fresh process per backend matters: peak RSS is a high-water mark, so
 measuring two backends in one process would charge the second for the

@@ -26,7 +26,7 @@ current fast paths so every snapshot carries its own before/after ratio:
   records/sec to quiescence plus the topology observables (quiescence
   ticks, per-class message split, cut losses, hot-cell stress);
 - ``db_backends``: insert/lookup throughput per record-store backend
-  (memory vs WAL vs the paging WAL), contract-identity asserted
+  (memory vs WAL), contract-identity asserted
   before timing;
 - ``tradeoff``: the fig-tradeoff replication x dedup frontier -- reclaimed
   fraction and min file availability per (R, dedup) arm, the replica-set
@@ -397,8 +397,9 @@ def bench_topology_traffic(leaves: int = 64, waves: int = 10, rate: float = 24.0
 def bench_db_backends(records: int = 5000, lookups: int = 1000) -> dict:
     """Insert/lookup throughput per record-store backend.
 
-    The durable backends trade throughput for a bounded RSS and crash
-    recovery; this section records the price so the trade stays visible.
+    The durable backend trades throughput for crash recovery (and, past its
+    byte budget, a bounded RSS); this section records the price so the
+    trade stays visible.
     Results are asserted contract-identical before timing.
     """
     import tempfile

@@ -8,9 +8,11 @@ optimization at once:
   survivor partition -- zero ``survivor_scans``) plus **deferred width
   recalculation** (Fig. 6 coalesced to settle-round boundaries during the
   bulk-join growth storm; opt-out via ``--eager-width``); and
-- the **paging WAL backend** (``--db-backend wal-paged``), which keeps
-  record bodies on disk behind a key->offset index and a small LRU, so
-  peak RSS stays bounded while a million records accumulate.
+- the **WAL record store** (``--db-backend wal``), which pages a store's
+  records out to its log behind a key->offset index once they outgrow the
+  store's byte budget.  The budget is per store: at ~10 records per leaf
+  every store stays resident, so it bounds one large store, not the sum of
+  10^5 small ones.
 
 Growth runs in geometric stages and insert in waves, each under its own
 span, so the report shows where the wall-clock went at every scale step.
@@ -21,7 +23,7 @@ regenerated with this CLI.
 Usage::
 
     python -m repro.experiments.flagship --smoke --metrics-out smoke.json
-    python -m repro.experiments.flagship --db-backend wal-paged \
+    python -m repro.experiments.flagship --db-backend wal \
         --metrics-out docs/flagship_report.json
 """
 
@@ -46,7 +48,7 @@ from repro.obs.report import (
 from repro.obs.spans import phase, reset_spans, span
 from repro.salad.records import SaladRecord
 from repro.salad.salad import RunSettings, Salad
-from repro.salad.storage import BACKENDS
+from repro.salad.storage import BACKENDS, check_backend
 
 FULL_LEAVES = 100_000
 FULL_RECORDS = 1_000_000
@@ -95,7 +97,7 @@ def run_flagship(
     leaves: int,
     records: int,
     seed: int = 0,
-    settings: RunSettings = RunSettings(db_backend="wal-paged"),
+    settings: RunSettings = RunSettings(db_backend="wal"),
     eager_width: bool = False,
     reference_width: bool = False,
     registry: Optional[MetricsRegistry] = None,
@@ -184,11 +186,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--db-backend",
-        choices=sorted(BACKENDS),
-        default="wal-paged",
-        help="record-store backend per leaf (default: wal-paged, the backend "
-        "that bounds peak RSS at this scale; memory and wal hold every "
-        "record in RAM)",
+        type=check_backend,
+        metavar="{" + ",".join(BACKENDS) + "}",
+        default="wal",
+        help="record-store backend per leaf (default: wal, which logs to disk "
+        "and pages a store's records out of RAM past its byte budget; memory "
+        "holds every record in RAM)",
     )
     parser.add_argument(
         "--db-dir",

@@ -53,7 +53,7 @@ from repro.experiments.scales import PAPER_LAMBDAS, SCALES, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.obs import tracing
 from repro.salad.salad import RunSettings
-from repro.salad.storage import BACKENDS
+from repro.salad.storage import BACKENDS, check_backend
 
 SWEEP_FIGURES = {"fig07", "fig09", "fig10", "fig11", "fig12"}
 GROWTH_FIGURES = {"fig14", "fig15"}
@@ -247,11 +247,12 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--db-backend",
-        choices=sorted(BACKENDS),
+        type=check_backend,
+        metavar="{" + ",".join(BACKENDS) + "}",
         default="memory",
         help="record-store backend per leaf, for every engine the run builds "
-        "(memory = all-RAM; wal and wal-paged log to disk with crash "
-        "recovery, wal-paged keeping record bodies there too; results are "
+        "(memory = all-RAM; wal logs to disk with crash recovery and pages a "
+        "store's records out of RAM past its byte budget; results are "
         "identical)",
     )
     parser.add_argument(

@@ -16,8 +16,8 @@ Module map:
 - :mod:`repro.salad.database` -- per-leaf in-memory record store with the
   Fig. 13 size-limit eviction policy.
 - :mod:`repro.salad.storage` -- the RecordStore backend contract plus the
-  two durable append-log (WAL) implementations with crash recovery: the
-  plain WAL and the paged WAL that keeps record bodies on disk.
+  durable append-log (WAL) store with crash recovery, which keeps its
+  records resident up to a byte budget and pages them from the log past it.
 - :mod:`repro.salad.leaf` -- the leaf state machine (leaf table, record
   insertion per Fig. 4, join handling per Fig. 5, width recalc per Fig. 6).
 - :mod:`repro.salad.width` -- the Fig. 6 cell-ID width procedure.
@@ -42,7 +42,6 @@ from repro.salad.records import SaladRecord
 from repro.salad.salad import RunSettings, Salad, SaladConfig
 from repro.salad.storage import (
     BACKENDS,
-    PagedWalRecordStore,
     RecordStore,
     WalRecordStore,
     make_record_store,
@@ -51,7 +50,6 @@ from repro.salad.storage import (
 __all__ = [
     "RecordDatabase",
     "BACKENDS",
-    "PagedWalRecordStore",
     "RecordStore",
     "WalRecordStore",
     "make_record_store",

@@ -18,8 +18,8 @@ live records, so long churn runs keep the heap within a constant factor of
 the live record count instead of growing without bound.
 
 This is the in-memory implementation of the
-:class:`repro.salad.storage.RecordStore` contract; the two WAL backends
-in :mod:`repro.salad.storage` are observably identical (the shared
+:class:`repro.salad.storage.RecordStore` contract; the WAL store in
+:mod:`repro.salad.storage` is observably identical (the shared
 contract suite asserts it).  Matches are returned sorted by location and
 :meth:`records` iterates in ``(sort_key, location)`` order -- the orderings
 the contract fixes so every backend can reproduce them.

@@ -99,9 +99,9 @@ class SaladConfig:
     #: turns it on.
     deferred_width_recalc: bool = False
     #: Record-database backend per leaf: one of repro.salad.storage.BACKENDS
-    #: ("memory", "wal" or "wal-paged").  All three are contract-identical;
-    #: the durable two trade insert speed for crash recovery, and
-    #: "wal-paged" also for a bounded memory footprint.
+    #: ("memory" or "wal"; "wal-paged" is still accepted as another name for
+    #: "wal").  Both are contract-identical; "wal" adds crash recovery, and
+    #: each of its stores pages its records to disk past a byte budget.
     db_backend: str = "memory"
     #: Directory durable backends write under; each Salad makes its own
     #: subdirectory there, so repeated runs never reopen each other's files,

@@ -1,39 +1,16 @@
-"""Pluggable record-store backends for the SALAD leaf databases.
+"""Record-store backends for the SALAD leaf databases.
 
 The paper's full-scale deployment implies on the order of 10M
 ``(fingerprint, location)`` records spread across the leaf databases
-(section 5); holding them all in RAM is what blocks a laptop-scale
-full-corpus run.  This module extracts the :class:`RecordStore` contract
-that :class:`repro.salad.database.RecordDatabase` (the in-memory store)
-already implements and adds two durable backends:
-
-- :class:`WalRecordStore` -- an append-only write-ahead log of state-changing
-  operations with per-entry CRC32 framing.  Replay rebuilds the in-memory
-  index; a truncated or corrupt tail (a torn write from a crash) is detected
-  by the CRC and *dropped*, never fatal.  A stale-ratio-triggered compaction
-  rewrites the log as a snapshot of the live records;
-- :class:`PagedWalRecordStore` (``wal-paged``) -- the same log format, but the
-  records themselves stay on disk: memory holds only a flat open-addressed
-  key->offset index (16 bytes per slot: a 64-bit key, and a 44-bit log offset
-  above a 20-bit location tag) plus a small LRU record cache, and record
-  bodies are read back from the log on demand.  This is the backend
-  that bounds a flagship-scale run's RSS.  The plain WAL store keeps a full
-  :class:`~repro.salad.database.RecordDatabase` in memory, so at 10^6
-  records it *tracks* the memory backend's footprint; at the benchmark's
-  ~10^4 records per run it is the faster durable store (docs/PERFORMANCE.md,
-  "Record-store backends on salad-durable").
-
-All backends are observably identical for in-memory behavior: the
-shared contract suite (``tests/salad/test_record_stores.py``) runs them
-through the same associative-insert / capacity-eviction / iteration
-semantics and asserts bit-identical results.  The contract fixes two
-orderings the original in-memory store left to Python set iteration:
-duplicate matches are returned sorted by location, and :meth:`records`
-iterates in ``(sort_key, location)`` order.
-
-Backend selection threads through :class:`repro.salad.salad.SaladConfig`
-(``db_backend`` / ``db_dir``), which the experiment CLIs (``--db-backend
-memory|wal|wal-paged``, ``--db-dir``) fill in for every engine they build.
+(section 5).  This module holds the :class:`RecordStore` contract that the
+in-memory :class:`repro.salad.database.RecordDatabase` implements, and the
+one durable backend, :class:`WalRecordStore` (``wal``): a CRC-framed
+append log whose live records stay resident up to a byte budget and are
+paged from the log past it.  Every backend is observably identical for
+in-memory behavior (``tests/salad/test_record_stores.py`` runs one contract
+suite through all of them); ``SaladConfig.db_backend`` / ``db_dir``, filled
+in by the CLIs' ``--db-backend memory|wal`` and ``--db-dir``, pick one for
+every leaf of an engine.
 
 WAL format (version 1)::
 
@@ -68,13 +45,24 @@ from repro.core.fingerprint import FINGERPRINT_BYTES, Fingerprint
 from repro.salad.records import SaladRecord
 
 #: Known backend names, in documentation order.
-BACKENDS = ("memory", "wal", "wal-paged")
+BACKENDS = ("memory", "wal")
+#: Names accepted for a backend besides its own.  "wal-paged" named the
+#: paged store before it merged into "wal"; ROADMAP item 1 drops it.
+_ALIASES = {"wal-paged": "wal"}
+
+#: Bytes a durable store charges its budget per decoded record it holds
+#: (docs/PERFORMANCE.md, "One durable store", for how it was measured).
+RECORD_BYTES = 512
+#: A durable store's default budget (16,384 resident records).
+DEFAULT_BUDGET_BYTES = 8 << 20
 
 WAL_MAGIC = b"SALADWAL1\n"
 _OP_INSERT = 0x01
 _OP_REMOVE_LOCATION = 0x02
 _HEADER = struct.Struct(">BI")  # op, payload length
 _CRC = struct.Struct(">I")
+_INSERT_HEAD = struct.Struct(f">BI{FINGERPRINT_BYTES}sH")  # op, length, sort key, loc_len
+_REMOVE_HEAD = struct.Struct(">BIH")  # op, length, loc_len
 
 
 class RecordStore(abc.ABC):
@@ -108,8 +96,8 @@ class RecordStore(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int: ...
 
-    @abc.abstractmethod
-    def __contains__(self, fingerprint: Fingerprint) -> bool: ...
+    def __contains__(self, fingerprint: Fingerprint) -> bool:
+        return bool(self.locations(fingerprint))
 
     @abc.abstractmethod
     def locations(self, fingerprint: Fingerprint) -> Set[int]: ...
@@ -134,11 +122,12 @@ class RecordStore(abc.ABC):
         """Insert a batch in order; one ``(record, stored, matches)`` per record.
 
         The capacity policy is applied record by record, so a batch observes
-        exactly the same eviction decisions as a sequence of singles.
+        exactly the same eviction decisions as a sequence of singles.  The
+        whole batch is durable when the call returns.
         """
-        return [(record, *self.insert(record)) for record in records]
-
-    # -- durability ------------------------------------------------------------
+        results = [(record, *self.insert(record)) for record in records]
+        self.flush()
+        return results
 
     def flush(self) -> None:
         """Make all applied operations durable (no-op for memory stores)."""
@@ -162,257 +151,34 @@ class RecordStore(abc.ABC):
         return len(self)
 
 
-class WalRecordStore(RecordStore):
-    """An append-log (write-ahead) store with crash recovery and compaction.
+def _location_bytes(location: int) -> bytes:
+    return location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
 
-    Live state is an in-memory :class:`~repro.salad.database.RecordDatabase`
-    (so every read and the capacity policy are exactly the memory backend);
-    every *state-changing* operation is additionally framed and appended to
-    the log.  Reopening an existing log replays it to rebuild the state;
-    entries whose CRC fails or that are truncated mid-frame -- the torn tail
-    of a crash -- are dropped and the file is trimmed to the last valid
-    entry, never treated as fatal (:attr:`torn_bytes_dropped` reports how
-    much was discarded, :attr:`recovered_records` how many live records the
-    replay restored).
 
-    Appends buffer in memory and reach the file every ``sync_every`` logged
-    operations, at every batch boundary (:meth:`insert_many`), and on
-    :meth:`flush` / :meth:`close`; a crash loses at most the buffered tail.
+def _insert_frame(sort_key: bytes, location: int) -> bytes:
+    """A whole INSERT frame in one pack and one CRC."""
+    loc = _location_bytes(location)
+    body = _INSERT_HEAD.pack(
+        _OP_INSERT, FINGERPRINT_BYTES + 2 + len(loc), sort_key, len(loc)
+    ) + loc
+    return body + _CRC.pack(zlib.crc32(body))
 
-    Compaction: removals and evictions strand stale entries in the log.
-    When the log holds more than ``compact_ratio`` entries per live record
-    (checked after each logged operation, with a floor to leave small logs
-    alone), the log is rewritten as a snapshot -- one INSERT per live record
-    in ``(sort_key, location)`` order -- via an atomic temp-file replace.
-    """
 
-    _COMPACT_FLOOR = 1024
+def _remove_frame(location: int) -> bytes:
+    """A whole REMOVE_LOCATION frame."""
+    loc = _location_bytes(location)
+    body = _REMOVE_HEAD.pack(_OP_REMOVE_LOCATION, 2 + len(loc), len(loc)) + loc
+    return body + _CRC.pack(zlib.crc32(body))
 
-    def __init__(
-        self,
-        path: os.PathLike,
-        capacity: Optional[int] = None,
-        sync_every: int = 64,
-        compact_ratio: float = 4.0,
-    ):
-        if sync_every < 1:
-            raise ValueError(f"sync_every must be positive: {sync_every}")
-        if compact_ratio < 1.0:
-            raise ValueError(f"compact_ratio must be at least 1: {compact_ratio}")
-        from repro.salad.database import RecordDatabase
 
-        self.path = Path(path)
-        self._mem = RecordDatabase(capacity=capacity)
-        self._sync_every = sync_every
-        self._compact_ratio = compact_ratio
-        self._buffer = bytearray()
-        self._buffered_ops = 0
-        self._log_ops = 0  # entries in the on-disk log plus the buffer
-        self.recovered_records = 0
-        self.torn_bytes_dropped = 0
-        # Telemetry (harvested by repro.salad.telemetry).
-        self.compactions = 0
-        self.sync_writes = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._replay()
-            # Replay re-runs the capacity policy; its eviction/rejection
-            # outcomes belong to the previous session, not this one.
-            self._mem.evictions = 0
-            self._mem.rejections = 0
-        else:
-            self.path.write_bytes(WAL_MAGIC)
-        self._fh = open(self.path, "ab", buffering=0)  # unbuffered appends
-        self.recovered_records = len(self._mem)
-
-    # -- delegated reads (the memory store is the live state) -----------------
-
-    capacity = property(lambda self: self._mem.capacity)
-    evictions = property(lambda self: self._mem.evictions)
-    rejections = property(lambda self: self._mem.rejections)
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        return fingerprint in self._mem
-
-    def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        return self._mem.locations(fingerprint)
-
-    def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        return self._mem.has_location(fingerprint, location)
-
-    def records(self) -> Iterator[SaladRecord]:
-        return self._mem.records()
-
-    # -- log framing -----------------------------------------------------------
-
-    @staticmethod
-    def _frame(op: int, payload: bytes) -> bytes:
-        head = _HEADER.pack(op, len(payload))
-        return head + payload + _CRC.pack(zlib.crc32(head + payload))
-
-    @staticmethod
-    def _insert_payload(record: SaladRecord) -> bytes:
-        loc = record.location.to_bytes(
-            max(1, (record.location.bit_length() + 7) // 8), "big"
-        )
-        return record.sort_key() + struct.pack(">H", len(loc)) + loc
-
-    @staticmethod
-    def _remove_payload(location: int) -> bytes:
-        loc = location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
-        return struct.pack(">H", len(loc)) + loc
-
-    def _append(self, op: int, payload: bytes) -> None:
-        self._buffer += self._frame(op, payload)
-        self._buffered_ops += 1
-        self._log_ops += 1
-        if self._buffered_ops >= self._sync_every:
-            self._write_out()
-        self._maybe_compact()
-
-    def _write_out(self) -> None:
-        if self._buffer:
-            self._fh.write(bytes(self._buffer))
-            self._buffer.clear()
-            self.sync_writes += 1
-        self._buffered_ops = 0
-
-    # -- mutations -------------------------------------------------------------
-
-    def insert(
-        self, record: SaladRecord, limit: Optional[int] = None
-    ) -> Tuple[bool, List[SaladRecord]]:
-        stored, matches = self._mem.insert(record, limit)
-        if stored:
-            # Evictions need no log entry of their own: replaying the stored
-            # inserts through the same capacity policy re-derives them.
-            self._append(_OP_INSERT, self._insert_payload(record))
-        return stored, matches
-
-    def insert_many(
-        self, records: Iterable[SaladRecord]
-    ) -> List[Tuple[SaladRecord, bool, List[SaladRecord]]]:
-        results = [(record, *self.insert(record)) for record in records]
-        self._write_out()  # batch boundary: make the whole batch durable
-        return results
-
-    def remove_location(self, location: int) -> int:
-        removed = self._mem.remove_location(location)
-        if removed:
-            self._append(_OP_REMOVE_LOCATION, self._remove_payload(location))
-        return removed
-
-    # -- replay & recovery -----------------------------------------------------
-
-    def _replay(self) -> None:
-        data = self.path.read_bytes()
-        if not data.startswith(WAL_MAGIC):
-            # Foreign or garbage file: treat the whole thing as a torn tail.
-            self.torn_bytes_dropped = len(data)
-            self.path.write_bytes(WAL_MAGIC)
-            return
-        offset = len(WAL_MAGIC)
-        valid_end = offset
-        while offset < len(data):
-            if offset + _HEADER.size > len(data):
-                break  # truncated header
-            op, length = _HEADER.unpack_from(data, offset)
-            frame_end = offset + _HEADER.size + length + _CRC.size
-            if frame_end > len(data):
-                break  # truncated payload/CRC
-            payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
-            (crc,) = _CRC.unpack_from(data, offset + _HEADER.size + length)
-            if crc != zlib.crc32(data[offset : offset + _HEADER.size + length]):
-                break  # corrupt entry: drop it and everything after
-            if not self._apply(op, payload):
-                break  # unparseable payload: same treatment as a bad CRC
-            offset = frame_end
-            valid_end = frame_end
-            self._log_ops += 1
-        self.torn_bytes_dropped = len(data) - valid_end
-        if self.torn_bytes_dropped:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
-
-    def _apply(self, op: int, payload: bytes) -> bool:
-        try:
-            if op == _OP_INSERT:
-                key = payload[:FINGERPRINT_BYTES]
-                (loc_len,) = struct.unpack_from(">H", payload, FINGERPRINT_BYTES)
-                loc_bytes = payload[FINGERPRINT_BYTES + 2 :]
-                if len(key) != FINGERPRINT_BYTES or len(loc_bytes) != loc_len:
-                    return False
-                self._mem.insert(
-                    SaladRecord(
-                        fingerprint=Fingerprint.from_bytes(key),
-                        location=int.from_bytes(loc_bytes, "big"),
-                    )
-                )
-            elif op == _OP_REMOVE_LOCATION:
-                (loc_len,) = struct.unpack_from(">H", payload, 0)
-                loc_bytes = payload[2:]
-                if len(loc_bytes) != loc_len:
-                    return False
-                self._mem.remove_location(int.from_bytes(loc_bytes, "big"))
-            else:
-                return False
-        except (ValueError, struct.error):
-            return False
-        return True
-
-    # -- compaction ------------------------------------------------------------
-
-    @property
-    def log_ops(self) -> int:
-        """Entries currently in the log (disk plus buffer)."""
-        return self._log_ops
-
-    def _maybe_compact(self) -> None:
-        if self._log_ops <= self._COMPACT_FLOOR:
-            return
-        if self._log_ops <= self._compact_ratio * max(1, len(self._mem)):
-            return
-        self.compact()
-
-    def compact(self) -> None:
-        """Rewrite the log as a snapshot of the live records (atomic)."""
-        tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        with open(tmp, "wb") as fh:
-            fh.write(WAL_MAGIC)
-            count = 0
-            for record in self._mem.records():
-                fh.write(self._frame(_OP_INSERT, self._insert_payload(record)))
-                count += 1
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._fh.close()
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "ab", buffering=0)
-        self._buffer.clear()
-        self._buffered_ops = 0
-        self._log_ops = count
-        self.compactions += 1
-
-    # -- durability ------------------------------------------------------------
-
-    def flush(self) -> None:
-        self._write_out()
-
-    def close(self) -> None:
-        self._write_out()
-        self._fh.close()
-
-    def crash(self) -> None:
-        # Abandon the buffered tail: those operations never reached the file.
-        self._buffer.clear()
-        self._buffered_ops = 0
-        self._fh.close()
-
-    @property
-    def pending_records(self) -> int:
-        return min(self._buffered_ops, len(self._mem))
+def _decode_insert(buf, offset: int) -> SaladRecord:
+    """The record of the INSERT frame the store wrote at *offset* of *buf*."""
+    start = offset + _HEADER.size + FINGERPRINT_BYTES
+    end = offset + _HEADER.size + _HEADER.unpack_from(buf, offset)[1]
+    return SaladRecord(
+        Fingerprint.from_bytes(bytes(buf[start - FINGERPRINT_BYTES : start])),
+        int.from_bytes(buf[start + 2 : end], "big"),
+    )
 
 
 #: Low bits of every index slot's value word that hold the record's location
@@ -432,25 +198,16 @@ _TOMBSTONE = 1
 class _OffsetIndex:
     """Flat open-addressed hash multimap: 64-bit key -> tagged log offsets.
 
-    The paged store's only per-record memory: one ``array('Q')`` holding
-    interleaved ``[key, word]`` slot pairs (16 bytes each), linear probing,
-    power-of-two sizing.  ``word`` is ``offset << 20 | tag``: the record's log
-    offset above a 20-bit tag the caller derives from the record's location.
-    Offsets are always ``>= len(WAL_MAGIC)``, so every real word exceeds
-    2^20, freeing 0 (EMPTY) and 1 (TOMBSTONE) as sentinels.
-
-    Keys are a 64-bit digest slice of the record's sort key, so distinct
-    fingerprints may collide -- the store disambiguates by reading the
-    records back, which is why this is a multimap (lookup returns every
-    offset filed under the key, probing past tombstones until EMPTY).  The
-    tag lets the store ask for one ``(key, location)`` instead: no slot with
-    that key and tag means no such record, without reading anything.
-
-    The home slot is a multiplicative mix of the key, never ``key & mask``:
-    a SALAD leaf stores only records of its own cell, and the cell-ID *is*
-    the low W bits of the content hash (Eq. 7) -- the key's low bits -- so
-    on any one leaf they are all equal and would pile every key onto
-    ``slots / 2^W`` home positions.
+    The paged layout's only per-record memory: one ``array('Q')`` of
+    ``[key, word]`` slot pairs (16 bytes each), linear probing, power-of-two
+    sizing.  ``word`` is ``offset << 20 | tag``, the record's log offset
+    above 20 low bits of its location; offsets are ``>= len(WAL_MAGIC)``, so
+    0 (EMPTY) and 1 (TOMBSTONE) are free as sentinels.  Keys are a 64-bit
+    slice of the sort key, so distinct fingerprints may share one and the
+    store reads candidates back; no slot with a key and tag means no such
+    record, with nothing read.  The home slot mixes the whole key, never
+    ``key & mask``: on one leaf every key's low bits are the cell-ID
+    (Eq. 7).  DESIGN.md, "Record-store backends", has the full layout.
     """
 
     __slots__ = ("_shift", "_wrap", "_table", "_used", "_live")
@@ -489,21 +246,9 @@ class _OffsetIndex:
                 return
             j = (j + 2) & wrap
 
-    def lookup(self, key: int) -> List[int]:
-        """Every offset filed under *key* (hash collisions included)."""
-        table, wrap = self._table, self._wrap
-        j = ((key * _MIX & _M64) >> self._shift) << 1
-        out: List[int] = []
-        while True:
-            value = table[j + 1]
-            if value == _EMPTY:
-                return out
-            if table[j] == key and value != _TOMBSTONE:
-                out.append(value >> _TAG_BITS)
-            j = (j + 2) & wrap
-
-    def lookup_tagged(self, key: int, tag: int) -> List[int]:
-        """The offsets filed under *key* whose slot carries *tag*."""
+    def lookup(self, key: int, tag: Optional[int] = None) -> List[int]:
+        """The offsets filed under *key* (hash collisions included); with a
+        *tag*, only those whose slot carries it."""
         table, wrap = self._table, self._wrap
         j = ((key * _MIX & _M64) >> self._shift) << 1
         out: List[int] = []
@@ -512,7 +257,11 @@ class _OffsetIndex:
             if value == _EMPTY:
                 return out
             # A tombstone keeps its key and reads as tag 1: exclude it.
-            if table[j] == key and value & _TAG_MASK == tag and value != _TOMBSTONE:
+            if (
+                table[j] == key
+                and value != _TOMBSTONE
+                and (tag is None or value & _TAG_MASK == tag)
+            ):
                 out.append(value >> _TAG_BITS)
             j = (j + 2) & wrap
 
@@ -539,8 +288,7 @@ class _OffsetIndex:
 
     def _rebuild(self) -> None:
         # Double when live entries are genuinely dense; otherwise rebuild at
-        # the same size, which drops the tombstones that tripped the load
-        # check.
+        # the same size, dropping the tombstones that tripped the load check.
         old = self._table
         slots = len(old) // 2
         if 3 * (self._live + 1) >= 2 * slots:
@@ -552,71 +300,48 @@ class _OffsetIndex:
                 self._place(old[j], value)
 
 
-_INSERT_HEAD = struct.Struct(f">BI{FINGERPRINT_BYTES}sH")  # op, length, sort key, loc_len
-
-
-def _insert_frame(sort_key: bytes, location: int) -> bytes:
-    """A whole INSERT frame in one pack and one CRC.
-
-    Byte-identical to ``WalRecordStore._frame(_OP_INSERT,
-    WalRecordStore._insert_payload(record))``, which stays the reference.
-    """
-    loc = location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
-    body = _INSERT_HEAD.pack(
-        _OP_INSERT, FINGERPRINT_BYTES + 2 + len(loc), sort_key, len(loc)
-    ) + loc
-    return body + _CRC.pack(zlib.crc32(body))
-
-
 def _key64(sort_key: bytes) -> int:
-    # The sort key ends in the fingerprint's hash digest, so its last 8 bytes
-    # are uniform -- except, on any one leaf, the cell-ID in their low bits,
-    # which the index's home-slot mix spreads.
+    # The sort key ends in the hash digest: uniform bytes, except on one leaf
+    # the cell-ID in their low bits, which the index's home-slot mix spreads.
     return int.from_bytes(sort_key[-8:], "big")
 
 
 _by_location = attrgetter("location")
 
 
-class PagedWalRecordStore(RecordStore):
-    """The WAL with paging: records live in the log, not in memory.
+class WalRecordStore(RecordStore):
+    """A CRC-framed append log whose live records stay resident up to a budget.
 
-    Same on-disk format as :class:`WalRecordStore` (the two classes open
-    each other's files), but instead of mirroring the log into a full
-    in-memory :class:`~repro.salad.database.RecordDatabase`, memory holds:
+    Only state-changing operations are logged; evictions need no entry, as
+    replaying the stored inserts through the same capacity policy
+    re-derives them.  Appends buffer in memory and reach the file every
+    ``sync_every`` operations, at batch boundaries (:meth:`insert_many`) and
+    on :meth:`flush` / :meth:`close`, so a crash loses at most the buffered
+    tail.  No file descriptor is held between write-outs: an engine opens one
+    store per leaf.
 
-    - a :class:`_OffsetIndex` mapping a 64-bit slice of each record's sort
-      key to the offset of its INSERT frame, tagged with the low 20 bits of
-      the record's location (~24-48 bytes per record at the index's load
-      factor, vs hundreds for dict-of-set mirrors);
-    - a bounded LRU cache of decoded records keyed by offset
-      (``cache_records`` entries; :attr:`page_hits` / :attr:`page_misses`
-      count its effectiveness);
-    - only when a ``capacity`` is set: a bisect-sorted list of live
-      ``(sort_key, location)`` pairs serving the Fig. 13 lowest-record
-      probe (bounded by the capacity itself, so it never grows with the
-      log).
+    While the live records fit ``budget_bytes`` (each charged
+    :data:`RECORD_BYTES`) the store is *resident*: a full
+    :class:`~repro.salad.database.RecordDatabase` mirror serves every read
+    and the capacity policy, and an insert is one mirror update plus one
+    frame append.  Once they exceed it the store *pages* for the rest of the
+    open: one pass over the log and its buffer builds an :class:`_OffsetIndex`
+    and drops the mirror; record bodies are read back through an LRU of
+    decoded records bounded by the same budget.  A paged ``has_location``
+    answers "absent" from the index's location tag with nothing read, and
+    confirms a tagged slot by reading that one record back
+    (:attr:`tag_rejects` counts refused hints).  With a ``capacity``, a
+    sorted list of live ``(sort_key, location)`` pairs serves the Fig. 13
+    lowest-record probe.  The switch writes nothing, so a crash loses the
+    same tail on either side of it.
 
-    "Is this ``(fingerprint, location)`` already here?" -- what a leaf asks
-    for every arriving record, two times in three about a redelivery -- is
-    answered from the index: every live record's slot carries its own key
-    and tag, so no slot with both means *absent*, exactly, with nothing
-    read; a slot with both is only a hint (2^-20 tags and 2^-64 keys
-    collide), so that one record is read back and its full sort key and
-    location confirmed.  :attr:`tag_rejects` counts hints the read-back
-    refused.  Only the matches an ``insert`` must return read every record
-    filed under the key.
-
-    Cache misses read the frame back from the log: a short ``seek + read``
-    against the backing file, or a parse out of the append buffer for
-    offsets not yet written out.  No file descriptor is held between
-    operations -- a flagship-scale run opens one store per leaf (10^5 of
-    them), which would exhaust the fd table if each pinned one.
-
-    Compaction rewrites the log as a live snapshot exactly like the plain
-    WAL, then *remaps* every index entry to its new offset and drops the
-    (offset-keyed) cache.  Recovery semantics are identical: CRC-framed
-    replay, torn tails trimmed, capacity policy re-run.
+    Reopening replays the log, resident until the replayed live records
+    exceed the budget.  A CRC failure or a truncated frame (the torn tail of
+    a crash) ends the log there: the file is trimmed, never treated as fatal
+    (:attr:`torn_bytes_dropped`).  When the log holds more than
+    ``compact_ratio`` entries per live record (past a floor), it is rewritten
+    as a live snapshot in ``(sort_key, location)`` order via an atomic
+    temp-file replace.
     """
 
     _COMPACT_FLOOR = 1024
@@ -627,60 +352,88 @@ class PagedWalRecordStore(RecordStore):
         capacity: Optional[int] = None,
         sync_every: int = 64,
         compact_ratio: float = 4.0,
-        cache_records: int = 512,
+        budget_bytes: Optional[int] = None,
     ):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be positive if set: {capacity}")
+        from repro.salad.database import RecordDatabase
+
+        if budget_bytes is None:
+            budget_bytes = DEFAULT_BUDGET_BYTES
+        if budget_bytes < 0:
+            raise ValueError(f"budget_bytes must not be negative: {budget_bytes}")
         if sync_every < 1:
             raise ValueError(f"sync_every must be positive: {sync_every}")
         if compact_ratio < 1.0:
             raise ValueError(f"compact_ratio must be at least 1: {compact_ratio}")
-        if cache_records < 1:
-            raise ValueError(f"cache_records must be positive: {cache_records}")
         self.path = Path(path)
         self.capacity = capacity
-        self.evictions = 0
-        self.rejections = 0
+        self.budget_bytes = budget_bytes
+        #: Decoded records the budget holds: the mirror's ceiling, then the LRU's.
+        self._resident_limit = budget_bytes // RECORD_BYTES
         self._sync_every = sync_every
         self._compact_ratio = compact_ratio
-        self._cache_limit = cache_records
-        self._index = _OffsetIndex()
-        #: Live (sort_key, location) pairs, sorted; capacity stores only.
-        self._sorted: Optional[List[Tuple[bytes, int]]] = (
-            [] if capacity is not None else None
-        )
+        #: The resident layout; None once the store pages.
+        self._mem: Optional[RecordDatabase] = RecordDatabase(capacity=capacity)
+        #: The paged layout, made by _start_paging.
+        self._index: Optional[_OffsetIndex] = None
+        self._sorted: Optional[List[Tuple[bytes, int]]] = None  # capacity stores only
         self._cache: "OrderedDict[int, SaladRecord]" = OrderedDict()
+        self._evictions = self._rejections = 0  # paged; the mirror counts its own
         self._buffer = bytearray()
         self._buffered_ops = 0
         self._file_end = len(WAL_MAGIC)  # logical offsets >= this are buffered
-        self._log_ops = 0
-        # Replay-time window into the whole file, so recovery reads need no
-        # per-record file opens; None outside __init__.
-        self._replay_data: Optional[bytes] = None
-        self.recovered_records = 0
+        self._log_ops = 0  # entries in the on-disk log plus the buffer
         self.torn_bytes_dropped = 0
         # Telemetry (harvested by repro.salad.telemetry).
-        self.compactions = 0
-        self.sync_writes = 0
-        self.page_hits = 0
-        self.page_misses = 0
-        self.tag_rejects = 0
+        self.compactions = self.sync_writes = self.page_outs = 0
+        self.page_hits = self.page_misses = self.tag_rejects = 0
         if self.path.exists() and self.path.stat().st_size > 0:
             self._replay()
             # Replay re-runs the capacity policy; its eviction/rejection
             # outcomes belong to the previous session, not this one.
-            self.evictions = 0
-            self.rejections = 0
+            self._evictions = self._rejections = 0
+            if self._mem is not None:
+                self._mem.evictions = self._mem.rejections = 0
         else:
             self.path.write_bytes(WAL_MAGIC)
-        self.recovered_records = len(self._index)
+        self.recovered_records = len(self)
 
-    # -- reads -----------------------------------------------------------------
+    evictions = property(lambda s: s._evictions if s._mem is None else s._mem.evictions)
+    rejections = property(lambda s: s._rejections if s._mem is None else s._mem.rejections)
+
+    @property
+    def resident_bytes(self) -> int:
+        """Budget charged by the decoded records held: the mirror or the LRU."""
+        mem = self._mem
+        return RECORD_BYTES * (len(self._cache) if mem is None else len(mem))
+
+    def __len__(self) -> int:
+        mem = self._mem
+        return len(self._index) if mem is None else len(mem)
+
+    def locations(self, fingerprint: Fingerprint) -> Set[int]:
+        mem = self._mem
+        if mem is not None:
+            return mem.locations(fingerprint)
+        sort_key = fingerprint.to_bytes()
+        return {r.location for r in self._matches(sort_key, _key64(sort_key))}
+
+    def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
+        mem = self._mem
+        if mem is not None:
+            return mem.has_location(fingerprint, location)
+        sort_key = fingerprint.to_bytes()
+        return self._find(sort_key, _key64(sort_key), location) is not None
+
+    def records(self) -> Iterator[SaladRecord]:
+        mem = self._mem
+        if mem is not None:
+            return mem.records()
+        live = [self._record_at(offset, cache=False) for _, offset, _ in self._index.items()]
+        live.sort(key=lambda r: (r.sort_key(), r.location))
+        return iter(live)
 
     def _record_at(self, offset: int, cache: bool = True) -> SaladRecord:
         """The record whose INSERT frame starts at logical *offset*."""
-        if self._replay_data is not None:
-            return self._parse_insert(self._replay_data, offset)
         record = self._cache.get(offset)
         if record is not None:
             self._cache.move_to_end(offset)
@@ -688,44 +441,25 @@ class PagedWalRecordStore(RecordStore):
             return record
         self.page_misses += 1
         if offset >= self._file_end:
-            record = self._parse_insert(self._buffer, offset - self._file_end)
+            record = _decode_insert(self._buffer, offset - self._file_end)
         else:
             with open(self.path, "rb") as fh:
                 fh.seek(offset)
-                op, length = _HEADER.unpack(fh.read(_HEADER.size))
-                record = self._decode_insert(fh.read(length))
+                head = fh.read(_HEADER.size)
+                record = _decode_insert(head + fh.read(_HEADER.unpack(head)[1]), 0)
         if cache:
             self._cache_put(offset, record)
         return record
 
-    @classmethod
-    def _parse_insert(cls, buf, offset: int) -> SaladRecord:
-        op, length = _HEADER.unpack_from(buf, offset)
-        start = offset + _HEADER.size
-        return cls._decode_insert(bytes(buf[start : start + length]))
-
-    @staticmethod
-    def _decode_insert(payload: bytes) -> SaladRecord:
-        key = payload[:FINGERPRINT_BYTES]
-        loc_bytes = payload[FINGERPRINT_BYTES + 2 :]
-        return SaladRecord(
-            fingerprint=Fingerprint.from_bytes(key),
-            location=int.from_bytes(loc_bytes, "big"),
-        )
-
     def _cache_put(self, offset: int, record: SaladRecord) -> None:
         cache = self._cache
-        cache[offset] = record
-        cache.move_to_end(offset)
-        if len(cache) > self._cache_limit:
+        cache[offset] = record  # always a new offset: a miss, or a new frame
+        if len(cache) > self._resident_limit:
             cache.popitem(last=False)
 
     def _matches(self, sort_key: bytes, key: int) -> List[SaladRecord]:
-        """Live records whose sort key equals *sort_key*, in slot order.
-
-        The index key is only a 64-bit slice, so every candidate offset is
-        read back and verified against the full sort key.
-        """
+        """Live records with *sort_key*: every candidate under the 64-bit
+        *key* is read back and verified, in slot order."""
         return [
             record
             for offset in self._index.lookup(key)
@@ -734,117 +468,85 @@ class PagedWalRecordStore(RecordStore):
 
     def _find(self, sort_key: bytes, key: int, location: int) -> Optional[int]:
         """Offset of the live record ``(sort_key, location)``; None if absent.
-
-        No slot under *key* tagged with the location's low bits: absent,
-        nothing read.  A tagged slot is read back and confirmed in full.
-        """
-        for offset in self._index.lookup_tagged(key, location & _TAG_MASK):
+        Only slots tagged with the location's low bits are read back."""
+        for offset in self._index.lookup(key, location & _TAG_MASK):
             record = self._record_at(offset)
             if record.location == location and record.sort_key() == sort_key:
                 return offset
             self.tag_rejects += 1
         return None
 
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, fingerprint: Fingerprint) -> bool:
-        sort_key = fingerprint.to_bytes()
-        return bool(self._matches(sort_key, _key64(sort_key)))
-
-    def locations(self, fingerprint: Fingerprint) -> Set[int]:
-        sort_key = fingerprint.to_bytes()
-        return {r.location for r in self._matches(sort_key, _key64(sort_key))}
-
-    def has_location(self, fingerprint: Fingerprint, location: int) -> bool:
-        sort_key = fingerprint.to_bytes()
-        key = _key64(sort_key)
-        return self._find(sort_key, key, location) is not None
-
-    def records(self) -> Iterator[SaladRecord]:
-        everything = [
-            self._record_at(offset, cache=False)
-            for _, offset, _ in self._index.items()
-        ]
-        everything.sort(key=lambda r: (r.sort_key(), r.location))
-        return iter(everything)
-
-    # -- mutations -------------------------------------------------------------
-
     def insert(
         self, record: SaladRecord, limit: Optional[int] = None
+    ) -> Tuple[bool, List[SaladRecord]]:
+        mem = self._mem
+        if mem is None:
+            return self._insert_paged(record, limit)
+        stored, matches = mem.insert(record, limit)
+        if stored:
+            self._append(_insert_frame(record.sort_key(), record.location))
+            if len(mem) > self._resident_limit:
+                self._page_out()
+            self._maybe_compact()
+        return stored, matches
+
+    def _insert_paged(
+        self, record: SaladRecord, limit: Optional[int]
     ) -> Tuple[bool, List[SaladRecord]]:
         sort_key = record.sort_key()
         key = _key64(sort_key)
         location = record.location
+        # Every candidate is read back either way (a 20-bit tag cannot order
+        # full locations); only the sort is cut to the matches returned.
         same = self._matches(sort_key, key)
-        # Every candidate is read back either way: the slot tag is 20 low
-        # bits of a location, which cannot order full locations.  Only the
-        # sort is cut to the matches returned.
-        if limit is None or limit >= len(same):
-            matches = sorted(same, key=_by_location)
-        else:
-            matches = heapq.nsmallest(limit, same, key=_by_location)
-        for match in same:
-            if match.location == location:
-                return False, matches
-        if not self._make_room(sort_key):
+        matches = heapq.nsmallest(
+            len(same) if limit is None else limit, same, key=_by_location
+        )
+        if any(match.location == location for match in same):
             return False, matches
         offset = self._file_end + len(self._buffer)
+        if not self._admit(sort_key, key, location, offset):
+            return False, matches
         self._append(_insert_frame(sort_key, location))
-        self._index.add(key, offset, location & _TAG_MASK)
-        if self._sorted is not None:
-            insort(self._sorted, (sort_key, location))
         self._cache_put(offset, record)
         self._maybe_compact()
         return True, matches
 
-    def insert_many(
-        self, records: Iterable[SaladRecord]
-    ) -> List[Tuple[SaladRecord, bool, List[SaladRecord]]]:
-        results = [(record, *self.insert(record)) for record in records]
-        self._write_out()  # batch boundary: make the whole batch durable
-        return results
-
-    def _make_room(self, sort_key: bytes) -> bool:
-        """Apply the capacity policy for a new record; False means rejected.
-
-        Evictions write no log entry: replaying the logged inserts through
-        the same capacity policy re-derives them, exactly as in the plain
-        WAL store.
-        """
-        if self.capacity is None or len(self._index) < self.capacity:
-            return True
-        lowest = self._sorted[0] if self._sorted else None
-        if lowest is None or sort_key <= lowest[0]:
-            self.rejections += 1
-            return False
-        lowest_key = _key64(lowest[0])
-        offset = self._find(lowest[0], lowest_key, lowest[1])
-        if offset is None:
-            raise AssertionError("eviction target vanished from the index")
-        self._index.remove(lowest_key, offset)
-        self._cache.pop(offset, None)
-        del self._sorted[0]
-        self.evictions += 1
-        return True
-
     def remove_location(self, location: int) -> int:
-        """Drop every record pointing at *location* (a departed machine).
-
-        A full index scan -- the paged store keeps no per-location index in
-        memory -- that reads back only the slots tagged with the location's
-        low bits.  Departures are rare (once per machine death) and per-leaf
-        logs are small, so the scan is the right trade against carrying
-        another always-on in-memory index.
-        """
-        removed = self._drop_location(location)
+        mem = self._mem
+        removed = (
+            self._drop_location(location) if mem is None else mem.remove_location(location)
+        )
         if removed:
-            self._append(self._frame(_OP_REMOVE_LOCATION, self._remove_payload(location)))
+            self._append(_remove_frame(location))
             self._maybe_compact()
         return removed
 
+    def _admit(self, sort_key: bytes, key: int, location: int, offset: int) -> bool:
+        """Index a new record framed at *offset*, under the capacity policy;
+        False means rejected."""
+        ordered = self._sorted  # a list exactly when there is a capacity
+        if ordered is not None and len(self._index) >= self.capacity:
+            lowest_sort_key, lowest_location = ordered[0]
+            if sort_key <= lowest_sort_key:
+                self._rejections += 1
+                return False
+            lowest_key = _key64(lowest_sort_key)
+            evicted = self._find(lowest_sort_key, lowest_key, lowest_location)
+            if evicted is None:
+                raise AssertionError("eviction target vanished from the index")
+            self._index.remove(lowest_key, evicted)
+            self._cache.pop(evicted, None)
+            del ordered[0]
+            self._evictions += 1
+        self._index.add(key, offset, location & _TAG_MASK)
+        if ordered is not None:
+            insort(ordered, (sort_key, location))
+        return True
+
     def _drop_location(self, location: int) -> int:
+        """Paged removal: an index scan that reads back only the slots tagged
+        with the location's low bits (departures are rare)."""
         tag = location & _TAG_MASK
         victims = [
             (key, offset, record)
@@ -859,11 +561,6 @@ class PagedWalRecordStore(RecordStore):
                 self._sorted.remove((record.sort_key(), location))
         return len(victims)
 
-    # -- log append (shared framing with WalRecordStore) -----------------------
-
-    _frame = staticmethod(WalRecordStore._frame)
-    _remove_payload = staticmethod(WalRecordStore._remove_payload)
-
     def _append(self, frame: bytes) -> None:
         self._buffer += frame
         self._buffered_ops += 1
@@ -874,78 +571,93 @@ class PagedWalRecordStore(RecordStore):
     def _write_out(self) -> None:
         if self._buffer:
             with open(self.path, "ab") as fh:
-                fh.write(bytes(self._buffer))
+                fh.write(self._buffer)
             self._file_end += len(self._buffer)
             self._buffer.clear()
             self.sync_writes += 1
         self._buffered_ops = 0
 
-    # -- replay & recovery -----------------------------------------------------
+    def _start_paging(self) -> None:
+        self._mem = None
+        self._index = _OffsetIndex()
+        self._sorted = [] if self.capacity is not None else None
+        self.page_outs += 1
+
+    def _page_out(self) -> None:
+        """Leave the resident layout: index the log and its buffer in one pass."""
+        counts = self.evictions, self.rejections
+        self._start_paging()
+        self._load(self.path.read_bytes() + self._buffer)
+        # The pass re-runs the capacity policy over outcomes already counted.
+        self._evictions, self._rejections = counts
 
     def _replay(self) -> None:
         data = self.path.read_bytes()
         if not data.startswith(WAL_MAGIC):
+            # Foreign or garbage file: treat the whole thing as a torn tail.
             self.torn_bytes_dropped = len(data)
             self.path.write_bytes(WAL_MAGIC)
             return
-        self._replay_data = data
-        try:
-            offset = len(WAL_MAGIC)
-            valid_end = offset
-            while offset < len(data):
-                if offset + _HEADER.size > len(data):
-                    break  # truncated header
-                op, length = _HEADER.unpack_from(data, offset)
-                frame_end = offset + _HEADER.size + length + _CRC.size
-                if frame_end > len(data):
-                    break  # truncated payload/CRC
-                payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
-                (crc,) = _CRC.unpack_from(data, offset + _HEADER.size + length)
-                if crc != zlib.crc32(data[offset : offset + _HEADER.size + length]):
-                    break  # corrupt entry: drop it and everything after
-                if not self._apply(op, payload, offset):
-                    break  # unparseable payload: same treatment as a bad CRC
-                offset = frame_end
-                valid_end = frame_end
-                self._log_ops += 1
-        finally:
-            self._replay_data = None
+        self._file_end = len(data)  # paged read-backs find every frame on disk
+        self._file_end = valid_end = self._load(data)
         self.torn_bytes_dropped = len(data) - valid_end
         if self.torn_bytes_dropped:
             with open(self.path, "r+b") as fh:
                 fh.truncate(valid_end)
-        self._file_end = valid_end
+
+    def _load(self, data: bytes) -> int:
+        """Apply every valid frame of *data* to the live state; the valid end.
+        A resident pass whose live records outgrow the budget starts over
+        paged."""
+        offset = valid_end = len(WAL_MAGIC)
+        ops = 0
+        while offset + _HEADER.size <= len(data):
+            op, length = _HEADER.unpack_from(data, offset)
+            body_end = offset + _HEADER.size + length
+            if body_end + _CRC.size > len(data):
+                break  # truncated payload/CRC
+            (crc,) = _CRC.unpack_from(data, body_end)
+            if crc != zlib.crc32(data[offset:body_end]):
+                break  # corrupt entry: drop it and everything after
+            if not self._apply(op, data[offset + _HEADER.size : body_end], offset):
+                break  # unparseable payload: same treatment as a bad CRC
+            offset = valid_end = body_end + _CRC.size
+            ops += 1
+            if self._mem is not None and len(self._mem) > self._resident_limit:
+                self._start_paging()
+                return self._load(data)
+        self._log_ops = ops
+        return valid_end
 
     def _apply(self, op: int, payload: bytes, offset: int) -> bool:
-        """Replay one frame at *offset* through the live-state policy."""
+        """Replay the frame at *offset* through the live-state policy."""
         try:
             if op == _OP_INSERT:
                 sort_key = payload[:FINGERPRINT_BYTES]
                 (loc_len,) = struct.unpack_from(">H", payload, FINGERPRINT_BYTES)
-                loc_bytes = payload[FINGERPRINT_BYTES + 2 :]
-                if len(sort_key) != FINGERPRINT_BYTES or len(loc_bytes) != loc_len:
+                if len(payload) != FINGERPRINT_BYTES + 2 + loc_len:
                     return False
-                location = int.from_bytes(loc_bytes, "big")
-                key = _key64(sort_key)
-                if self._find(sort_key, key, location) is not None:
-                    return True  # idempotent replay of an odd log
-                if self._make_room(sort_key):
-                    self._index.add(key, offset, location & _TAG_MASK)
-                    if self._sorted is not None:
-                        insort(self._sorted, (sort_key, location))
+                location = int.from_bytes(payload[FINGERPRINT_BYTES + 2 :], "big")
+                if self._mem is not None:
+                    self._mem.insert(SaladRecord(Fingerprint.from_bytes(sort_key), location))
+                else:
+                    key = _key64(sort_key)
+                    if self._find(sort_key, key, location) is None:  # odd logs repeat
+                        self._admit(sort_key, key, location, offset)
             elif op == _OP_REMOVE_LOCATION:
                 (loc_len,) = struct.unpack_from(">H", payload, 0)
-                loc_bytes = payload[2:]
-                if len(loc_bytes) != loc_len:
+                if len(payload) != 2 + loc_len:
                     return False
-                self._drop_location(int.from_bytes(loc_bytes, "big"))
+                location = int.from_bytes(payload[2:], "big")
+                if self._mem is not None:
+                    self._mem.remove_location(location)
+                else:
+                    self._drop_location(location)
             else:
                 return False
         except (ValueError, struct.error, IndexError):
             return False
         return True
-
-    # -- compaction ------------------------------------------------------------
 
     @property
     def log_ops(self) -> int:
@@ -953,21 +665,15 @@ class PagedWalRecordStore(RecordStore):
         return self._log_ops
 
     def _maybe_compact(self) -> None:
-        if self._log_ops <= self._COMPACT_FLOOR:
-            return
-        if self._log_ops <= self._compact_ratio * max(1, len(self._index)):
-            return
-        self.compact()
+        ops = self._log_ops
+        if ops > self._COMPACT_FLOOR and ops > self._compact_ratio * max(1, len(self)):
+            self.compact()
 
     def compact(self) -> None:
-        """Rewrite the log as a live snapshot and remap every index offset."""
-        live = [
-            self._record_at(offset, cache=False)
-            for _, offset, _ in self._index.items()
-        ]
-        live.sort(key=lambda r: (r.sort_key(), r.location))
+        """Rewrite the log as a live snapshot (atomic); remap a paged index."""
+        live = list(self.records())
+        rebuilt = None if self._mem is not None else _OffsetIndex()
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        rebuilt = _OffsetIndex()
         with open(tmp, "wb") as fh:
             fh.write(WAL_MAGIC)
             position = len(WAL_MAGIC)
@@ -975,25 +681,22 @@ class PagedWalRecordStore(RecordStore):
                 sort_key = record.sort_key()
                 frame = _insert_frame(sort_key, record.location)
                 fh.write(frame)
-                rebuilt.add(_key64(sort_key), position, record.location & _TAG_MASK)
+                if rebuilt is not None:
+                    rebuilt.add(_key64(sort_key), position, record.location & _TAG_MASK)
                 position += len(frame)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        self._index = rebuilt
-        self._cache.clear()  # offset-keyed: every key just moved
+        if rebuilt is not None:
+            self._index = rebuilt
+            self._cache.clear()  # offset-keyed: every key just moved
         self._buffer.clear()
         self._buffered_ops = 0
         self._file_end = position
         self._log_ops = len(live)
         self.compactions += 1
 
-    # -- durability ------------------------------------------------------------
-
     def flush(self) -> None:
-        self._write_out()
-
-    def close(self) -> None:
         self._write_out()
 
     def crash(self) -> None:
@@ -1003,19 +706,20 @@ class PagedWalRecordStore(RecordStore):
 
     @property
     def pending_records(self) -> int:
-        return min(self._buffered_ops, len(self._index))
+        return min(self._buffered_ops, len(self))
 
 
-# ----------------------------------------------------------------------------
-# factory
-# ----------------------------------------------------------------------------
+#: The paged store's old class name, which the benchmark's tracer still
+#: wraps; ROADMAP item 1 drops it together with the "wal-paged" alias.
+PagedWalRecordStore = WalRecordStore
 
 
 def check_backend(backend: str) -> str:
-    """*backend* itself, if it names one of :data:`BACKENDS`."""
-    if backend not in BACKENDS:
+    """The backend *backend* names: one of :data:`BACKENDS`, or an alias of one."""
+    name = _ALIASES.get(backend, backend)
+    if name not in BACKENDS:
         raise ValueError(f"unknown db backend {backend!r}; choose from {BACKENDS}")
-    return backend
+    return name
 
 
 def make_record_store(
@@ -1026,7 +730,7 @@ def make_record_store(
 ) -> RecordStore:
     """Create (or reopen) a record store of the requested backend.
 
-    *name* identifies the store within *db_dir*, which every durable backend
+    *name* identifies the store within *db_dir*, which the durable backend
     needs; reusing an existing name reopens that store and recovers its
     records, which is exactly what the crash-recovery harness does.
     """
@@ -1038,8 +742,4 @@ def make_record_store(
         raise ValueError(f"the {backend!r} backend needs a db_dir")
     directory = Path(db_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    if backend == "wal-paged":
-        # Same file format and extension as "wal": a log written by either
-        # class reopens under the other.
-        return PagedWalRecordStore(directory / f"{name}.wal", capacity=capacity)
     return WalRecordStore(directory / f"{name}.wal", capacity=capacity)

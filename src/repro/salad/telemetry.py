@@ -39,7 +39,7 @@ def harvest_salad_metrics(
     batch_hist = registry.histogram("salad.routing.batch_size")
     compactions = sync_writes = 0
     recovered = torn_bytes = log_ops = 0
-    page_hits = page_misses = tag_rejects = 0
+    page_outs = page_hits = page_misses = tag_rejects = 0
     for leaf in leaves:
         total += 1
         if leaf.alive:
@@ -65,13 +65,13 @@ def harvest_salad_metrics(
         stored += len(db)
         evictions += db.evictions
         rejections += db.rejections
-        if getattr(db, "compactions", None) is not None:  # WAL backends
+        if getattr(db, "compactions", None) is not None:  # the WAL store
             compactions += db.compactions
             sync_writes += db.sync_writes
             recovered += db.recovered_records
             torn_bytes += db.torn_bytes_dropped
             log_ops += db.log_ops
-        if getattr(db, "page_hits", None) is not None:  # paging WAL backend
+            page_outs += db.page_outs
             page_hits += db.page_hits
             page_misses += db.page_misses
             tag_rejects += db.tag_rejects
@@ -115,6 +115,7 @@ def harvest_salad_metrics(
     registry.counter("salad.storage.wal.recovered_records").inc(recovered)
     registry.counter("salad.storage.wal.torn_bytes_dropped").inc(torn_bytes)
     registry.counter("salad.storage.wal.log_ops").inc(log_ops)
+    registry.counter("salad.storage.wal.page_outs").inc(page_outs)
     registry.counter("salad.storage.wal.page_hits").inc(page_hits)
     registry.counter("salad.storage.wal.page_misses").inc(page_misses)
     registry.counter("salad.storage.wal.tag_rejects").inc(tag_rejects)

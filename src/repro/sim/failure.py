@@ -8,7 +8,7 @@ probability p.  :class:`ChurnSchedule` additionally drives join/leave churn
 over virtual time for the maintenance protocols (sections 4.4-4.5).
 
 :class:`CrashRecoveryHarness` extends the crash-stop model to the record
-*databases*: with a durable backend (``--db-backend wal|wal-paged``), killing a
+*databases*: with the durable backend (``--db-backend wal``), killing a
 machine mid-run abandons its store without flushing (exactly what a process
 crash does), and rejoining reopens the same backing file and recovers every
 record that had reached disk.  The harness measures the recovered fraction
@@ -254,9 +254,10 @@ class CrashRecoveryHarness:
 
     ``crash`` abandons each leaf's store *without* flushing, so the unsynced
     tail (``pending_records``) is genuinely lost -- for the memory backend
-    that is everything, for the WAL backends the unwritten buffer.  ``rejoin`` reopens each durable store from its
-    backing file (replaying the WAL, with any torn tail dropped), reattaches
-    it to the leaf, and marks the machine alive again.
+    that is everything, for the WAL store the unwritten buffer.  ``rejoin``
+    reopens each durable store from its backing file under the same byte
+    budget (replaying the WAL, with any torn tail dropped), reattaches it to
+    the leaf, and marks the machine alive again.
     """
 
     def __init__(self) -> None:
@@ -346,4 +347,6 @@ class CrashRecoveryHarness:
         """A fresh store over the same backing file (empty for memory)."""
         if store.path is None:
             return type(store)(capacity=store.capacity)
-        return type(store)(store.path, capacity=store.capacity)
+        return type(store)(
+            store.path, capacity=store.capacity, budget_bytes=store.budget_bytes
+        )

@@ -320,7 +320,7 @@ class TestDurableStoreDirectories:
         assert not leaf_dir.exists()
 
     def test_named_db_dir_is_kept(self, tmp_path):
-        settings = RunSettings(db_backend="wal-paged", db_dir=str(tmp_path))
+        settings = RunSettings(db_backend="wal", db_dir=str(tmp_path))
         pipeline, sis_dir, (leaf_dir,) = self._loaded(settings)
         pipeline.close_stores()
         assert sis_dir.parent == leaf_dir.parent == tmp_path

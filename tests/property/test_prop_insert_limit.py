@@ -2,9 +2,10 @@
 
 A leaf with a ``notify_limit`` asks its store for at most that many matches
 (the lowest locations), and every backend builds only those.  Two stores of
-the same backend -- one asked with a limit, one without -- go through the
-same operations; each limited insert must return exactly the unlimited
-one's ``(stored, matches[:limit])``, and the two must end in the same state.
+the same mode (``tests/store_modes.py``) -- one asked with a limit, one
+without -- go through the same operations; each limited insert must return
+exactly the unlimited one's ``(stored, matches[:limit])``, and the two must
+end in the same state.
 Small content and location domains make duplicate records, capacity
 evictions and limits at or above the number of stored copies common.
 """
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.fingerprint import synthetic_fingerprint
 from repro.salad.records import SaladRecord
-from repro.salad.storage import BACKENDS, make_record_store
+from tests.store_modes import MODES, open_store
 
 LIMITS = (1, 2, 4, None)
 
@@ -41,13 +42,13 @@ def state(store):
 
 
 @pytest.mark.parametrize("capacity", [None, 6])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", MODES)
 @settings(max_examples=50, deadline=None)
 @given(ops=operations)
 def test_limited_insert_is_a_prefix_of_the_full_one(backend, capacity, ops):
     with tempfile.TemporaryDirectory() as directory:
         limited, full = (
-            make_record_store(backend, capacity=capacity, db_dir=directory, name=name)
+            open_store(backend, directory, capacity=capacity, name=name)
             for name in ("limited", "full")
         )
         try:

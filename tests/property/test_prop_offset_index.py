@@ -4,7 +4,7 @@ The index is the only thing that says where a record lives, so it must be an
 exact multimap under any interleaving of adds, removes and rebuilds:
 
 - ``lookup(key)`` returns every offset filed under *key*, no other;
-- ``lookup_tagged(key, tag)`` returns exactly those whose slot carries *tag*
+- ``lookup(key, tag)`` returns exactly those whose slot carries *tag*
   -- so "nothing returned" proves "no such record";
 - a forced ``_rebuild`` (tombstones dropped, entries re-placed) changes
   nothing observable.
@@ -66,7 +66,7 @@ def test_index_is_an_exact_tagged_multimap(ops):
         elif op == "lookup":
             entries = model.get(arg, [])
             assert sorted(index.lookup(arg)) == sorted(off for _, off in entries)
-            assert sorted(index.lookup_tagged(arg, tag)) == sorted(
+            assert sorted(index.lookup(arg, tag)) == sorted(
                 off for t, off in entries if t == tag
             )
         else:

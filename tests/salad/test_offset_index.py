@@ -79,5 +79,5 @@ def test_widest_offset_and_tag_round_trip():
     index = _OffsetIndex()
     index.add(7, _OFFSET_LIMIT - 1, _TAG_MASK)
     assert index.lookup(7) == [_OFFSET_LIMIT - 1]
-    assert index.lookup_tagged(7, _TAG_MASK) == [_OFFSET_LIMIT - 1]
+    assert index.lookup(7, _TAG_MASK) == [_OFFSET_LIMIT - 1]
     assert list(index.items()) == [(7, _OFFSET_LIMIT - 1, _TAG_MASK)]

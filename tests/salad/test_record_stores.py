@@ -1,10 +1,12 @@
 """Shared contract suite for the record-store backends.
 
-Every backend -- the in-memory :class:`RecordDatabase` and the plain and
-paged append-log (WAL) stores -- must be observably identical for
+Every store -- the in-memory :class:`RecordDatabase` and the durable
+:class:`WalRecordStore` in each of its modes (``tests/store_modes.py``:
+resident at its default budget, paged from its first record, and crossing
+from one layout to the other midway) -- must be observably identical for
 in-memory behavior: same associative-insert semantics, same duplicate-match
 return order, same capacity-eviction policy, same iteration order.  The
-durable backends additionally pin reopen-after-close, crash (unflushed tail
+durable modes additionally pin reopen-after-close, crash (unflushed tail
 lost, flushed records kept), and WAL torn-tail recovery.
 """
 
@@ -23,14 +25,15 @@ from repro.salad.storage import (
     _OP_INSERT,
     _TAG_BITS,
     BACKENDS,
+    RECORD_BYTES,
     WAL_MAGIC,
     PagedWalRecordStore,
     WalRecordStore,
     _insert_frame,
+    check_backend,
     make_record_store,
 )
-
-DURABLE = tuple(b for b in BACKENDS if b != "memory")
+from tests.store_modes import DURABLE, MODES, engine_budget, open_store
 
 
 def rec(size: int, content: int = 0, location: int = 1) -> SaladRecord:
@@ -39,11 +42,11 @@ def rec(size: int, content: int = 0, location: int = 1) -> SaladRecord:
     )
 
 
-def make(backend, tmp_path, capacity=None, name="store"):
-    return make_record_store(backend, capacity=capacity, db_dir=tmp_path, name=name)
+def make(mode, tmp_path, capacity=None, name="store"):
+    return open_store(mode, tmp_path, capacity=capacity, name=name)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=MODES)
 def backend(request):
     return request.param
 
@@ -155,7 +158,7 @@ class TestContract:
         batched.close()
 
 
-#: Two locations that agree in every bit the paged store's index keeps of a
+#: Two locations that agree in every bit the paged layout's index keeps of a
 #: location, and a third that does too but is never stored.
 TWIN_A = 5
 TWIN_B = 5 + (1 << _TAG_BITS)
@@ -165,8 +168,8 @@ TWIN_ABSENT = 5 + (2 << _TAG_BITS)
 class TestSameTagLocations:
     """Presence answers stay exact when locations collide in their low bits.
 
-    ``wal-paged`` answers "absent" from a 20-bit location tag; a tag that
-    matches is only a hint.  Every backend must give the same verdicts, at
+    The paged layout answers "absent" from a 20-bit location tag; a tag that
+    matches is only a hint.  Every mode must give the same verdicts, at
     every point of a store's life.
     """
 
@@ -200,7 +203,7 @@ class TestSameTagLocations:
         self._check(store, stored=(TWIN_B,))
         store.close()
 
-    @pytest.mark.parametrize("backend", ("wal", "wal-paged"))
+    @pytest.mark.parametrize("backend", DURABLE)
     def test_still_exact_after_compaction(self, backend, tmp_path):
         store = make(backend, tmp_path)
         self._fill(store)
@@ -219,10 +222,8 @@ class TestSameTagLocations:
         self._check(reopened)
         reopened.close()
 
-    @pytest.mark.parametrize(
-        "writer, reader", [("wal", "wal-paged"), ("wal-paged", "wal")]
-    )
-    def test_still_exact_across_a_cross_class_reopen(self, writer, reader, tmp_path):
+    @pytest.mark.parametrize("writer, reader", [("wal", "wal-paged"), ("wal-paged", "wal")])
+    def test_still_exact_across_budgets(self, writer, reader, tmp_path):
         store = make(writer, tmp_path)
         self._fill(store)
         store.close()
@@ -243,7 +244,7 @@ class TestBackendEquivalence:
             else:
                 ops.append(("remove", rng.randrange(6)))
         outcomes = {}
-        for backend in BACKENDS:
+        for backend in MODES:
             store = make(backend, tmp_path, capacity=10, name=backend)
             trace = []
             for op, arg in ops:
@@ -258,7 +259,7 @@ class TestBackendEquivalence:
                 store.rejections,
             )
             store.close()
-        assert outcomes["memory"] == outcomes["wal"] == outcomes["wal-paged"]
+        assert all(outcome == outcomes["memory"] for outcome in outcomes.values())
 
 
 class TestDurability:
@@ -300,8 +301,16 @@ class TestDurability:
 
 
 class TestWalRecovery:
+    """Torn-tail, corrupt-CRC and garbage-file recovery, resident."""
+
+    #: The store's byte budget in this class; None is the default.
+    BUDGET = None
+
+    def _open(self, path, **kwargs):
+        return WalRecordStore(path, budget_bytes=self.BUDGET, **kwargs)
+
     def _populate(self, tmp_path, n=10):
-        store = WalRecordStore(tmp_path / "t.wal")
+        store = self._open(tmp_path / "t.wal")
         for i in range(n):
             store.insert(rec(10 + i, location=1))
         store.close()
@@ -314,98 +323,12 @@ class TestWalRecovery:
             # A truncated frame: valid header promising more payload than
             # exists -- what a crash mid-append leaves behind.
             fh.write(struct.pack(">BI", 0x01, 500) + b"\x00" * 12)
-        store = WalRecordStore(path)
+        store = self._open(path)
         assert len(store) == 10
         assert store.recovered_records == 10
         assert store.torn_bytes_dropped == 17
         assert path.stat().st_size == intact  # tail trimmed off the file
-        store.close()
-
-    def test_corrupt_crc_drops_entry_and_everything_after(self, tmp_path):
-        path = self._populate(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF  # flip a CRC byte of the final entry
-        path.write_bytes(data)
-        store = WalRecordStore(path)
-        assert len(store) == 9
-        assert store.torn_bytes_dropped > 0
-        store.close()
-
-    def test_garbage_file_is_reset_not_fatal(self, tmp_path):
-        path = tmp_path / "t.wal"
-        path.write_bytes(b"not a wal at all")
-        store = WalRecordStore(path)
-        assert len(store) == 0
-        assert store.torn_bytes_dropped == 16
-        store.insert(rec(10, location=1))
-        store.close()
-        assert path.read_bytes().startswith(WAL_MAGIC)
-
-    def test_replay_reruns_the_capacity_policy(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = WalRecordStore(path, capacity=4)
-        for i in range(10):
-            store.insert(rec(10 + i, location=1))
-        expected = list(store.records())
-        store.close()
-        reopened = WalRecordStore(path, capacity=4)
-        assert list(reopened.records()) == expected
-        reopened.close()
-
-    def test_compaction_rewrites_log_as_live_snapshot(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = WalRecordStore(path)
-        store._COMPACT_FLOOR = 16  # shrink the floor so a small test triggers it
-        for round_ in range(20):
-            for i in range(8):
-                store.insert(rec(10 + i, content=round_, location=1))
-            store.remove_location(1)
-        assert store.log_ops <= store._compact_ratio * max(1, len(store)) + 8
-        expected = list(store.records())
-        store.close()
-        reopened = WalRecordStore(path)
-        assert list(reopened.records()) == expected
-        reopened.close()
-
-    def test_crash_discards_buffered_appends(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = WalRecordStore(path, sync_every=1000)
-        for i in range(10):
-            store.insert(rec(10 + i, location=1))
-        assert store.pending_records == 10
-        store.crash()
-        reopened = WalRecordStore(path)
-        assert len(reopened) == 0
-        reopened.close()
-
-
-class TestPagedWalRecovery:
-    """The paged store shares the WAL's recovery guarantees and adds paging.
-
-    Same torn-tail / corrupt-CRC / garbage-file matrix as TestWalRecovery
-    (same log format), plus the paged-specific contracts: cache misses read
-    the record back from the log byte-identically, the LRU stays bounded,
-    and compaction remaps every index entry to its post-rewrite offset.
-    """
-
-    def _populate(self, tmp_path, n=10, **kwargs):
-        store = PagedWalRecordStore(tmp_path / "t.wal", **kwargs)
-        for i in range(n):
-            store.insert(rec(10 + i, location=1))
-        store.close()
-        return tmp_path / "t.wal"
-
-    def test_torn_final_record_is_dropped_not_fatal(self, tmp_path):
-        path = self._populate(tmp_path)
-        intact = path.stat().st_size
-        with open(path, "ab") as fh:
-            fh.write(struct.pack(">BI", 0x01, 500) + b"\x00" * 12)
-        store = PagedWalRecordStore(path)
-        assert len(store) == 10
-        assert store.recovered_records == 10
-        assert store.torn_bytes_dropped == 17
-        assert path.stat().st_size == intact  # tail trimmed off the file
-        # The trimmed file must still page records back correctly.
+        # The trimmed file must still read every record back.
         assert [r.fingerprint.size for r in store.records()] == list(range(10, 20))
         store.close()
 
@@ -414,7 +337,7 @@ class TestPagedWalRecovery:
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip a CRC byte of the final entry
         path.write_bytes(data)
-        store = PagedWalRecordStore(path)
+        store = self._open(path)
         assert len(store) == 9
         assert store.torn_bytes_dropped > 0
         store.close()
@@ -422,7 +345,7 @@ class TestPagedWalRecovery:
     def test_garbage_file_is_reset_not_fatal(self, tmp_path):
         path = tmp_path / "t.wal"
         path.write_bytes(b"not a wal at all")
-        store = PagedWalRecordStore(path)
+        store = self._open(path)
         assert len(store) == 0
         assert store.torn_bytes_dropped == 16
         store.insert(rec(10, location=1))
@@ -431,34 +354,74 @@ class TestPagedWalRecovery:
 
     def test_replay_reruns_the_capacity_policy(self, tmp_path):
         path = tmp_path / "t.wal"
-        store = PagedWalRecordStore(path, capacity=4)
+        store = self._open(path, capacity=4)
         for i in range(10):
             store.insert(rec(10 + i, location=1))
         expected = list(store.records())
         store.close()
-        reopened = PagedWalRecordStore(path, capacity=4)
+        reopened = self._open(path, capacity=4)
         assert list(reopened.records()) == expected
         reopened.close()
 
+    def test_compaction_rewrites_log_as_live_snapshot(self, tmp_path):
+        path = tmp_path / "t.wal"
+        store = self._open(path)
+        store._COMPACT_FLOOR = 16  # shrink the floor so a small test triggers it
+        for round_ in range(20):
+            for i in range(8):
+                store.insert(rec(10 + i, content=round_, location=1))
+            store.remove_location(1)
+        assert store.compactions > 0
+        assert store.log_ops <= store._compact_ratio * max(1, len(store)) + 8
+        expected = list(store.records())
+        store.close()
+        reopened = self._open(path)
+        assert list(reopened.records()) == expected
+        reopened.close()
+
+    def test_crash_discards_buffered_appends(self, tmp_path):
+        path = tmp_path / "t.wal"
+        store = self._open(path, sync_every=1000)
+        for i in range(10):
+            store.insert(rec(10 + i, location=1))
+        assert store.pending_records == 10
+        store.crash()
+        reopened = self._open(path)
+        assert len(reopened) == 0
+        reopened.close()
+
+
+class TestPagedWalRecovery(TestWalRecovery):
+    """The same recovery cases paged from the first record, plus paging's own.
+
+    Cache misses read the record back from the log byte-identically, the
+    LRU stays inside the budget, and compaction remaps every index entry to
+    its post-rewrite offset.
+    """
+
+    BUDGET = 0
+
     def test_wal_and_paged_open_each_others_files(self, tmp_path):
-        # Same format, same extension: a log written by one class must
-        # recover identically under the other.
+        # One file format: a log written resident must recover identically
+        # paged, and the other way round.
         store = WalRecordStore(tmp_path / "t.wal", capacity=6)
         for i in range(9):
             store.insert(rec(10 + i, location=i))
         expected = list(store.records())
         store.close()
-        paged = PagedWalRecordStore(tmp_path / "t.wal", capacity=6)
+        paged = self._open(tmp_path / "t.wal", capacity=6)
+        assert paged.page_outs == 1
         assert list(paged.records()) == expected
         paged.insert(rec(99, location=99))
         expected = list(paged.records())
         paged.close()
         plain = WalRecordStore(tmp_path / "t.wal", capacity=6)
+        assert plain.page_outs == 0
         assert list(plain.records()) == expected
         plain.close()
 
     def test_cache_miss_reads_record_back_from_log(self, tmp_path):
-        store = PagedWalRecordStore(tmp_path / "t.wal", cache_records=2)
+        store = WalRecordStore(tmp_path / "t.wal", budget_bytes=2 * RECORD_BYTES)
         inserted = [rec(10 + i, content=i, location=i) for i in range(8)]
         for r in inserted:
             store.insert(r)
@@ -475,35 +438,35 @@ class TestPagedWalRecovery:
         store.close()
 
     def test_cache_stays_bounded(self, tmp_path):
-        store = PagedWalRecordStore(tmp_path / "t.wal", cache_records=4)
+        budget = 4 * RECORD_BYTES
+        store = WalRecordStore(tmp_path / "t.wal", budget_bytes=budget)
         for i in range(100):
             store.insert(rec(10 + i, location=i))
+            assert store.resident_bytes <= budget
         assert len(store._cache) <= 4
         assert len(store) == 100
         store.close()
 
     def test_unflushed_records_are_served_from_the_buffer(self, tmp_path):
-        store = PagedWalRecordStore(
-            tmp_path / "t.wal", sync_every=1000, cache_records=1
-        )
+        store = WalRecordStore(tmp_path / "t.wal", sync_every=1000, budget_bytes=RECORD_BYTES)
         inserted = [rec(10 + i, location=i) for i in range(6)]
         for r in inserted:
             store.insert(r)
         # Nothing written out yet; a cache miss must parse the append buffer.
-        assert store.sync_writes == 0
+        assert store.sync_writes == 0 and store.page_outs == 1
         for r in inserted:
             assert store.has_location(r.fingerprint, r.location)
         store.close()
 
     def test_compaction_remaps_offsets_and_preserves_reads(self, tmp_path):
         path = tmp_path / "t.wal"
-        store = PagedWalRecordStore(path, cache_records=2)
+        store = WalRecordStore(path, budget_bytes=2 * RECORD_BYTES)
         store._COMPACT_FLOOR = 16  # shrink the floor so a small test triggers it
         for round_ in range(20):
             for i in range(8):
                 store.insert(rec(10 + i, content=round_, location=1))
             store.remove_location(1)
-        assert store.compactions > 0
+        assert store.compactions > 0 and store.page_outs == 1
         assert store.log_ops <= store._compact_ratio * max(1, len(store)) + 8
         expected = list(store.records())
         # Every index entry must point at a valid post-compaction offset:
@@ -511,23 +474,12 @@ class TestPagedWalRecovery:
         for r in expected:
             assert store.has_location(r.fingerprint, r.location)
         store.close()
-        reopened = PagedWalRecordStore(path)
+        reopened = self._open(path)
         assert list(reopened.records()) == expected
         reopened.close()
 
-    def test_crash_discards_buffered_appends(self, tmp_path):
-        path = tmp_path / "t.wal"
-        store = PagedWalRecordStore(path, sync_every=1000)
-        for i in range(10):
-            store.insert(rec(10 + i, location=1))
-        assert store.pending_records == 10
-        store.crash()
-        reopened = PagedWalRecordStore(path)
-        assert len(reopened) == 0
-        reopened.close()
-
     def test_tag_hit_is_confirmed_by_read_back_and_counted(self, tmp_path):
-        store = PagedWalRecordStore(tmp_path / "t.wal")
+        store = self._open(tmp_path / "t.wal")
         for location in (TWIN_A, TWIN_B):
             store.insert(rec(100, location=location))
         fingerprint = rec(100).fingerprint
@@ -548,12 +500,14 @@ class TestPagedWalRecovery:
 
     @pytest.mark.parametrize("location", [0, 1, 255, 256, TWIN_B, (1 << 160) - 1])
     def test_fused_insert_frame_is_byte_identical(self, location, tmp_path):
+        # The reference spells out the v1 format one field at a time.
         record = rec(123, content=4, location=location)
-        reference = WalRecordStore._frame(
-            _OP_INSERT, WalRecordStore._insert_payload(record)
-        )
+        loc = location.to_bytes(max(1, (location.bit_length() + 7) // 8), "big")
+        payload = record.sort_key() + struct.pack(">H", len(loc)) + loc
+        head = struct.pack(">BI", _OP_INSERT, len(payload))
+        reference = head + payload + struct.pack(">I", zlib.crc32(head + payload))
         assert _insert_frame(record.sort_key(), location) == reference
-        store = PagedWalRecordStore(tmp_path / "t.wal")
+        store = self._open(tmp_path / "t.wal")
         store.insert(record)
         store.close()
         assert (tmp_path / "t.wal").read_bytes() == WAL_MAGIC + reference
@@ -561,7 +515,7 @@ class TestPagedWalRecovery:
     def test_index_survives_heavy_churn(self, tmp_path):
         # Exercises tombstone reuse and same-size index rebuilds: many
         # insert/remove rounds over a small live set.
-        store = PagedWalRecordStore(tmp_path / "t.wal")
+        store = self._open(tmp_path / "t.wal")
         store._COMPACT_FLOOR = 10**9  # keep compaction out of this test
         rng = random.Random(3)
         live = {}
@@ -581,6 +535,106 @@ class TestPagedWalRecovery:
                 live[key] = r
         assert list(store.records()) == [live[k] for k in sorted(live)]
         store.close()
+
+
+class TestCrossingWalRecovery(TestWalRecovery):
+    """The same recovery cases at a budget the streams cross midway, plus
+    the switch itself: once per open, inside the budget, invisible to a
+    crash."""
+
+    BUDGET = 4 * RECORD_BYTES
+
+    def test_resident_bytes_stay_within_the_budget_and_the_store_pages_once(
+        self, tmp_path
+    ):
+        store = self._open(tmp_path / "t.wal")
+        rng = random.Random(5)
+        peak = 0
+        for _ in range(300):
+            if rng.random() < 0.15:
+                store.remove_location(rng.randrange(6))
+            else:
+                store.insert(rec(rng.randrange(1, 60), rng.randrange(3), rng.randrange(6)))
+            peak = max(peak, len(store))
+            assert store.resident_bytes <= self.BUDGET
+            assert store.page_outs == int(peak * RECORD_BYTES > self.BUDGET)
+        assert store.page_outs == 1
+        store.close()
+
+    def test_resident_inserts_touch_no_page(self, tmp_path):
+        store = self._open(tmp_path / "t.wal")
+        for i in range(4):
+            store.insert(rec(10 + i, location=i))
+            assert store.has_location(rec(10 + i).fingerprint, i)
+        assert store.page_outs == store.page_hits == store.page_misses == 0
+        store.close()
+
+    def test_reopen_picks_its_layout_from_the_replayed_live_count(self, tmp_path):
+        path = self._populate(tmp_path, n=4)
+        resident = self._open(path)
+        assert resident.page_outs == 0 and len(resident) == 4
+        resident.insert(rec(99, location=1))
+        resident.close()
+        paged = self._open(path)
+        assert paged.page_outs == 1 and len(paged) == 5
+        paged.close()
+
+    def test_crash_right_after_the_switch_loses_only_the_unflushed_tail(self, tmp_path):
+        path = tmp_path / "t.wal"
+        store = self._open(path, sync_every=1000)
+        settled = [rec(10 + i, location=i) for i in range(3)]
+        for r in settled:
+            store.insert(r)
+        store.flush()
+        store.insert(rec(50, location=1))
+        store.insert(rec(51, location=2))  # the fifth live record crosses
+        assert store.page_outs == 1 and store.pending_records == 2
+        store.crash()
+        reopened = self._open(path, sync_every=1000)
+        assert list(reopened.records()) == settled
+        assert reopened.page_outs == 0
+        # Cross again in the new open, flush right after, crash: all five
+        # come back, and the reopen pages.
+        reopened.insert(rec(50, location=1))
+        reopened.insert(rec(51, location=2))
+        assert reopened.page_outs == 1
+        reopened.flush()
+        expected = list(reopened.records())
+        reopened.crash()
+        again = self._open(path)
+        assert again.page_outs == 1 and list(again.records()) == expected
+        again.close()
+
+
+class TestFileDescriptors:
+    def test_stores_hold_no_descriptor_between_operations(self, tmp_path):
+        # An engine opens one store per leaf; a store that pinned its log
+        # open would die with EMFILE long before 2,000 leaves.
+        resource = pytest.importorskip("resource")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, hard), hard))
+        try:
+            names = [f"leaf-{i}" for i in range(2000)]
+            stores = [make_record_store("wal", db_dir=tmp_path, name=name) for name in names]
+            for i, store in enumerate(stores):
+                store.insert(rec(10 + i, location=i))
+                store.flush()
+            reopened = [make_record_store("wal", db_dir=tmp_path, name=name) for name in names]
+            assert [len(store) for store in reopened] == [1] * 2000
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+class TestBackendNames:
+    def test_wal_paged_is_an_alias_of_wal_not_a_backend(self, tmp_path):
+        assert BACKENDS == ("memory", "wal")
+        assert check_backend("wal-paged") == "wal"
+        assert PagedWalRecordStore is WalRecordStore
+        store = make_record_store("wal-paged", db_dir=tmp_path)
+        assert type(store) is WalRecordStore and store.path.suffix == ".wal"
+        store.close()
+        with pytest.raises(ValueError):
+            check_backend("sqlite")
 
 
 class TestLeafCallSequence:
@@ -628,10 +682,9 @@ class TestLeafCallSequence:
         assert calls["insert"] >= 16
         assert calls["has_location"] >= calls["insert"]
 
-    def test_tag_rejects_are_harvested(self, tmp_path):
-        salad = Salad(
-            SaladConfig(seed=1, db_backend="wal-paged", db_dir=str(tmp_path))
-        )
+    def test_tag_rejects_are_harvested(self, tmp_path, monkeypatch):
+        engine_budget(monkeypatch, "wal-paged")
+        salad = Salad(SaladConfig(seed=1, db_backend="wal", db_dir=str(tmp_path)))
         salad.build(4)
         wave = {
             identifier: [rec(100, location=identifier)]
@@ -650,6 +703,8 @@ class TestLeafCallSequence:
         assert rejects > 0
         totals = registry.counter_totals()
         assert totals["salad.storage.wal.tag_rejects"] == rejects
+        holding = sum(1 for leaf in salad.leaves.values() if len(leaf.database))
+        assert totals["salad.storage.wal.page_outs"] == holding > 0
 
 
 class TestEngineStoreDirectory:
@@ -668,7 +723,7 @@ class TestEngineStoreDirectory:
         return salad, directory
 
     def test_own_tempdir_is_removed_at_shutdown(self):
-        salad, directory = self._engine(db_backend="wal-paged")
+        salad, directory = self._engine(db_backend="wal")
         assert sorted(path.suffix for path in directory.iterdir()) == [".wal"] * 8
         salad.shutdown()
         assert not directory.exists()
@@ -676,7 +731,7 @@ class TestEngineStoreDirectory:
     def test_crash_and_rejoin_before_shutdown_recover_every_settled_record(self):
         from repro.sim.failure import CrashRecoveryHarness
 
-        salad, directory = self._engine(db_backend="wal-paged")
+        salad, directory = self._engine(db_backend="wal")
         harness = CrashRecoveryHarness()
         harness.crash(list(salad.leaves.values())[:3])
         report = harness.rejoin()

@@ -8,6 +8,7 @@ from repro.sim.events import EventScheduler
 from repro.sim.failure import ChurnSchedule, fail_exact_fraction, fail_randomly
 from repro.sim.machine import SimMachine
 from repro.sim.network import Network
+from tests.store_modes import DURABLE, engine_budget
 
 
 def make_machines(count):
@@ -112,22 +113,21 @@ class TestCrashRecoveryHarness:
         return salad, members
 
     @pytest.mark.parametrize(
-        "backend, compacted",
+        "mode, compacted",
         [
-            pytest.param("wal", False, id="wal"),
-            pytest.param("wal-paged", False, id="wal-paged"),
+            *(pytest.param(mode, False, id=mode) for mode in DURABLE),
             # The settled log is rewritten as a snapshot before the crash,
             # so recovery replays the compacted file, not the original log.
-            pytest.param("wal", True, id="snapshot-wal"),
-            pytest.param("wal-paged", True, id="snapshot-wal-paged"),
+            *(pytest.param(mode, True, id=f"snapshot-{mode}") for mode in DURABLE),
         ],
     )
     def test_durable_backends_recover_all_settled_records(
-        self, backend, compacted, tmp_path
+        self, mode, compacted, tmp_path, monkeypatch
     ):
         from repro.sim.failure import CrashRecoveryHarness
 
-        salad, members = self._populated_salad(backend, tmp_path)
+        engine_budget(monkeypatch, mode)
+        salad, members = self._populated_salad("wal", tmp_path)
         victims = members[:3]
         if compacted:
             for leaf in victims:
@@ -149,13 +149,16 @@ class TestCrashRecoveryHarness:
             assert len(leaf.database) == before[leaf.identifier]
         salad.close_databases()
 
-    @pytest.mark.parametrize("backend", ["wal", "wal-paged"])
-    def test_unflushed_tail_is_lost_but_prediction_still_met(self, backend, tmp_path):
+    @pytest.mark.parametrize("mode", DURABLE)
+    def test_unflushed_tail_is_lost_but_prediction_still_met(
+        self, mode, tmp_path, monkeypatch
+    ):
         from repro.core.fingerprint import synthetic_fingerprint
         from repro.salad.records import SaladRecord
         from repro.sim.failure import CrashRecoveryHarness
 
-        salad, members = self._populated_salad(backend, tmp_path)
+        engine_budget(monkeypatch, mode)
+        salad, members = self._populated_salad("wal", tmp_path)
         victim = members[0]
         settled = len(victim.database)
         rng = random.Random(99)
@@ -254,13 +257,12 @@ class TestReplicaSetKill:
             1.0 - file_availability(hosts, availability)
         )
 
-    def test_kill_during_churn_with_durable_recovery(self, tmp_path):
+    def test_kill_during_churn_with_durable_recovery(self, tmp_path, monkeypatch):
         """Crash a replica set mid-churn; recovery must meet the prediction."""
         from repro.sim.failure import CrashRecoveryHarness
 
-        salad, members = TestCrashRecoveryHarness._populated_salad(
-            "wal-paged", tmp_path
-        )
+        engine_budget(monkeypatch, "wal-paged")
+        salad, members = TestCrashRecoveryHarness._populated_salad("wal", tmp_path)
         kill_set = [leaf.identifier for leaf in members[:2]]
         before = sum(len(salad.leaves[i].database) for i in kill_set)
         harness = CrashRecoveryHarness()
