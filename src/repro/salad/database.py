@@ -11,6 +11,11 @@ discards a record in the database with the lowest fingerprint value
 record.  If no record in the database has a lower fingerprint value than the
 new record, the machine discards the new record."
 
+Each fingerprint maps to a small tuple of its locations, in arrival order:
+most fingerprints have one to three, where a ``set`` would cost 216 bytes
+for any of them.  Nothing reads that order -- every output sorts -- so a
+tuple is invisible outside this class.
+
 Eviction uses a lazy min-heap over fingerprint sort keys, so inserts stay
 O(log n) amortized even under heavy eviction churn.  Removals leave stale
 entries in the heap; a stale-ratio-triggered compaction rebuilds it from the
@@ -47,7 +52,7 @@ class RecordDatabase(RecordStore):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be positive if set: {capacity}")
         self.capacity = capacity
-        self._by_fingerprint: Dict[Fingerprint, Set[int]] = {}
+        self._by_fingerprint: Dict[Fingerprint, Tuple[int, ...]] = {}
         self._count = 0
         # Lazy min-heap of (sort_key, fingerprint, location); entries may be
         # stale if the record was already evicted/removed.  Only used when a
@@ -82,11 +87,13 @@ class RecordDatabase(RecordStore):
         locations = self._by_fingerprint.get(fingerprint)
         if locations is None or location not in locations:
             return
-        locations.discard(location)
         self._count -= 1
-        if not locations:
+        if len(locations) == 1:
             del self._by_fingerprint[fingerprint]
             self._fp_by_encoding.pop(fingerprint.to_bytes(), None)
+        else:
+            index = locations.index(location)
+            self._by_fingerprint[fingerprint] = locations[:index] + locations[index + 1 :]
         self._maybe_compact_heap()
 
     def _maybe_compact_heap(self) -> None:
@@ -159,7 +166,7 @@ class RecordDatabase(RecordStore):
                 # Uncapped database (the common configuration): no eviction
                 # can ever occur, so skip the heap and encoding-index
                 # bookkeeping that exists only to serve the Fig. 13 policy.
-                self._by_fingerprint[record.fingerprint] = {record.location}
+                self._by_fingerprint[record.fingerprint] = (record.location,)
                 self._count += 1
                 return True, matches
         else:
@@ -172,7 +179,7 @@ class RecordDatabase(RecordStore):
             if record.location in existing:
                 return False, matches  # duplicate record; nothing to do
             if self.capacity is None:
-                existing.add(record.location)
+                self._by_fingerprint[fingerprint] = existing + (record.location,)
                 self._count += 1
                 return True, matches
 
@@ -185,7 +192,9 @@ class RecordDatabase(RecordStore):
             self._pop_lowest()
             self.evictions += 1
 
-        self._by_fingerprint.setdefault(record.fingerprint, set()).add(record.location)
+        # Re-read: an eviction above may have shrunk or dropped this tuple.
+        held = self._by_fingerprint.get(record.fingerprint, ())
+        self._by_fingerprint[record.fingerprint] = held + (record.location,)
         self._fp_by_encoding[record.fingerprint.to_bytes()] = record.fingerprint
         self._count += 1
         heapq.heappush(

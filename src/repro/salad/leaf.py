@@ -216,8 +216,12 @@ class SaladLeaf(SimMachine):
         # can disagree about alignment, which without suppression lets a join
         # cycle among leaves indefinitely; processing each join once breaks
         # the cycle and loses nothing (the first arrival already triggered
-        # this leaf's forwarding and welcome).
+        # this leaf's forwarding and welcome).  A flood cannot outlive the
+        # settle that drained it, so the set holds one join round only: the
+        # first JOIN to arrive after the engine's settle count moved on
+        # clears it (Network.settles; see _on_join).
         self._seen_joins: Set[int] = set()
+        self._seen_round = network.settles
         # JOIN arrivals by cause: first sight of a new leaf (handled per
         # Fig. 5), a repeat the flood suppression drops, or this leaf's own
         # join coming back.  Their sum is the JOIN messages delivered here.
@@ -335,10 +339,25 @@ class SaladLeaf(SimMachine):
         return True
 
     def _index_remove(self, identifier: int) -> None:
-        self._cellmates.discard(identifier)
-        for by_key in self._vectors.values():
-            for members in by_key.values():
-                members.discard(identifier)
+        # The masks are those _index_add placed it with (every width change
+        # rebuilds the index), so the same arithmetic finds its one group.
+        diff = (identifier ^ self.identifier) & self._cell_mask
+        if not diff:
+            self._cellmates.discard(identifier)
+        else:
+            axis = 0
+            for off_axis in self._off_axis_masks:
+                if not diff & off_axis:
+                    members = self._vectors[axis].get(
+                        identifier & self._axis_masks[axis]
+                    )
+                    if members is not None:
+                        # An emptied group stays: re-creating it later would
+                        # change set and dict layout, and so the order in
+                        # which JOINs are forwarded.
+                        members.discard(identifier)
+                    break
+                axis += 1
         # The partition classifies on entry, so removal only needs a set
         # probe, not a fresh alignment check.
         if identifier in self._next_width_dropped:
@@ -813,7 +832,12 @@ class SaladLeaf(SimMachine):
         if n == self.identifier:
             self.join_echoes += 1
             return  # my own join echoed back; nothing to do
-        if n in self._seen_joins:
+        settles = self.network.settles
+        if settles != self._seen_round:
+            # A new join round: every flood this set remembers has drained.
+            self._seen_round = settles
+            self._seen_joins.clear()
+        elif n in self._seen_joins:
             self.join_duplicates += 1
             return  # flood suppression; already forwarded and welcomed
         self._seen_joins.add(n)

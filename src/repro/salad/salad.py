@@ -19,8 +19,9 @@ import random
 import shutil
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.salad.leaf import SaladLeaf
 from repro.salad.protocol import MatchPayload
@@ -164,6 +165,45 @@ class RunSettings:
         return SaladConfig(**protocol, **dataclasses.asdict(self))
 
 
+class CollectedMatches:
+    """``(machine, payload)`` pairs over the leaves' ``matches`` lists, uncopied.
+
+    Sized and re-iterable, and equal to any sequence (or view) holding the
+    same pairs in the same order.  Each leaf's list length is captured at
+    construction; notices are only ever appended, so iterating later yields
+    exactly the pairs that had arrived by then.  Iteration allocates one
+    pair at a time, never the whole list.
+    """
+
+    __slots__ = ("_spans", "_len")
+    __hash__ = None  # equality is by content, like the list it replaces
+
+    def __init__(self, leaves: Iterable[SaladLeaf]):
+        self._spans = [
+            (leaf.identifier, leaf.matches, len(leaf.matches))
+            for leaf in leaves
+            if leaf.matches
+        ]
+        self._len = sum(count for _, _, count in self._spans)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Tuple[int, MatchPayload]]:
+        for identifier, matches, count in self._spans:
+            yield from zip(repeat(identifier, count), matches)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (CollectedMatches, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"<CollectedMatches: {self._len} pairs>"
+
+
 class Salad:
     """A SALAD instance: a set of leaves over one simulated network."""
 
@@ -292,7 +332,7 @@ class Salad:
         self._alive_cache = alive
         self._join_order.append(leaf.identifier)
         if settle:
-            self.network.run()
+            self.run()
         return leaf
 
     def build(self, count: int, settle_each: bool = True) -> None:
@@ -304,11 +344,19 @@ class Salad:
         while len(self._alive_leaves_cached()) < count:
             self.add_leaf(settle=settle_each)
         if not settle_each:
-            self.network.run()
+            self.run()
 
     def run(self) -> int:
-        """Settle the network to quiescence."""
-        return self.network.run()
+        """Settle the network to quiescence; opens a new join round.
+
+        Every settle the engine drives comes through here.  Once the
+        network has drained, no JOIN of an earlier flood can still arrive,
+        so advancing ``network.settles`` lets each leaf forget the joins it
+        saw (see SaladLeaf._on_join).
+        """
+        executed = self.network.run()
+        self.network.settles += 1
+        return executed
 
     @property
     def now(self) -> float:
@@ -347,7 +395,7 @@ class Salad:
             raise KeyError(f"no such leaf: {identifier:#x}")
         leaf.depart_cleanly()
         if settle:
-            self.network.run()
+            self.run()
 
     # ------------------------------------------------------------------
     # failure injection
@@ -397,7 +445,7 @@ class Salad:
             # coalesced envelope (see SaladLeaf.insert_records).
             inserted += leaf.insert_records(records)
         if settle:
-            self.network.run()
+            self.run()
             # Batch boundary: make the settled round durable, so a crash
             # loses at most the round in flight (no-op for memory stores).
             from repro.obs import tracing
@@ -410,13 +458,15 @@ class Salad:
                         recorder.record_flush(leaf.identifier)
         return inserted
 
-    def collected_matches(self) -> List[Tuple[int, MatchPayload]]:
-        """All duplicate notifications received, as (machine, payload) pairs."""
-        out: List[Tuple[int, MatchPayload]] = []
-        for leaf in self.leaves.values():
-            for match in leaf.matches:
-                out.append((leaf.identifier, match))
-        return out
+    def collected_matches(self) -> "CollectedMatches":
+        """All duplicate notifications received, as (machine, payload) pairs.
+
+        A view, not a copy: the pairs are read from the leaves' own
+        ``matches`` lists, leaves in creation order and each leaf's notices
+        in arrival order.  It holds what had arrived when this was called;
+        a notice delivered later is not in it.
+        """
+        return CollectedMatches(self.leaves.values())
 
     # ------------------------------------------------------------------
     # measurements

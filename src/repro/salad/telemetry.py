@@ -31,7 +31,7 @@ def harvest_salad_metrics(
     registry.gauge("salad.config.dimensions").set(dimensions)
 
     hits = misses = scans = width_changes = width_recalcs = 0
-    join_fresh = join_duplicates = join_echoes = 0
+    join_fresh = join_duplicates = join_echoes = seen_resident = 0
     arrivals = hops = notifications = 0
     extra_records = extra_notices = 0
     stored = evictions = rejections = 0
@@ -52,6 +52,7 @@ def harvest_salad_metrics(
         join_fresh += leaf.join_fresh
         join_duplicates += leaf.join_duplicates
         join_echoes += leaf.join_echoes
+        seen_resident += len(leaf._seen_joins)
         arrivals += leaf.record_arrivals
         hops += leaf.record_hops
         # Notifications *delivered*: the recipient's matches list is already
@@ -86,6 +87,9 @@ def harvest_salad_metrics(
     registry.counter("salad.join.fresh").inc(join_fresh)
     registry.counter("salad.join.duplicates").inc(join_duplicates)
     registry.counter("salad.join.echoes").inc(join_echoes)
+    # Joins the leaves still remember for flood suppression: one round's
+    # worth each, so at most one entry per leaf after a settled join.
+    registry.gauge("salad.join.seen_resident").set(seen_resident)
     registry.counter("salad.records.arrivals").inc(arrivals)
     registry.counter("salad.records.hops").inc(hops)
     registry.counter("salad.records.stored").inc(stored)

@@ -129,6 +129,12 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
+        #: Runs to quiescence that the engine driving this network counted
+        #: (repro.salad.salad.Salad advances it after each of its settles).
+        #: Nothing sent before a count is in flight after it, so a leaf
+        #: keys flood state that only matters in flight by this number.
+        #: A bare run() leaves it alone.
+        self.settles = 0
         #: Messages sent per protocol kind, network-wide (dropped ones
         #: included, so the values sum to ``messages_sent``).
         self.sent_by_kind: Dict[str, int] = {}
