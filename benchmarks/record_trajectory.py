@@ -9,8 +9,7 @@ targets, with the seed's scalar implementations measured alongside the
 current fast paths so every snapshot carries its own before/after ratio:
 
 - ``aes_ctr``: bytes/sec encrypting 1 MiB in CTR mode -- the seed path
-  (per-byte rounds, one block per call) vs the bulk vectorized path, plus
-  the warm-keystream-cache repeat;
+  (per-byte rounds, one block per call) vs the bulk path on libcrypto;
 - ``fingerprints``: fingerprints/sec over 4 KiB blobs;
 - ``salad_inserts``: records/sec routed to quiescence through a SALAD,
   plus messages per record (the Fig. 9 currency) under batched routing;
@@ -61,7 +60,6 @@ from repro.crypto.modes import (
     BLOCK_SIZE,
     bulk_encrypt_ctr,
     encrypt_ctr_scalar,
-    keystream_cache,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import build_run_report, print_summary, write_run_report
@@ -112,18 +110,11 @@ def bench_aes_ctr() -> dict:
 
     seed_seconds = _best_of(lambda: _seed_encrypt_ctr(key, payload), repeats=1)
 
-    def bulk_cold() -> bytes:
-        keystream_cache().clear()  # else repeats would hit the cache
-        return bulk_encrypt_ctr(key, payload)
-
-    bulk_seconds = _best_of(bulk_cold)
-    bulk_encrypt_ctr(key, payload)  # warm the (key, nonce) cache entry
-    cached_seconds = _best_of(lambda: bulk_encrypt_ctr(key, payload))
+    bulk_seconds = _best_of(lambda: bulk_encrypt_ctr(key, payload))
     return {
         "payload_bytes": MIB,
         "seed_scalar_bytes_per_sec": MIB / seed_seconds,
         "bulk_bytes_per_sec": MIB / bulk_seconds,
-        "bulk_cached_bytes_per_sec": MIB / cached_seconds,
         "speedup_bulk_over_seed": seed_seconds / bulk_seconds,
     }
 

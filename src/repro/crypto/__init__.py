@@ -1,11 +1,14 @@
-"""Cryptographic primitives implemented from scratch.
+"""Cryptographic primitives, implemented from scratch but for one.
 
 Farsite roots data privacy in symmetric-key and public-key cryptography
 (paper section 2).  This package supplies every primitive the Duplicate-File
 Coalescing subsystem needs:
 
-- :mod:`repro.crypto.aes` -- FIPS-197 AES block cipher, pure Python.
-- :mod:`repro.crypto.modes` -- CTR and CBC modes of operation.
+- :mod:`repro.crypto.aes` -- FIPS-197 AES block cipher, pure Python: the
+  reference the CTR path is tested against.
+- :mod:`repro.crypto.modes` -- CTR and CBC modes of operation.  CTR over
+  file bytes runs on OpenSSL's AES in the ``libcrypto`` CPython already
+  links; CBC runs on the pure-Python cipher.
 - :mod:`repro.crypto.primes` -- Miller-Rabin primality and prime generation.
 - :mod:`repro.crypto.rsa` -- textbook RSA key pairs for user and machine keys.
 - :mod:`repro.crypto.hashing` -- the 20-byte "cryptographically strong hash"

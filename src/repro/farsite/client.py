@@ -14,7 +14,6 @@ and SIS coalescing -- the complete DFC story minus SALAD (which discovers
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -45,8 +44,6 @@ class WriteReceipt:
 
 class FarsiteClient:
     """A user's gateway to the distributed file system."""
-
-    _file_counter = itertools.count(1)
 
     def __init__(
         self,
@@ -83,7 +80,7 @@ class FarsiteClient:
         if replica_hosts is None:
             count = min(self.replication_factor, len(self.hosts))
             replica_hosts = self._rng.sample(list(self.hosts), count)
-        file_id = f"file-{next(self._file_counter):08d}"
+        file_id = self.namespace.new_file_id()
 
         coalesced = []
         for host_id in replica_hosts:

@@ -8,6 +8,7 @@ directory, so each region is served by one quorum-replicated group.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import strong_hash
@@ -29,12 +30,18 @@ def _region_of(path: str) -> str:
 
 
 class Namespace:
-    """The global name space over a set of directory groups."""
+    """The global name space over a set of directory groups.
+
+    It also numbers the files bound into it, so every client of one
+    deployment draws file ids from one sequence and two deployments never
+    share one.
+    """
 
     def __init__(self, groups: Sequence[DirectoryGroup]):
         if not groups:
             raise ValueError("a namespace needs at least one directory group")
         self.groups = list(groups)
+        self._file_numbers = itertools.count(1)
 
     def group_for(self, path: str) -> DirectoryGroup:
         region = _region_of(path)
@@ -42,6 +49,10 @@ class Namespace:
         return self.groups[index % len(self.groups)]
 
     # -- file metadata operations ----------------------------------------------
+
+    def new_file_id(self) -> str:
+        """A file id no earlier call on this namespace returned."""
+        return f"file-{next(self._file_numbers):08d}"
 
     def create(
         self,

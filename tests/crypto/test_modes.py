@@ -1,19 +1,28 @@
-"""CTR and CBC modes: roundtrip, determinism, length, and padding behavior."""
+"""CTR and CBC modes: roundtrip, determinism, length, and padding behavior.
+
+The CTR path runs on libcrypto; every CTR case here checks it against the
+from-scratch FIPS-197 reference (``ctr_keystream``, ``encrypt_ctr_scalar``)
+or against published vectors.
+"""
+
+import hashlib
+import random
+import ssl
+import sys
+import tracemalloc
 
 import pytest
 
 from repro.crypto import modes
 from repro.crypto.aes import AES
 from repro.crypto.modes import (
-    _VECTOR_MIN_BLOCKS,
-    BLOCK_SIZE,
     bulk_encrypt_ctr,
     ctr_keystream,
     decrypt_cbc,
     decrypt_ctr,
     encrypt_cbc,
     encrypt_ctr,
-    keystream_blocks,
+    encrypt_ctr_scalar,
 )
 
 KEY = bytes(range(16))
@@ -34,6 +43,13 @@ SP800_38A_VECTORS = {
         "9806f66b7970fdff8617187bb9fffdff"
         "5ae4df3edbd5d35e5b4f09020db03eab"
         "1e031dda2fbe03d1792170a0f3009cee",
+    ),
+    "F.5.3 CTR-AES192": (
+        "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+        "1abc932417521ca24f2b0459fe7e6e0b"
+        "090339ec0aa6faefd5ccc2c6f4ce8e94"
+        "1e36b26bd1ebc670d1bd1d665620abf7"
+        "4f78a7f6d29809585a97daec58c6b050",
     ),
     "F.5.5 CTR-AES256": (
         "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
@@ -81,37 +97,38 @@ class TestCtrKnownAnswers:
     """Vectors that do not come from this repository's own scalar path."""
 
     def test_vector_kernel_keystream(self, key_hex, ciphertext_hex):
-        # Ask for enough blocks that the numpy kernel, not the scalar loop,
-        # is what answers; the known answer is its first 64 bytes.
-        blocks = max(_VECTOR_MIN_BLOCKS, 4)
-        stream = keystream_blocks(AES(bytes.fromhex(key_hex)), SP800_38A_COUNTER, blocks)
-        assert len(stream) == blocks * BLOCK_SIZE
+        # Through encrypt_ctr: encrypting zeros yields libcrypto's keystream.
+        stream = encrypt_ctr(bytes.fromhex(key_hex), bytes(64), SP800_38A_COUNTER)
         assert xor_with(stream, SP800_38A_PLAINTEXT) == bytes.fromhex(ciphertext_hex)
 
     def test_bulk_encrypt_ctr(self, key_hex, ciphertext_hex):
-        padded = SP800_38A_PLAINTEXT + bytes(_VECTOR_MIN_BLOCKS * BLOCK_SIZE)
-        produced = bulk_encrypt_ctr(bytes.fromhex(key_hex), padded, SP800_38A_COUNTER)
-        assert produced[:64] == bytes.fromhex(ciphertext_hex)
+        produced = bulk_encrypt_ctr(bytes.fromhex(key_hex), SP800_38A_PLAINTEXT, SP800_38A_COUNTER)
+        assert produced == bytes.fromhex(ciphertext_hex)
 
     def test_scalar_path_agrees(self, key_hex, ciphertext_hex):
         stream = ctr_keystream(AES(bytes.fromhex(key_hex)), SP800_38A_COUNTER, 4)
         assert xor_with(stream, SP800_38A_PLAINTEXT) == bytes.fromhex(ciphertext_hex)
 
 
+def payload(length: int) -> bytes:
+    return bytes(i * 7 % 251 for i in range(length))
+
+
 class TestVectorKernelAgainstScalar:
-    """``keystream_blocks`` == ``ctr_keystream`` at the sizes files have."""
+    """libcrypto's CTR kernel == ``encrypt_ctr_scalar`` at the sizes files have."""
 
     @pytest.mark.parametrize("key_bytes", [16, 24, 32])
     @pytest.mark.parametrize("blocks", [1024, 16384])
     def test_file_sized_runs(self, key_bytes, blocks):
-        cipher = AES(bytes(range(7, 7 + key_bytes)))
-        assert keystream_blocks(cipher, 0, blocks) == ctr_keystream(cipher, 0, blocks)
+        key = bytes(range(7, 7 + key_bytes))
+        data = payload(blocks * 16 - 5)
+        assert bulk_encrypt_ctr(key, data) == encrypt_ctr_scalar(key, data)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_either_side_of_the_vector_threshold(self, delta):
-        cipher = AES(KEY)
-        blocks = _VECTOR_MIN_BLOCKS + delta
-        assert keystream_blocks(cipher, 3, blocks) == ctr_keystream(cipher, 3, blocks)
+        """Short inputs take the same single libcrypto call as long ones."""
+        data = payload((8 + delta) * 16 + 3)
+        assert bulk_encrypt_ctr(KEY, data, 3) == encrypt_ctr_scalar(KEY, data, 3)
 
     @pytest.mark.parametrize(
         "nonce",
@@ -119,26 +136,72 @@ class TestVectorKernelAgainstScalar:
         ids=["carry-2^64", "wrap-2^128", "above-2^128", "negative"],
     )
     def test_carry_and_wrap_inside_a_long_run(self, nonce):
-        cipher = AES(KEY)
-        assert keystream_blocks(cipher, nonce, 1024) == ctr_keystream(cipher, nonce, 1024)
+        data = payload(1024 * 16)
+        assert bulk_encrypt_ctr(KEY, data, nonce) == encrypt_ctr_scalar(KEY, data, nonce)
+
+
+class TestLibcrypto:
+    """How the CTR path reaches OpenSSL, and what it refuses."""
+
+    def test_the_ssl_modules_openssl(self):
+        # Resolved through _hashlib, so no second OpenSSL is mapped.
+        bulk_encrypt_ctr(KEY, b"load")
+        assert modes._libcrypto().OpenSSL_version(0).decode() == ssl.OPENSSL_VERSION
+
+    @pytest.mark.parametrize("width", [0, 15, 20])
+    def test_wrong_key_width_raises_value_error(self, width):
+        with pytest.raises(ValueError):
+            encrypt_ctr(bytes(width), b"some plaintext")
+
+    def test_empty_input_needs_no_library(self, monkeypatch):
+        monkeypatch.setattr(modes, "_libcrypto", None)
+        assert encrypt_ctr(KEY, b"") == b""
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 191, 192, 193])
+    @pytest.mark.parametrize("nonce", [0, (1 << 64) - 5, (1 << 128) - 5])
+    def test_stepped_updates_continue_the_counter(self, monkeypatch, length, nonce):
+        monkeypatch.setattr(modes, "_STEP", 64)
+        data = payload(length)
+        assert bulk_encrypt_ctr(KEY, data, nonce) == encrypt_ctr_scalar(KEY, data, nonce)
+
+    def test_unloadable_library_is_named(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)  # import now fails
+        modes._libcrypto.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="libcrypto"):
+                encrypt_ctr(KEY, b"x")
+        finally:
+            modes._libcrypto.cache_clear()
+
+
+class TestNothingKeptBetweenCalls:
+    def test_repeated_content_leaves_no_memory_behind(self):
+        plaintexts = [random.Random(index).randbytes(256 << 10) for index in range(64)]
+        encrypt_ctr(KEY, b"load the library before measuring")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                for plaintext in plaintexts:
+                    ciphertext = encrypt_ctr(hashlib.sha256(plaintext).digest(), plaintext)
+            del ciphertext
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 256 << 10
 
 
 class TestHarvest:
-    def test_cache_gauges_and_counters(self):
+    def test_bulk_calls_and_bytes(self):
         from repro.obs.registry import MetricsRegistry
 
-        cache = modes.keystream_cache()
-        cache.clear()
-        hits, misses = cache.hits, cache.misses
-        payload = bytes(4096)
-        for _ in range(3):  # first sight, admitted, served
-            bulk_encrypt_ctr(KEY, payload, nonce=77)
-        registry = MetricsRegistry()
-        modes.collect_metrics(registry)
-        assert registry.gauge("crypto.ctr.keystream_cache_bytes").value == 4096
-        assert registry.counter("crypto.ctr.keystream_cache_hits").value == hits + 1
-        assert registry.counter("crypto.ctr.keystream_cache_misses").value == misses + 2
-        cache.clear()
+        before = MetricsRegistry()
+        modes.collect_metrics(before)
+        bulk_encrypt_ctr(KEY, bytes(4096), nonce=77)
+        after = MetricsRegistry()
+        modes.collect_metrics(after)
+        for name, grew_by in (("crypto.ctr.bulk_calls", 1), ("crypto.ctr.bulk_bytes", 4096)):
+            assert after.counter(name).value == before.counter(name).value + grew_by
 
 
 class TestCbc:

@@ -98,3 +98,25 @@ class TestDfcCycle:
         deployment.client_for(bob).write_file("/b/s", small, replica_hosts=host)
         report = deployment.run_dfc_cycle(min_size=10_000)
         assert report.records_published == 0
+
+
+class TestDeploymentsShareNothing:
+    def test_equal_seeds_give_equal_receipts_and_cycles(self):
+        """Two deployments in one process number their files independently."""
+
+        def run():
+            deployment = FarsiteDeployment(machine_count=16, replication_factor=2, seed=5)
+            receipts = []
+            for name in ("ana", "ben"):
+                client = deployment.client_for(deployment.create_user(name))
+                receipts.append(client.write_file(f"/home/{name}/doc.txt", DOCUMENT))
+                receipts.append(client.write_file(f"/home/{name}/tool.bin", OTHER))
+            report = deployment.run_dfc_cycle()
+            deployment.salad.shutdown()
+            return receipts, report
+
+        first_receipts, first_report = run()
+        second_receipts, second_report = run()
+        assert second_receipts == first_receipts
+        assert second_report == first_report
+        assert first_report.migrations >= 1
