@@ -8,6 +8,6 @@
   series.
 """
 
-from repro.analysis.space import SpaceAccounting, UnionFind, reclaimed_bytes_from_matches
+from repro.analysis.space import SpaceAccounting, reclaimed_bytes_from_matches
 
-__all__ = ["SpaceAccounting", "UnionFind", "reclaimed_bytes_from_matches"]
+__all__ = ["SpaceAccounting", "reclaimed_bytes_from_matches"]

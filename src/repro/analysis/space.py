@@ -14,46 +14,23 @@ failures, thresholds, database eviction) remain separate files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.core.fingerprint import Fingerprint
 from repro.salad.protocol import MatchPayload
 from repro.workload.corpus import Corpus
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items (path halving + rank)."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._rank: Dict[Hashable, int] = {}
-
-    def find(self, item: Hashable) -> Hashable:
-        parent = self._parent
-        if item not in parent:
-            parent[item] = item
-            self._rank[item] = 0
-            return item
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]  # path halving
-            item = parent[item]
-        return item
-
-    def union(self, a: Hashable, b: Hashable) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-
-    def components(self) -> Dict[Hashable, List[Hashable]]:
-        out: Dict[Hashable, List[Hashable]] = {}
-        for item in self._parent:
-            out.setdefault(self.find(item), []).append(item)
-        return out
+def _root(parent: Dict[int, int], node: int) -> int:
+    """Root of *node* in a flat union-find forest (a node absent from
+    *parent* is its own root), halving the path on the way up."""
+    up = parent.get(node, node)
+    while up != node:
+        grand = parent.get(up, up)
+        parent[node] = grand
+        node = grand
+        up = parent.get(node, node)
+    return node
 
 
 def reclaimed_bytes_from_matches(
@@ -68,18 +45,25 @@ def reclaimed_bytes_from_matches(
 
     For each fingerprint, machines linked by at least one notification form
     coalescible components; a component of c machines stores one copy
-    instead of c.
+    instead of c.  Summed over a fingerprint's components, c - 1 is the
+    number of unions that joined two components, so each such union
+    reclaims one file size and no component is ever listed.
     """
-    forest: Dict[Fingerprint, UnionFind] = {}
-    for machine, payload in matches:
-        if payload.fingerprint.size < min_size:
-            continue
-        uf = forest.setdefault(payload.fingerprint, UnionFind())
-        uf.union(machine, payload.other_machine)
+    forests: Dict[Fingerprint, Dict[int, int]] = {}
     reclaimed = 0
-    for fingerprint, uf in forest.items():
-        for members in uf.components().values():
-            reclaimed += (len(members) - 1) * fingerprint.size
+    for machine, payload in matches:
+        fingerprint = payload.fingerprint
+        size = fingerprint.size
+        if size < min_size:
+            continue
+        parent = forests.get(fingerprint)
+        if parent is None:
+            parent = forests[fingerprint] = {}
+        a = _root(parent, machine)
+        b = _root(parent, payload.other_machine)
+        if a != b:
+            parent[a] = b
+            reclaimed += size
     return reclaimed
 
 

@@ -9,7 +9,8 @@ Closes the loop across all four of the paper's problems:
    phase);
 3. the relocation planner co-locates replicas of identical files on a
    common host set;
-4. each host's Single-Instance Store coalesces them, reclaiming the bytes.
+4. each host's Single-Instance Store coalesces them -- after comparing
+   their bytes -- reclaiming the space.
 
 The pipeline verifies the accounting end to end: the bytes the SIS layer
 physically reclaims must be at least the union-find prediction computed from
@@ -84,7 +85,12 @@ class PipelineReport:
 
 
 class DfcPipeline:
-    """Corpus -> hosts -> SALAD -> relocation -> SIS coalescing."""
+    """Corpus -> hosts -> SALAD -> relocation -> SIS coalescing.
+
+    SALAD matches on the fingerprints the corpus carries; a host's SIS
+    coalesces what relocation brings together by comparing the bytes it
+    holds, so a pass hashes no blob.
+    """
 
     def __init__(
         self,
@@ -159,9 +165,9 @@ class DfcPipeline:
         per distinct pair and every file of that content is handed the same
         ``bytes`` object.  The per-content table is a local: it dies with
         this call, and a blob lives on only in the stores that hold it.
-        Each host still hashes every replica it is given -- the pipeline is
-        another party to the store, whose coalescing must not rest on a
-        digest it did not compute.
+        No host hashes a replica: its SIS coalesces two replicas only after
+        comparing their bytes, and for the shared object that comparison is
+        an identity check.
 
         With ``config.replication_factor`` R >= 2 each file's blob lands on
         R distinct hosts chosen by the availability-driven hill-climbing
@@ -253,8 +259,6 @@ class DfcPipeline:
         the union-find prediction when discovery found two disjoint
         components of the same content.
         """
-        from repro.analysis.space import UnionFind
-
         matched_machines: Dict[Fingerprint, set] = {}
         for machine, payload in self.run.salad.collected_matches():
             members = matched_machines.setdefault(payload.fingerprint, set())

@@ -40,15 +40,14 @@ class FileHost:
         """Store one file's encrypted replica; returns True if it coalesced.
 
         The host computes the fingerprint of the *ciphertext* -- it cannot
-        (and need not) see plaintext.  Identical plaintexts produce identical
+        (and need not) see plaintext -- once per replica, for what it
+        publishes into the SALAD.  Identical plaintexts produce identical
         ciphertexts under convergent encryption, so their replicas coalesce
-        in the SIS.  The bytes are hashed once, here: the fingerprint's
-        digest is the SIS's content address.
+        in the SIS, which finds them by comparing bytes, not by the
+        fingerprint.
         """
         fingerprint = fingerprint_of(ciphertext.data)
-        coalesced = self.sis.store(
-            file_id, ciphertext.data, digest=fingerprint.content_digest
-        )
+        coalesced = self.sis.store(file_id, ciphertext.data)
         self._replicas[file_id] = ReplicaInfo(
             file_id=file_id,
             fingerprint=fingerprint,

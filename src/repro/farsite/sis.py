@@ -10,9 +10,17 @@ identical plaintexts -- even encrypted under different users' keys -- arrive
 as identical blobs and coalesce (section 3: "store them in the space of a
 single file (plus a small amount of space per user's key)").
 
-Blobs live in a pluggable backend: the default keeps them in RAM; passing
-``db_path`` stores them in a single-file sqlite3 database (digest-keyed,
-with link counts and sizes), so a DFC pipeline pass over a large corpus
+Finding a duplicate works as in [7]: a cheap signature names the candidate
+blobs, and a file is merged into one only after a full comparison of the
+bytes.  The signature is the content's length and leading bytes, read in
+O(1); nothing is hashed, and the store never coalesces on a digest, its own
+or anyone else's, so two files share a blob only if their bytes are equal.
+Each blob is named by a host-local integer key.
+
+Link metadata -- link name -> key, each blob's link count, and the signature
+index -- lives in RAM.  Blob bytes live in a pluggable backend: the default
+keeps them in RAM; passing ``db_path`` stores them in a single-file sqlite3
+database keyed by the local key, so a DFC pipeline pass over a large corpus
 holds only link metadata in memory -- the same RAM-bounding move the SALAD
 record stores make in :mod:`repro.salad.storage`.
 """
@@ -22,57 +30,38 @@ from __future__ import annotations
 import os
 import sqlite3
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.crypto.hashing import content_hash
+#: Leading bytes a signature keeps beside the length.
+_SIGNATURE_PREFIX = 32
+
+
+def _signature(data: bytes) -> Tuple[int, bytes]:
+    """Candidate-finding signature: equal contents always share it."""
+    return len(data), data[:_SIGNATURE_PREFIX]
 
 
 class NoSuchFileError(KeyError):
     """The named link does not exist in this store."""
 
 
-@dataclass
-class _Blob:
-    data: bytes
-    link_count: int = 0
-
-
 class _MemoryBlobs:
     """The default blob backend: everything in RAM."""
 
     def __init__(self) -> None:
-        self._blobs: Dict[bytes, _Blob] = {}
+        self._data: Dict[int, bytes] = {}
 
-    def get(self, digest: bytes) -> bytes:
-        return self._blobs[digest].data
+    def get(self, key: int) -> bytes:
+        return self._data[key]
 
-    def size(self, digest: bytes) -> int:
-        return len(self._blobs[digest].data)
+    def put(self, key: int, data: bytes) -> None:
+        self._data[key] = data
 
-    def add_link(self, digest: bytes, data: bytes) -> bool:
-        """Reference *data* under *digest*; returns True if it coalesced."""
-        blob = self._blobs.get(digest)
-        coalesced = blob is not None
-        if blob is None:
-            blob = _Blob(data=bytes(data))
-            self._blobs[digest] = blob
-        blob.link_count += 1
-        return coalesced
+    def pop(self, key: int) -> bytes:
+        return self._data.pop(key)
 
-    def drop_link(self, digest: bytes) -> None:
-        blob = self._blobs[digest]
-        blob.link_count -= 1
-        if blob.link_count == 0:
-            del self._blobs[digest]
-
-    def link_count(self, digest: bytes) -> int:
-        return self._blobs[digest].link_count
-
-    def __len__(self) -> int:
-        return len(self._blobs)
-
-    def physical_bytes(self) -> int:
-        return sum(len(b.data) for b in self._blobs.values())
+    def sizes(self) -> Iterable[Tuple[int, int]]:
+        return ((key, len(data)) for key, data in self._data.items())
 
     def close(self) -> None:
         pass
@@ -81,72 +70,42 @@ class _MemoryBlobs:
 class _SqliteBlobs:
     """Blob backend over a single-file sqlite3 database.
 
-    One row per distinct content: ``(digest, data, size, link_count)``.
-    The size column lets space accounting avoid loading blob bytes.
+    One row per blob: ``(key, data, size)``.  The size column lets space
+    accounting avoid loading blob bytes.  Links live in RAM, so a store
+    reopened on an existing file could reach none of its rows: it starts
+    empty.
     """
 
     def __init__(self, path: os.PathLike):
         self._conn = sqlite3.connect(os.fspath(path))
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute("DROP TABLE IF EXISTS blobs")
         self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS blobs ("
-            " digest BLOB PRIMARY KEY,"
+            "CREATE TABLE blobs ("
+            " key INTEGER PRIMARY KEY,"
             " data BLOB NOT NULL,"
-            " size INTEGER NOT NULL,"
-            " link_count INTEGER NOT NULL"
-            ") WITHOUT ROWID"
+            " size INTEGER NOT NULL"
+            ")"
         )
         self._conn.commit()
 
-    def get(self, digest: bytes) -> bytes:
-        row = self._conn.execute(
-            "SELECT data FROM blobs WHERE digest = ?", (digest,)
-        ).fetchone()
-        if row is None:
-            raise KeyError(digest)
-        return row[0]
+    def get(self, key: int) -> bytes:
+        return self._conn.execute("SELECT data FROM blobs WHERE key = ?", (key,)).fetchone()[0]
 
-    def size(self, digest: bytes) -> int:
-        row = self._conn.execute(
-            "SELECT size FROM blobs WHERE digest = ?", (digest,)
-        ).fetchone()
-        if row is None:
-            raise KeyError(digest)
-        return row[0]
-
-    def add_link(self, digest: bytes, data: bytes) -> bool:
-        cursor = self._conn.execute(
-            "UPDATE blobs SET link_count = link_count + 1 WHERE digest = ?", (digest,)
-        )
-        if cursor.rowcount:
-            return True
+    def put(self, key: int, data: bytes) -> None:
         self._conn.execute(
-            "INSERT INTO blobs (digest, data, size, link_count) VALUES (?, ?, ?, 1)",
-            (digest, bytes(data), len(data)),
+            "INSERT INTO blobs (key, data, size) VALUES (?, ?, ?)",
+            (key, data, len(data)),
         )
-        return False
 
-    def drop_link(self, digest: bytes) -> None:
-        self._conn.execute(
-            "UPDATE blobs SET link_count = link_count - 1 WHERE digest = ?", (digest,)
-        )
-        self._conn.execute("DELETE FROM blobs WHERE digest = ? AND link_count <= 0", (digest,))
+    def pop(self, key: int) -> bytes:
+        data = self.get(key)
+        self._conn.execute("DELETE FROM blobs WHERE key = ?", (key,))
+        return data
 
-    def link_count(self, digest: bytes) -> int:
-        row = self._conn.execute(
-            "SELECT link_count FROM blobs WHERE digest = ?", (digest,)
-        ).fetchone()
-        if row is None:
-            raise KeyError(digest)
-        return row[0]
-
-    def __len__(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM blobs").fetchone()[0]
-
-    def physical_bytes(self) -> int:
-        row = self._conn.execute("SELECT COALESCE(SUM(size), 0) FROM blobs").fetchone()
-        return row[0]
+    def sizes(self) -> Iterable[Tuple[int, int]]:
+        return self._conn.execute("SELECT key, size FROM blobs")
 
     def close(self) -> None:
         self._conn.commit()
@@ -166,39 +125,51 @@ class SisStats:
 
 
 class SingleInstanceStore:
-    """A content-addressed store with separate-file (link) semantics.
+    """A coalescing store with separate-file (link) semantics.
 
     With ``db_path`` set, blob bytes live in sqlite instead of RAM; link
-    metadata (name -> digest) stays in memory either way.  Observable
+    metadata and the signature index stay in memory either way.  Observable
     behavior is identical across backends.
     """
 
     def __init__(self, db_path: Optional[os.PathLike] = None) -> None:
         self._blobs = _SqliteBlobs(db_path) if db_path is not None else _MemoryBlobs()
-        self._links: Dict[str, bytes] = {}  # link name -> blob digest
+        self._links: Dict[str, int] = {}  # link name -> blob key
+        self._refs: Dict[int, int] = {}  # blob key -> link count
+        self._index: Dict[Tuple[int, bytes], List[int]] = {}  # signature -> blob keys
+        self._next_key = 0
 
     # -- write/read -----------------------------------------------------------
 
-    def store(self, name: str, data: bytes, digest: Optional[bytes] = None) -> bool:
+    def store(self, name: str, data: bytes) -> bool:
         """Store *data* under link *name*; returns True if it coalesced.
 
-        If a blob with identical content already exists, the link shares it.
-        Re-storing an existing name first releases its old blob.  A caller
-        on the same machine that has already hashed *data* may pass its
-        ``content_hash`` as *digest*; it must never come from another party,
-        because the store coalesces on it without looking at the bytes.
+        The link shares an existing blob only if that blob's bytes equal
+        *data*; the signature merely picks which blobs to compare.
+        Re-storing an existing name first releases its old blob.
         """
         if name in self._links:
             self._release(name)
-        if digest is None:
-            digest = content_hash(data)
-        coalesced = self._blobs.add_link(digest, data)
-        self._links[name] = digest
-        return coalesced
+        data = bytes(data)  # the object itself when it is already bytes
+        signature = _signature(data)
+        for key in self._index.get(signature, ()):
+            # bytes == bytes answers at once for the same object, which is
+            # what every replica of a content usually is.
+            if self._blobs.get(key) == data:
+                self._refs[key] += 1
+                self._links[name] = key
+                return True
+        key = self._next_key
+        self._next_key = key + 1
+        self._blobs.put(key, data)
+        self._refs[key] = 1
+        self._index.setdefault(signature, []).append(key)
+        self._links[name] = key
+        return False
 
     def read(self, name: str) -> bytes:
         """Read through a link; separate-file semantics, shared storage."""
-        return self._blobs.get(self._digest_of(name))
+        return self._blobs.get(self._key_of(name))
 
     def write(self, name: str, data: bytes) -> None:
         """Copy-on-write: writing one link never disturbs its sharers."""
@@ -214,14 +185,25 @@ class SingleInstanceStore:
 
     # -- internals -------------------------------------------------------------
 
-    def _digest_of(self, name: str) -> bytes:
+    def _key_of(self, name: str) -> int:
         try:
             return self._links[name]
         except KeyError:
             raise NoSuchFileError(name) from None
 
     def _release(self, name: str) -> None:
-        self._blobs.drop_link(self._links[name])
+        """Drop *name*'s link; its blob and index entry go with the last one."""
+        key = self._links[name]
+        links = self._refs[key] - 1
+        if links:
+            self._refs[key] = links
+            return
+        del self._refs[key]
+        signature = _signature(self._blobs.pop(key))
+        candidates = self._index[signature]
+        candidates.remove(key)
+        if not candidates:
+            del self._index[signature]
 
     # -- introspection -----------------------------------------------------------
 
@@ -233,14 +215,16 @@ class SingleInstanceStore:
 
     def link_count(self, name: str) -> int:
         """How many links share this file's blob (1 = not coalesced)."""
-        return self._blobs.link_count(self._digest_of(name))
+        return self._refs[self._key_of(name)]
 
     def blob_count(self) -> int:
-        return len(self._blobs)
+        return len(self._refs)
 
     def stats(self) -> SisStats:
-        logical = sum(self._blobs.size(d) for d in self._links.values())
-        physical = self._blobs.physical_bytes()
+        logical = physical = 0
+        for key, size in self._blobs.sizes():
+            physical += size
+            logical += size * self._refs[key]
         return SisStats(logical_bytes=logical, physical_bytes=physical)
 
     def close(self) -> None:

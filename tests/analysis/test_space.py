@@ -1,9 +1,10 @@
 """Space accounting from match notifications."""
 
-from repro.analysis.space import SpaceAccounting, UnionFind, reclaimed_bytes_from_matches
+from repro.analysis.space import SpaceAccounting, reclaimed_bytes_from_matches
 from repro.core.fingerprint import synthetic_fingerprint
 from repro.salad.protocol import MatchPayload
 from repro.workload.corpus import Corpus, FileStat, MachineScan
+from tests.unionfind import UnionFind
 
 FP_BIG = synthetic_fingerprint(1000, 1)
 FP_SMALL = synthetic_fingerprint(10, 2)

@@ -1,6 +1,7 @@
 """File hosts: encrypted replica storage with SIS coalescing."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,17 @@ from repro.core.convergent import convergent_encrypt
 from repro.farsite.file_host import FileHost
 
 DOCUMENT = b"shared document body " * 50
+
+#: Where CPython's hash functions and hash objects live.
+HASH_MODULES = {"_hashlib", "_md5", "_sha1", "_sha2", "_sha256", "_sha512", "_sha3", "_blake2"}
+
+
+def _module_of(fn):
+    """Module of a builtin function, or of the object a bound builtin is on."""
+    owner = getattr(fn, "__self__", None)
+    if owner is not None and not isinstance(owner, type(sys)):
+        return type(owner).__module__
+    return getattr(fn, "__module__", None)
 
 
 @pytest.fixture
@@ -60,13 +72,13 @@ class TestStorage:
 
 
 class TestHashedOncePerHost:
-    """A host hashes the bytes it receives itself, and only once."""
+    """A host hashes each replica once, for the fingerprint it publishes;
+    its SIS finds duplicates by comparing bytes and hashes nothing."""
 
     @pytest.fixture
     def hash_calls(self, monkeypatch):
         from repro.core import fingerprint
         from repro.crypto import hashing
-        from repro.farsite import sis
 
         calls = []
 
@@ -74,9 +86,8 @@ class TestHashedOncePerHost:
             calls.append(len(data))
             return hashing.content_hash(data)
 
-        # Both modules bind the primitive by name at import.
+        # The module binds the primitive by name at import.
         monkeypatch.setattr(fingerprint, "content_hash", counting_hash)
-        monkeypatch.setattr(sis, "content_hash", counting_hash)
         return calls
 
     def test_store_replica_hashes_once_per_call(self, host, alice, bob, hash_calls):
@@ -85,16 +96,42 @@ class TestHashedOncePerHost:
         host.store_replica("b", encrypt_for("bob", bob, 2))
         assert hash_calls == [len(DOCUMENT)] * 2
 
-    def test_fingerprint_digest_is_the_content_address(self, host, alice):
-        """The handed-down digest coalesces with one the SIS computes itself."""
+    def test_host_replica_coalesces_only_with_equal_bytes(self, host, alice):
+        """A replica stored through the host coalesces with an equal copy
+        stored directly, and not with bytes that share its signature."""
         ciphertext = encrypt_for("alice", alice)
         host.store_replica("via-host", ciphertext)
-        assert host.sis.store("direct", ciphertext.data)  # coalesced
+        same_size_same_head = ciphertext.data[:-1] + bytes([ciphertext.data[-1] ^ 1])
+        assert not host.sis.store("lookalike", same_size_same_head)
+        assert host.sis.store("direct", bytearray(ciphertext.data))  # coalesced
         assert host.sis.link_count("via-host") == 2
+        assert host.sis.link_count("lookalike") == 1
 
-    def test_direct_sis_store_still_hashes(self, host, hash_calls):
-        host.sis.store("plain", DOCUMENT)
-        assert hash_calls == [len(DOCUMENT)]
+    def test_sis_store_calls_no_hash(self, host):
+        """No hash function runs inside store/write/read/delete."""
+        called = []
+
+        def profiler(frame, event, arg):
+            if event == "c_call":
+                called.append(arg)
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            host.sis.store("plain", DOCUMENT)
+            host.sis.store("copy", bytes(bytearray(DOCUMENT)))
+            host.sis.write("copy", DOCUMENT[::-1])
+            host.sis.read("plain")
+            host.sis.delete("copy")
+        finally:
+            sys.setprofile(previous)
+        assert called, "the profiler saw no C calls"
+        hashing = [
+            fn for fn in called
+            if fn is hash or _module_of(fn) in HASH_MODULES
+        ]
+        assert hashing == []
+        assert host.sis.link_count("plain") == 1
 
 
 class TestDfcHooks:

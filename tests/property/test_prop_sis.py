@@ -1,9 +1,12 @@
 """Property tests: Single-Instance Store invariants under random workloads."""
 
-from hypothesis import given, settings
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.farsite.sis import SingleInstanceStore
+from repro.farsite.sis import NoSuchFileError, SingleInstanceStore
 
 operations = st.lists(
     st.tuples(
@@ -76,3 +79,89 @@ class TestSisInvariants:
             except KeyError:
                 pass
         assert sis.blob_count() == len(set(expected.values()))
+
+
+#: Model-test alphabet: the empty blob, and contents that share a length and
+#: their leading bytes yet differ in the tail (or share only the leading
+#: bytes), so a store that trusted its signature would coalesce them.
+MODEL_CONTENTS = [
+    b"",
+    b"a" * 40 + b"X",
+    b"a" * 40 + b"Y",
+    b"a" * 40 + b"XZ",
+    b"a" * 32,
+    b"abc",
+]
+
+model_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["store", "write", "delete", "read"]),
+        st.integers(min_value=0, max_value=5),  # name index
+        st.integers(min_value=0, max_value=len(MODEL_CONTENTS) - 1),
+        st.booleans(),  # pass a distinct but equal bytes object
+    ),
+    max_size=60,
+)
+
+#: Names each sqlite example's file within the test's tmp_path.
+_example_numbers = itertools.count()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+class TestSisAgainstModel:
+    """Random store/write/delete/read sequences against a dict model, on
+    both blob backends, checked after every step."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(steps=model_steps)
+    def test_matches_dict_model(self, backend, tmp_path, steps):
+        db_path = None
+        if backend == "sqlite":
+            db_path = tmp_path / f"sis-{next(_example_numbers)}.sqlite"
+        sis = SingleInstanceStore(db_path=db_path)
+        model = {}
+        try:
+            for op, name_idx, content_idx, fresh in steps:
+                name = f"file{name_idx}"
+                content = MODEL_CONTENTS[content_idx]
+                data = bytes(bytearray(content)) if fresh else content
+                if op == "store":
+                    others = {v for k, v in model.items() if k != name}
+                    assert sis.store(name, data) == (content in others)
+                    model[name] = content
+                elif name not in model:
+                    args = (name, data) if op == "write" else (name,)
+                    with pytest.raises(NoSuchFileError):
+                        getattr(sis, op)(*args)
+                elif op == "write":
+                    sis.write(name, data)
+                    model[name] = content
+                elif op == "delete":
+                    sis.delete(name)
+                    del model[name]
+                else:
+                    assert sis.read(name) == model[name]
+                self._check(sis, model)
+        finally:
+            sis.close()
+
+    @staticmethod
+    def _check(sis, model):
+        assert len(sis) == len(model)
+        for name, content in model.items():
+            assert name in sis
+            assert sis.read(name) == content
+            assert sis.link_count(name) == list(model.values()).count(content)
+        live = set(model.values())
+        assert sis.blob_count() == len(live)
+        stats = sis.stats()
+        assert stats.logical_bytes == sum(len(v) for v in model.values())
+        assert stats.physical_bytes == sum(len(v) for v in live)
+        # The signature index holds each live blob once, and no signature
+        # outlives its last blob.
+        assert sum(len(keys) for keys in sis._index.values()) == len(live)
+        assert all(sis._index.values())
