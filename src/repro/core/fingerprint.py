@@ -79,10 +79,6 @@ class Fingerprint:
             content_digest=data[SIZE_PREFIX_BYTES:],
         )
 
-    def as_int(self) -> int:
-        """The fingerprint as a big integer (used for SALAD cell-IDs)."""
-        return int.from_bytes(self.to_bytes(), "big")
-
     def hash_as_int(self) -> int:
         """Just the content-hash portion as an integer.
 

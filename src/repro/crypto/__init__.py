@@ -4,11 +4,10 @@ Farsite roots data privacy in symmetric-key and public-key cryptography
 (paper section 2).  This package supplies every primitive the Duplicate-File
 Coalescing subsystem needs:
 
-- :mod:`repro.crypto.aes` -- FIPS-197 AES block cipher, pure Python: the
-  reference the CTR path is tested against.
-- :mod:`repro.crypto.modes` -- CTR and CBC modes of operation.  CTR over
-  file bytes runs on OpenSSL's AES in the ``libcrypto`` CPython already
-  links; CBC runs on the pure-Python cipher.
+- :mod:`repro.crypto.aes` -- FIPS-197 AES block cipher (encryption only),
+  pure Python: the reference the CTR path is tested against.
+- :mod:`repro.crypto.modes` -- CTR mode.  CTR over file bytes runs on
+  OpenSSL's AES in the ``libcrypto`` CPython already links.
 - :mod:`repro.crypto.primes` -- Miller-Rabin primality and prime generation.
 - :mod:`repro.crypto.rsa` -- textbook RSA key pairs for user and machine keys.
 - :mod:`repro.crypto.hashing` -- the 20-byte "cryptographically strong hash"
@@ -24,7 +23,7 @@ from repro.crypto.hashing import (
     convergence_key,
     strong_hash,
 )
-from repro.crypto.modes import ctr_keystream, decrypt_cbc, decrypt_ctr, encrypt_cbc, encrypt_ctr
+from repro.crypto.modes import ctr_keystream, decrypt_ctr, encrypt_ctr
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
 
@@ -36,9 +35,7 @@ __all__ = [
     "content_hash",
     "convergence_key",
     "ctr_keystream",
-    "decrypt_cbc",
     "decrypt_ctr",
-    "encrypt_cbc",
     "encrypt_ctr",
     "generate_keypair",
     "generate_prime",

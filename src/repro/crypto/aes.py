@@ -4,8 +4,9 @@ Convergent encryption (paper section 3) needs a symmetric cipher ``E`` keyed
 by the hash of the plaintext.  The security proof models ``E`` as a random
 permutation family; any standard block cipher realizes it.  We implement AES
 (128/192/256-bit keys) directly from the FIPS-197 specification -- key
-expansion, SubBytes/ShiftRows/MixColumns rounds, and their inverses -- so the
-repository has no external crypto dependency.
+expansion and the SubBytes/ShiftRows/MixColumns rounds -- as the reference the
+CTR path over file bytes is tested against.  Only the forward cipher exists:
+CTR mode, the only mode convergent encryption uses, never inverts a block.
 
 Two encryption paths share the key schedule:
 
@@ -70,21 +71,14 @@ def _build_sbox() -> List[int]:
 
 
 _SBOX = _build_sbox()
-_INV_SBOX = [0] * 256
-for _i, _v in enumerate(_SBOX):
-    _INV_SBOX[_v] = _i
 
 _RCON = [0x01]
 while len(_RCON) < 14:
     _RCON.append(_gf_mul(_RCON[-1], 0x02))
 
-# Precomputed GF multiplication tables for MixColumns and its inverse.
+# Precomputed GF multiplication tables for MixColumns.
 _MUL2 = [_gf_mul(x, 2) for x in range(256)]
 _MUL3 = [_gf_mul(x, 3) for x in range(256)]
-_MUL9 = [_gf_mul(x, 9) for x in range(256)]
-_MUL11 = [_gf_mul(x, 11) for x in range(256)]
-_MUL13 = [_gf_mul(x, 13) for x in range(256)]
-_MUL14 = [_gf_mul(x, 14) for x in range(256)]
 
 _ROUNDS_BY_KEY_BYTES = {16: 10, 24: 12, 32: 14}
 
@@ -118,10 +112,8 @@ class AES:
     """The AES block cipher over 16-byte blocks.
 
     >>> key = bytes(range(16))
-    >>> cipher = AES(key)
-    >>> block = b"sixteen byte msg"
-    >>> cipher.decrypt_block(cipher.encrypt_block(block)) == block
-    True
+    >>> AES(key).encrypt_block(bytes.fromhex("00112233445566778899aabbccddeeff")).hex()
+    '69c4e0d86a7b0430d8cdb78070b4c55a'
     """
 
     def __init__(self, key: bytes):
@@ -173,9 +165,9 @@ class AES:
             state[i] ^= rk[i]
 
     @staticmethod
-    def _sub_bytes(state: List[int], box: List[int]) -> None:
+    def _sub_bytes(state: List[int]) -> None:
         for i in range(16):
-            state[i] = box[state[i]]
+            state[i] = _SBOX[state[i]]
 
     @staticmethod
     def _shift_rows(state: List[int]) -> None:
@@ -185,12 +177,6 @@ class AES:
         state[3], state[7], state[11], state[15] = state[15], state[3], state[7], state[11]
 
     @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        state[5], state[9], state[13], state[1] = state[1], state[5], state[9], state[13]
-        state[10], state[14], state[2], state[6] = state[2], state[6], state[10], state[14]
-        state[15], state[3], state[7], state[11] = state[3], state[7], state[11], state[15]
-
-    @staticmethod
     def _mix_columns(state: List[int]) -> None:
         for c in range(0, 16, 4):
             a0, a1, a2, a3 = state[c : c + 4]
@@ -198,15 +184,6 @@ class AES:
             state[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
             state[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
             state[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = state[c : c + 4]
-            state[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
 
     def encrypt_block_scalar(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block via the per-byte reference rounds.
@@ -219,11 +196,11 @@ class AES:
         state = list(block)
         self._add_round_key(state, self._round_keys[0])
         for r in range(1, self.rounds):
-            self._sub_bytes(state, _SBOX)
+            self._sub_bytes(state)
             self._shift_rows(state)
             self._mix_columns(state)
             self._add_round_key(state, self._round_keys[r])
-        self._sub_bytes(state, _SBOX)
+        self._sub_bytes(state)
         self._shift_rows(state)
         self._add_round_key(state, self._round_keys[self.rounds])
         return bytes(state)
@@ -279,19 +256,3 @@ class AES:
             + u2.to_bytes(4, "big")
             + u3.to_bytes(4, "big")
         )
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        for r in range(self.rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_keys[r])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)

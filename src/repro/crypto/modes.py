@@ -16,10 +16,6 @@ the first CTR call, so a process that never encrypts never touches it.
 The from-scratch FIPS-197 cipher (:mod:`repro.crypto.aes`) driven one block
 at a time (:func:`ctr_keystream`, :func:`encrypt_ctr_scalar`) is the
 reference the tests check the library path against, bit for bit.
-
-CBC mode with a deterministic IV is provided as an alternative realization
-(and to exercise the padding path) on the from-scratch cipher; both satisfy
-Eq. 2.
 """
 
 from __future__ import annotations
@@ -178,48 +174,3 @@ def encrypt_ctr_scalar(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
     blocks = (len(plaintext) + BLOCK_SIZE - 1) // BLOCK_SIZE
     stream = ctr_keystream(cipher, nonce, blocks)
     return bytes(p ^ s for p, s in zip(plaintext, stream))
-
-
-def _pad(data: bytes) -> bytes:
-    """PKCS#7 padding to a whole number of blocks."""
-    pad_len = BLOCK_SIZE - len(data) % BLOCK_SIZE
-    return data + bytes([pad_len]) * pad_len
-
-
-def _unpad(data: bytes) -> bytes:
-    if not data or len(data) % BLOCK_SIZE:
-        raise ValueError("ciphertext is not a whole number of blocks")
-    pad_len = data[-1]
-    if not 1 <= pad_len <= BLOCK_SIZE or data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise ValueError("invalid PKCS#7 padding")
-    return data[:-pad_len]
-
-
-def encrypt_cbc(key: bytes, plaintext: bytes, iv: bytes = bytes(BLOCK_SIZE)) -> bytes:
-    """Encrypt in CBC mode with PKCS#7 padding and a deterministic IV."""
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    cipher = AES(key)
-    padded = _pad(plaintext)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(padded), BLOCK_SIZE):
-        block = bytes(a ^ b for a, b in zip(padded[i : i + BLOCK_SIZE], prev))
-        prev = cipher.encrypt_block(block)
-        out.extend(prev)
-    return bytes(out)
-
-
-def decrypt_cbc(key: bytes, ciphertext: bytes, iv: bytes = bytes(BLOCK_SIZE)) -> bytes:
-    """Invert :func:`encrypt_cbc`."""
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    cipher = AES(key)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i : i + BLOCK_SIZE]
-        plain = cipher.decrypt_block(block)
-        out.extend(a ^ b for a, b in zip(plain, prev))
-        prev = block
-    return _unpad(bytes(out))

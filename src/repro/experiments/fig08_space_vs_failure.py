@@ -9,7 +9,6 @@ Failure model: desktops "fail half of the time" in the duty-cycle sense --
 each message is lost with probability p because its recipient is down at
 delivery time.  (Permanently crashing a p-fraction of machines cannot match
 Fig. 8: the dead machines' own files would cap reclaim at ~23% for p = 0.5.)
-The :func:`run_crash_ablation` variant measures that harsher model too.
 """
 
 from __future__ import annotations
@@ -61,33 +60,32 @@ def _run_one_point(task):
     Each point is a fully independent DFC run, so the whole lambdas x
     probabilities grid fans out across a pool without any shared state.
     """
-    corpus, lam, i, p, seed, crash, settings = task
+    corpus, lam, i, p, seed, settings = task
     run_ = DfcRun(
         corpus, DfcConfig(target_redundancy=lam, seed=seed + i, settings=settings)
     )
     try:
         run_.build()
-        if crash:
-            run_.crash_machines(p)
-        else:
-            run_.set_failure_probability(p)
+        run_.set_failure_probability(p)
         run_.insert_all()
         return lam, i, run_.consumed_bytes(), run_.reclaimed_fraction()
     finally:
         run_.close()
 
 
-def _run_grid(
-    corpus: Corpus,
-    lambdas: Sequence[float],
-    probabilities: Sequence[float],
-    seed: int,
-    crash: bool,
-    workers: int,
+def run(
+    scale: ExperimentScale,
+    lambdas: Sequence[float] = PAPER_LAMBDAS,
+    probabilities: Sequence[float] = PAPER_FAILURE_PROBABILITIES,
+    seed: int = 0,
+    corpus: Corpus = None,
+    workers: int = 1,
     settings: RunSettings = RunSettings(),
 ) -> Fig08Result:
+    if corpus is None:
+        corpus = generate_corpus(scale.corpus_spec(), seed=seed)
     tasks = [
-        (corpus, lam, i, p, seed, crash, settings)
+        (corpus, lam, i, p, seed, settings)
         for lam in lambdas
         for i, p in enumerate(probabilities)
     ]
@@ -105,38 +103,3 @@ def _run_grid(
         total_bytes=corpus.total_bytes,
         reclaimed_at_half=reclaimed_at_half,
     )
-
-
-def run(
-    scale: ExperimentScale,
-    lambdas: Sequence[float] = PAPER_LAMBDAS,
-    probabilities: Sequence[float] = PAPER_FAILURE_PROBABILITIES,
-    seed: int = 0,
-    corpus: Corpus = None,
-    workers: int = 1,
-    settings: RunSettings = RunSettings(),
-) -> Fig08Result:
-    if corpus is None:
-        corpus = generate_corpus(scale.corpus_spec(), seed=seed)
-    return _run_grid(
-        corpus, lambdas, probabilities, seed, crash=False, workers=workers,
-        settings=settings,
-    )
-
-
-def run_crash_ablation(
-    scale: ExperimentScale,
-    lambdas: Sequence[float] = PAPER_LAMBDAS,
-    probabilities: Sequence[float] = PAPER_FAILURE_PROBABILITIES,
-    seed: int = 0,
-    corpus: Corpus = None,
-    workers: int = 1,
-) -> Fig08Result:
-    """Ablation: permanent crash-stop failures instead of duty-cycle loss.
-
-    Harsher than the paper's model; crashed machines' files still count as
-    consumed but can never be coalesced.
-    """
-    if corpus is None:
-        corpus = generate_corpus(scale.corpus_spec(), seed=seed)
-    return _run_grid(corpus, lambdas, probabilities, seed, crash=True, workers=workers)

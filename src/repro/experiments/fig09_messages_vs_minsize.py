@@ -19,15 +19,6 @@ from repro.experiments.threshold_sweep import ThresholdSweepResult, run_threshol
 class Fig09Result:
     sweep: ThresholdSweepResult
 
-    def halving_threshold(self, lam: float) -> int:
-        """Smallest threshold that at least halves the no-threshold traffic."""
-        points = self.sweep.points[lam]
-        full = points[0].mean_messages
-        for p in points:
-            if p.mean_messages <= full / 2:
-                return p.min_size
-        return points[-1].min_size
-
     def render(self) -> str:
         return render_table(
             "Fig. 9: mean messages per machine vs. minimum file size",

@@ -27,14 +27,6 @@ class Fig12Result:
     cdfs: Dict[str, Cdf]
     cov: Dict[float, float]
 
-    def bimodality_ratio(self, label: str) -> float:
-        """Max adjacent jump between deciles, a crude bimodality signal."""
-        cdf = self.cdfs[label]
-        deciles = [cdf.quantile(i / 10) for i in range(1, 11)]
-        jumps = [b - a for a, b in zip(deciles, deciles[1:])]
-        spread = max(deciles) - min(deciles)
-        return max(jumps) / spread if spread else 0.0
-
     def render(self) -> str:
         quantiles = [i / 10 for i in range(1, 11)]
         series = {

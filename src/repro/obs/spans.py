@@ -1,4 +1,4 @@
-"""Nesting span/phase timers with optional profiler attachment.
+"""Nesting span/phase timers.
 
 A :func:`span` measures one unit of work's wall time; spans opened while
 another span is running nest under it, so a run accumulates a *phase tree*:
@@ -13,12 +13,6 @@ Each span records wall seconds and an optional operation count, from which
 the report derives a per-op rate; ``span.note(key, value)`` attaches
 arbitrary small annotations.
 
-Optional attachments (both stdlib, both opt-in per span because they cost
-real overhead): ``profile=True`` runs :mod:`cProfile` over the span's body
-and keeps the top functions by cumulative time; ``trace_memory=True``
-brackets the body with :mod:`tracemalloc` and records the allocation delta
-and peak.  Attachments never change what the span's body computes.
-
 Spans are deliberately not gated on :func:`repro.obs.registry.enabled`:
 they run at phase granularity (a handful per experiment), not per
 operation, so their cost is noise even when telemetry is off -- and the
@@ -27,16 +21,9 @@ drivers only *open* them when assembling a report anyway.
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import time
-import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
-
-#: How many functions a profiled span keeps from the cProfile stats.
-PROFILE_TOP = 12
-
 
 class Span:
     """One timed unit of work in the phase tree."""
@@ -48,8 +35,6 @@ class Span:
         "ops",
         "notes",
         "children",
-        "profile_top",
-        "memory",
     )
 
     def __init__(self, name: str, ops: Optional[int] = None):
@@ -62,8 +47,6 @@ class Span:
         self.ops = ops
         self.notes: Dict[str, Any] = {}
         self.children: List["Span"] = []
-        self.profile_top: Optional[List[dict]] = None
-        self.memory: Optional[Dict[str, int]] = None
 
     def set_ops(self, ops: int) -> None:
         """Set the operation count after the fact (e.g. once it is known)."""
@@ -87,10 +70,6 @@ class Span:
                 out["ops_per_second"] = rate
         if self.notes:
             out["notes"] = dict(self.notes)
-        if self.profile_top is not None:
-            out["profile_top"] = self.profile_top
-        if self.memory is not None:
-            out["memory"] = self.memory
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
@@ -106,48 +85,18 @@ _completed_roots: List[Span] = []
 
 
 @contextmanager
-def span(
-    name: str,
-    ops: Optional[int] = None,
-    profile: bool = False,
-    trace_memory: bool = False,
-) -> Iterator[Span]:
+def span(name: str, ops: Optional[int] = None) -> Iterator[Span]:
     """Time a block of work as one node of the phase tree."""
     node = Span(name, ops=ops)
     is_root = not _stack
     if _stack:
         _stack[-1].children.append(node)
     _stack.append(node)
-    profiler = None
-    if profile:
-        profiler = cProfile.Profile()
-    if trace_memory:
-        tracing_before = tracemalloc.is_tracing()
-        if not tracing_before:
-            tracemalloc.start()
-        size_before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
     node.start = start = time.perf_counter()
     try:
-        if profiler is not None:
-            profiler.enable()
-        try:
-            yield node
-        finally:
-            if profiler is not None:
-                profiler.disable()
-            node.seconds = time.perf_counter() - start
-            if trace_memory:
-                size_after, peak = tracemalloc.get_traced_memory()
-                node.memory = {
-                    "allocated_delta_bytes": size_after - size_before,
-                    "peak_bytes": peak,
-                }
-                if not tracing_before:
-                    tracemalloc.stop()
-            if profiler is not None:
-                node.profile_top = _top_functions(profiler)
+        yield node
     finally:
+        node.seconds = time.perf_counter() - start
         # Close by identity, not by position: if an *enclosing* span's
         # context exits first (held context managers closed out of order),
         # popping blindly would detach the wrong node and record a child as
@@ -162,9 +111,9 @@ def span(
             _completed_roots.append(node)
 
 
-def phase(name: str, ops: Optional[int] = None, **kwargs):
+def phase(name: str, ops: Optional[int] = None):
     """A top-level named unit of a run; alias of :func:`span` by convention."""
-    return span(name, ops=ops, **kwargs)
+    return span(name, ops=ops)
 
 
 def current_span() -> Optional[Span]:
@@ -200,19 +149,3 @@ def reset_spans() -> None:
     """
     _stack.clear()
     _completed_roots.clear()
-
-
-def _top_functions(profiler: cProfile.Profile) -> List[dict]:
-    stats = pstats.Stats(profiler)
-    rows = []
-    for (filename, line, func), (cc, nc, tt, ct, _callers) in stats.stats.items():
-        rows.append(
-            {
-                "function": f"{filename}:{line}({func})",
-                "calls": nc,
-                "total_seconds": tt,
-                "cumulative_seconds": ct,
-            }
-        )
-    rows.sort(key=lambda r: r["cumulative_seconds"], reverse=True)
-    return rows[:PROFILE_TOP]

@@ -31,25 +31,13 @@ def mismatching_dimensions(i: int, j: int, width: int, dimensions: int) -> List[
     Implemented with per-axis bit masks: coordinate extraction is a pure bit
     permutation, so coordinate d differs iff the XOR of the identifiers has
     a set bit among axis d's interleaved positions.  One XOR plus D ANDs
-    replaces 2*D extraction loops; :func:`mismatching_dimensions_reference`
-    keeps the Eq. 10 definition as the property-test oracle.
+    replaces 2*D extraction loops.
     """
     diff = (i ^ j) & ((1 << width) - 1)
     if not diff:
         return []
     masks = axis_masks(width, dimensions)
     return [d for d in range(dimensions) if diff & masks[d]]
-
-
-def mismatching_dimensions_reference(
-    i: int, j: int, width: int, dimensions: int
-) -> List[int]:
-    """Definitional form of :func:`mismatching_dimensions` (per-axis Eq. 10)."""
-    return [
-        d
-        for d in range(dimensions)
-        if coordinate(i, width, dimensions, d) != coordinate(j, width, dimensions, d)
-    ]
 
 
 def cell_aligned(i: int, j: int, width: int) -> bool:

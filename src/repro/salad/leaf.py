@@ -110,7 +110,13 @@ class SaladLeaf(SimMachine):
         #   _cellmates: leaves cell-aligned with me;
         #   _vectors[d][k]: leaves differing from me only on axis d, keyed
         #   by their masked d-axis bits k = j & axis_masks(W, D)[d] (a
-        #   bijective image of the d-coordinate that needs no extraction).
+        #   bijective image of the d-coordinate that needs no extraction);
+        #   a group is deleted when it empties.
+        # Send order: Figs. 4 and 5 fix which leaves a record or a JOIN goes
+        # to, not in what order.  Every fan-out over these sets goes out in
+        # ascending identifier order, which the member accessors
+        # (_cell_members, _vector_members_key, _axis_members) apply, so no
+        # send depends on a set's layout or its add/discard history.
         self._cellmates: Set[int] = set()
         self._vectors: Dict[int, Dict[int, Set[int]]] = {
             d: {} for d in range(dimensions)
@@ -348,14 +354,12 @@ class SaladLeaf(SimMachine):
             axis = 0
             for off_axis in self._off_axis_masks:
                 if not diff & off_axis:
-                    members = self._vectors[axis].get(
-                        identifier & self._axis_masks[axis]
-                    )
-                    if members is not None:
-                        # An emptied group stays: re-creating it later would
-                        # change set and dict layout, and so the order in
-                        # which JOINs are forwarded.
-                        members.discard(identifier)
+                    groups = self._vectors[axis]
+                    key = identifier & self._axis_masks[axis]
+                    members = groups[key]
+                    members.discard(identifier)
+                    if not members:
+                        del groups[key]
                     break
                 axis += 1
         # The partition classifies on entry, so removal only needs a set
@@ -410,7 +414,11 @@ class SaladLeaf(SimMachine):
             self._recalculate_width()
         return True
 
-    def _vector_members(self, axis: int, coord_value: int) -> Set[int]:
+    def _cell_members(self) -> List[int]:
+        """My cellmates, in send order (ascending identifier)."""
+        return sorted(self._cellmates)
+
+    def _vector_members(self, axis: int, coord_value: int) -> List[int]:
         """Known leaves j with ``a_axis(I, j)`` and ``c_axis(j) == coord``.
 
         Excludes cellmates automatically when coord differs from mine, which
@@ -422,24 +430,21 @@ class SaladLeaf(SimMachine):
             axis, spread_coordinate(coord_value, self.dimensions, axis)
         )
 
-    def _vector_members_key(self, axis: int, key: int) -> Set[int]:
+    def _vector_members_key(self, axis: int, key: int) -> List[int]:
         """Same as :meth:`_vector_members`, keyed by masked axis bits.
 
         *key* is ``j & axis_masks(W, D)[axis]`` for any identifier j whose
         axis-coordinate is wanted -- computable from an identifier with one
-        AND, no bit-extraction loop.
+        AND, no bit-extraction loop.  Members come in send order.
         """
-        members = set(self._vectors[axis].get(key, ()))
         if key == self.identifier & self._axis_masks[axis]:
-            members |= self._cellmates
-        return members
+            return self._cell_members()  # no vector member shares my key
+        return sorted(self._vectors[axis].get(key, ()))
 
-    def _axis_members(self, axis: int) -> Set[int]:
-        """All known leaves d-vector-aligned with me along *axis* (plus cellmates)."""
-        members = set(self._cellmates)
-        for group in self._vectors[axis].values():
-            members |= group
-        return members
+    def _axis_members(self, axis: int) -> List[int]:
+        """All known leaves d-vector-aligned with me along *axis* (plus
+        cellmates), in send order."""
+        return sorted(self._cellmates.union(*self._vectors[axis].values()))
 
     # ------------------------------------------------------------------
     # record insertion & forwarding (Fig. 4)
@@ -733,10 +738,10 @@ class SaladLeaf(SimMachine):
     def _compute_next_hop(self, routing_id: int) -> object:
         """First-mismatching-axis targets for a cell, or _LOCAL if mine.
 
-        The tuple is materialized from the same member set the reference
-        path iterates, so forwarding order is identical on a cache miss and
-        (because the cache is cleared on any membership change) on every
-        hit thereafter.
+        The tuple holds the same members, in the same send order, as the
+        reference path iterates, so forwarding order is identical on a cache
+        miss and (because the cache is cleared on any membership change) on
+        every hit thereafter.
         """
         diff = (routing_id ^ self.identifier) & self._cell_mask
         if not diff:
@@ -769,7 +774,7 @@ class SaladLeaf(SimMachine):
             # Special case: this leaf generated the record (hops == 0 marks
             # local initiation; a copy returning over the network must not
             # re-broadcast).  Replicate to the rest of the cell.
-            for target in self._cellmates:
+            for target in self._cell_members():
                 forwards.setdefault(target, []).append((record, hops + 1))
         if self.database.has_location(fingerprint, location):
             return  # idempotent redelivery (multiple forwarders reach us)

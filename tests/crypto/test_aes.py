@@ -34,13 +34,6 @@ class TestFipsVectors:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("key_len", [16, 24, 32])
-    def test_decrypt_inverts_encrypt(self, key_len):
-        key = bytes(range(key_len))
-        cipher = AES(key)
-        block = b"0123456789abcdef"
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
     def test_different_keys_give_different_ciphertexts(self):
         block = bytes(16)
         a = AES(bytes(16)).encrypt_block(block)
@@ -70,8 +63,6 @@ class TestValidation:
         cipher = AES(bytes(16))
         with pytest.raises(ValueError):
             cipher.encrypt_block(bytes(bad_len))
-        with pytest.raises(ValueError):
-            cipher.decrypt_block(bytes(bad_len))
 
 
 class TestGaloisField:

@@ -1,4 +1,4 @@
-"""CTR and CBC modes: roundtrip, determinism, length, and padding behavior.
+"""CTR mode: roundtrip, determinism, length, and known-answer vectors.
 
 The CTR path runs on libcrypto; every CTR case here checks it against the
 from-scratch FIPS-197 reference (``ctr_keystream``, ``encrypt_ctr_scalar``)
@@ -18,9 +18,7 @@ from repro.crypto.aes import AES
 from repro.crypto.modes import (
     bulk_encrypt_ctr,
     ctr_keystream,
-    decrypt_cbc,
     decrypt_ctr,
-    encrypt_cbc,
     encrypt_ctr,
     encrypt_ctr_scalar,
 )
@@ -202,32 +200,3 @@ class TestHarvest:
         modes.collect_metrics(after)
         for name, grew_by in (("crypto.ctr.bulk_calls", 1), ("crypto.ctr.bulk_bytes", 4096)):
             assert after.counter(name).value == before.counter(name).value + grew_by
-
-
-class TestCbc:
-    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 100])
-    def test_roundtrip_all_lengths(self, length):
-        plaintext = bytes(i % 13 for i in range(length))
-        assert decrypt_cbc(KEY, encrypt_cbc(KEY, plaintext)) == plaintext
-
-    def test_output_is_whole_blocks(self):
-        assert len(encrypt_cbc(KEY, bytes(1))) % 16 == 0
-        assert len(encrypt_cbc(KEY, bytes(16))) == 32  # padding adds a block
-
-    def test_deterministic_with_fixed_iv(self):
-        plaintext = b"cbc is also deterministic here"
-        assert encrypt_cbc(KEY, plaintext) == encrypt_cbc(KEY, plaintext)
-
-    def test_corrupt_padding_rejected(self):
-        ciphertext = bytearray(encrypt_cbc(KEY, b"hello"))
-        ciphertext[-1] ^= 0xFF
-        with pytest.raises(ValueError):
-            decrypt_cbc(KEY, bytes(ciphertext))
-
-    def test_partial_block_ciphertext_rejected(self):
-        with pytest.raises(ValueError):
-            decrypt_cbc(KEY, bytes(10))
-
-    def test_bad_iv_length_rejected(self):
-        with pytest.raises(ValueError):
-            encrypt_cbc(KEY, b"x", iv=bytes(5))

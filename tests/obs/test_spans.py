@@ -1,4 +1,4 @@
-"""Span/phase timers: nesting, rates, attachments, and the drain contract."""
+"""Span/phase timers: nesting, rates, and the drain contract."""
 
 from repro.obs.spans import (
     current_span,
@@ -142,32 +142,4 @@ class TestOpsAndNotes:
             pass
         assert node.ops_per_second is None
         assert "ops" not in node.to_dict()
-        take_phases()
-
-
-class TestAttachments:
-    def test_profile_records_top_functions(self):
-        with span("profiled", profile=True):
-            sum(i * i for i in range(2000))
-        node = take_phases()[0]
-        assert node.profile_top, "profiler attached but no rows kept"
-        row = node.profile_top[0]
-        assert set(row) == {"function", "calls", "total_seconds", "cumulative_seconds"}
-        assert node.to_dict()["profile_top"] == node.profile_top
-
-    def test_trace_memory_records_delta_and_peak(self):
-        with span("traced", trace_memory=True):
-            blob = [bytes(1 << 12) for _ in range(16)]
-            del blob
-        node = take_phases()[0]
-        assert node.memory is not None
-        assert set(node.memory) == {"allocated_delta_bytes", "peak_bytes"}
-        assert node.memory["peak_bytes"] > 0
-
-    def test_attachments_do_not_change_results(self):
-        with span("plain"):
-            plain = sum(range(500))
-        with span("attached", profile=True, trace_memory=True):
-            attached = sum(range(500))
-        assert plain == attached
         take_phases()

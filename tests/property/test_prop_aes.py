@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import decrypt_cbc, decrypt_ctr, encrypt_cbc, encrypt_ctr
+from repro.crypto.modes import decrypt_ctr, encrypt_ctr
 
 keys = st.binary(min_size=16, max_size=16) | st.binary(min_size=32, max_size=32)
 blocks = st.binary(min_size=16, max_size=16)
@@ -12,12 +12,6 @@ payloads = st.binary(min_size=0, max_size=300)
 
 
 class TestBlockCipher:
-    @settings(max_examples=40, deadline=None)
-    @given(keys, blocks)
-    def test_decrypt_inverts_encrypt(self, key, block):
-        cipher = AES(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
     @settings(max_examples=40, deadline=None)
     @given(keys, blocks, blocks)
     def test_injective_per_key(self, key, a, b):
@@ -39,12 +33,6 @@ class TestModes:
 
     @settings(max_examples=40, deadline=None)
     @given(keys, payloads)
-    def test_cbc_roundtrip(self, key, payload):
-        assert decrypt_cbc(key, encrypt_cbc(key, payload)) == payload
-
-    @settings(max_examples=40, deadline=None)
-    @given(keys, payloads)
     def test_modes_deterministic(self, key, payload):
         """Determinism is the property convergent encryption builds on."""
         assert encrypt_ctr(key, payload) == encrypt_ctr(key, payload)
-        assert encrypt_cbc(key, payload) == encrypt_cbc(key, payload)

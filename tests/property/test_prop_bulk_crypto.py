@@ -46,12 +46,6 @@ class TestTTableAes:
         cipher = AES(key)
         assert cipher.encrypt_block(block) == cipher.encrypt_block_scalar(block)
 
-    @settings(max_examples=40, deadline=None)
-    @given(keys, blocks)
-    def test_decrypt_inverts_fast_path(self, key, block):
-        cipher = AES(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
     @pytest.mark.parametrize(
         "key_hex,expected_hex",
         [

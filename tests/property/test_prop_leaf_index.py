@@ -5,7 +5,9 @@ keep it truthful:
 
 - every table entry is in exactly one bucket (cellmates xor one vector);
 - every bucket member is in the table;
-- bucket placement matches the alignment predicates at the current width.
+- bucket placement matches the alignment predicates at the current width;
+- no vector group is empty (an emptied group is deleted);
+- every member accessor returns its members in send order, ascending.
 """
 
 from hypothesis import given, settings
@@ -31,8 +33,20 @@ def check_index(leaf: SaladLeaf) -> None:
     indexed = set(leaf._cellmates)
     for by_key in leaf._vectors.values():
         for members in by_key.values():
+            assert members, "an emptied vector group was kept"
             indexed |= members
     assert indexed == table
+
+    # Send order: every fan-out goes out in ascending identifier order.
+    assert leaf._cell_members() == sorted(leaf._cellmates)
+    for axis, by_key in leaf._vectors.items():
+        assert leaf._axis_members(axis) == sorted(
+            leaf._cellmates.union(*by_key.values())
+        )
+        own = leaf.identifier & leaf._axis_masks[axis]
+        assert leaf._vector_members_key(axis, own) == sorted(leaf._cellmates)
+        for key, members in by_key.items():
+            assert leaf._vector_members_key(axis, key) == sorted(members)
 
     # Width-derived routing state must track the current width.
     assert leaf._cell_mask == (1 << leaf.width) - 1

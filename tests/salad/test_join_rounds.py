@@ -69,10 +69,9 @@ class TestLossyBuild:
 
         recipients, counters = _join_observables(forgetting, forgetting_trace)
         assert (recipients, counters) == _join_observables(keeping, keeping_trace)
-        # The seeded build's (fresh, duplicates, echoes), read before join
-        # rounds existed: duplicates do arrive inside floods, and every one
-        # of them is still suppressed.
-        assert counters == (2044, 4169, 0)
+        # The seeded build's (fresh, duplicates, echoes): duplicates do
+        # arrive inside floods, and every one of them is still suppressed.
+        assert counters == (2215, 4705, 0)
         assert forgetting_trace.check_join_suppression() == []
         # ...while the forgetting engine holds a fraction of the entries.
         assert _seen_resident(keeping) == counters[0]
