@@ -13,13 +13,11 @@ current fast paths so every snapshot carries its own before/after ratio:
 - ``fingerprints``: fingerprints/sec over 4 KiB blobs;
 - ``salad_inserts``: records/sec routed to quiescence through a SALAD,
   plus messages per record (the Fig. 9 currency) under batched routing;
-- ``salad_routing``: the same insert workload under the reference
-  (per-axis scan) vs the indexed (next-hop cache) routing path, with the
-  message totals asserted equal and the cache hit rate reported;
-- ``flagship``: the flagship insert path -- amortized width maintenance and
-  deferred (settle-round-coalesced) recalculation -- vs the pre-change
-  full-scan path on a growth-heavy workload, trace/settled identity
-  asserted before timing;
+- ``salad_routing``: the same insert workload on a fresh SALAD through the
+  indexed (next-hop cache) routing path, with the cache hit rate reported;
+- ``flagship``: growth and insert on a growth-heavy workload through the
+  shipped width path (eager Fig. 6, amortized width commits), zero survivor
+  scans asserted;
 - ``topology_traffic``: the fig_topology path -- Zipf x Poisson publish
   waves over the corporate LAN/WAN topology with a mid-run wan cut --
   records/sec to quiescence plus the topology observables (quiescence
@@ -182,157 +180,76 @@ def _insert_batches(salad: Salad, records: int) -> dict:
 
 
 def bench_salad_routing(leaves: int = 64, records: int = 2000) -> dict:
-    """Reference (per-axis scan) vs indexed (next-hop cache) routing.
+    """Indexed (next-hop cache) routing on a freshly built SALAD.
 
-    Both paths run the identical seeded workload; the message totals must
-    match exactly (the golden-trace tests assert the stronger ordered
-    property), so the ratio is a pure same-work speedup.
+    Every timed run rebuilds the SALAD, so each insert starts from the same
+    state; the next-hop counters come from the harvested telemetry registry
+    -- the same numbers a --metrics-out RunReport carries.  Trace identity
+    with the seed's per-axis scan is the golden-trace tests' job.
     """
 
-    def build(reference: bool) -> Salad:
-        salad = Salad(
-            SaladConfig(dimensions=2, seed=7, reference_routing=reference)
-        )
+    def build() -> Salad:
+        salad = Salad(SaladConfig(dimensions=2, seed=7))
         salad.build(leaves)
         return salad
 
-    batches = _insert_batches(build(False), records)
+    batches = _insert_batches(build(), records)
     state: dict = {}
 
-    def run(reference: bool) -> None:
-        fresh = build(reference)
+    def run() -> None:
+        fresh = build()
         before = sum(fresh.message_totals())
         fresh.insert_records(batches)
         state["messages"] = sum(fresh.message_totals()) - before
-        if not reference:
-            # Rates come from the harvested telemetry registry -- the same
-            # numbers a --metrics-out RunReport carries -- not from ad-hoc
-            # leaf-attribute sums.
-            registry = fresh.collect_metrics(MetricsRegistry())
-            state["hits"] = registry.counter_value("salad.routing.next_hop_hits")
-            state["misses"] = registry.counter_value("salad.routing.next_hop_misses")
-            state["registry"] = registry
+        state["registry"] = fresh.collect_metrics(MetricsRegistry())
 
-    reference_seconds = _best_of(lambda: run(True), repeats=2)
-    reference_messages = state["messages"]
-    indexed_seconds = _best_of(lambda: run(False), repeats=2)
-    assert state["messages"] == reference_messages, "routing paths diverged"
-    _merge_bench_metrics(state["registry"])
-    lookups = state["hits"] + state["misses"]
+    seconds = _best_of(run, repeats=2)
+    registry = state["registry"]
+    _merge_bench_metrics(registry)
+    hits = registry.counter_value("salad.routing.next_hop_hits")
+    misses = registry.counter_value("salad.routing.next_hop_misses")
+    lookups = hits + misses
     return {
         "leaves": leaves,
         "records": records,
-        "reference_inserts_per_sec": records / reference_seconds,
-        "indexed_inserts_per_sec": records / indexed_seconds,
-        "speedup_indexed_over_reference": reference_seconds / indexed_seconds,
+        "indexed_inserts_per_sec": records / seconds,
         "messages_per_record": state["messages"] / records,
-        "next_hop_cache_hit_rate": state["hits"] / lookups if lookups else 0.0,
+        "next_hop_cache_hit_rate": hits / lookups if lookups else 0.0,
     }
 
 
 def bench_flagship(leaves: int = 512, records: int = 2048) -> dict:
-    """Pre-change vs flagship width-maintenance path on a growth-heavy workload.
+    """The flagship width path on a growth-heavy workload.
 
-    Three legs over one seeded build+insert:
-
-    - ``reference``: the pre-change path -- every committed width change
-      re-derives its survivor set with a full leaf-table scan
-      (``reference_width=True``), recalculation eager;
-    - ``amortized``: the incrementally maintained survivor partition
-      (today's default) -- trace-identical to ``reference`` (asserted on
-      message totals), so the ratio is a pure same-work speedup;
-    - ``flagship``: amortized plus ``deferred_width_recalc`` -- Fig. 6
-      coalesced to settle-round boundaries, the flagship run's insert-path
-      configuration.  Not trace-identical (documented knob), so the assert
-      weakens to the settled observables: width distribution and stored
-      records must match the eager legs.
-
-    Growth wall-clock is reported separately from the full leg: width
-    maintenance concentrates in the bulk-join storm, which is where the
-    flagship path pays off.
+    One seeded build+insert through the shipped engine: Fig. 6 after every
+    leaf-table change, width increases committed from the maintained drop
+    bucket.  Growth wall-clock is reported separately from the full run,
+    since width maintenance concentrates in the bulk-join storm.  Trace
+    identity with the seed's full-table scan is the width-golden tests' job.
     """
     state: dict = {}
 
-    def drive(key: str, reference: bool, deferred: bool):
-        def run() -> None:
-            salad = Salad(
-                SaladConfig(
-                    dimensions=2,
-                    seed=7,
-                    reference_width=reference,
-                    deferred_width_recalc=deferred,
-                )
-            )
-            start = time.perf_counter()
-            salad.build(leaves)
-            state[f"{key}_growth"] = time.perf_counter() - start
-            salad.insert_records(_insert_batches(salad, records))
-            registry = salad.collect_metrics(MetricsRegistry())
-            state[f"{key}_registry"] = registry
-            state[f"{key}_observed"] = (
-                sum(salad.message_totals()),
-                salad.total_stored_records(),
-            )
-            state[f"{key}_widths"] = salad.width_distribution()
+    def run() -> None:
+        salad = Salad(SaladConfig(dimensions=2, seed=7))
+        start = time.perf_counter()
+        salad.build(leaves)
+        state["growth"] = time.perf_counter() - start
+        salad.insert_records(_insert_batches(salad, records))
+        state["registry"] = salad.collect_metrics(MetricsRegistry())
 
-        seconds = _best_of(run, repeats=2)
-        # _best_of re-runs the whole leg; growth time is from the best run's
-        # last execution, close enough for a ratio between identical reruns.
-        return seconds
-
-    reference_seconds = drive("reference", reference=True, deferred=False)
-    amortized_seconds = drive("amortized", reference=False, deferred=False)
-    flagship_seconds = drive("flagship", reference=False, deferred=True)
-
-    # The amortized partition is trace-identical to the scan oracle.
-    assert state["amortized_observed"] == state["reference_observed"], (
-        "amortized width path diverged from the reference scan"
-    )
-    # Deferral changes the trace (documented), so the settled cube can
-    # differ in individual leaves; it must still be an equivalent-quality
-    # cube -- same record placement totals, mean width within noise.
-    def mean_width(widths: dict) -> float:
-        total = sum(widths.values())
-        return sum(w * n for w, n in widths.items()) / total if total else 0.0
-
-    eager_stored = state["amortized_observed"][1]
-    deferred_stored = state["flagship_observed"][1]
-    assert abs(deferred_stored - eager_stored) <= 0.01 * eager_stored, (
-        f"deferred width recalc changed record placement materially "
-        f"({deferred_stored} vs {eager_stored} stored)"
-    )
-    assert (
-        abs(mean_width(state["flagship_widths"]) - mean_width(state["amortized_widths"]))
-        <= 0.1
-    ), "deferred width recalc settled to a materially different cube"
-
-    def counter(key: str, name: str) -> float:
-        return state[f"{key}_registry"].counter_value(name) or 0
-
-    assert counter("amortized", "salad.routing.survivor_scans") == 0
-    assert counter("reference", "salad.routing.survivor_scans") > 0
-    _merge_bench_metrics(state["flagship_registry"])
+    # _best_of re-runs the whole workload; growth time is from the last
+    # execution, close enough between identical reruns.
+    seconds = _best_of(run, repeats=2)
+    registry = state["registry"]
+    assert registry.counter_value("salad.routing.survivor_scans") == 0
+    _merge_bench_metrics(registry)
     return {
         "leaves": leaves,
         "records": records,
-        "reference_wall_seconds": reference_seconds,
-        "amortized_wall_seconds": amortized_seconds,
-        "flagship_wall_seconds": flagship_seconds,
-        "reference_growth_seconds": state["reference_growth"],
-        "flagship_growth_seconds": state["flagship_growth"],
-        "flagship_joins_per_sec": leaves / state["flagship_growth"],
-        "speedup_amortized_over_reference": reference_seconds / amortized_seconds,
-        "speedup_flagship_over_reference": reference_seconds / flagship_seconds,
-        "growth_speedup_flagship_over_reference": state["reference_growth"]
-        / state["flagship_growth"],
-        "reference_survivor_scans": counter(
-            "reference", "salad.routing.survivor_scans"
-        ),
-        "flagship_survivor_scans": counter(
-            "flagship", "salad.routing.survivor_scans"
-        ),
-        "eager_width_recalcs": counter("amortized", "salad.width.recalcs"),
-        "deferred_width_recalcs": counter("flagship", "salad.width.recalcs"),
+        "wall_seconds": seconds,
+        "growth_seconds": state["growth"],
+        "flagship_joins_per_sec": leaves / state["growth"],
+        "width_recalcs": registry.counter_value("salad.width.recalcs"),
     }
 
 

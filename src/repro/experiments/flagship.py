@@ -1,30 +1,26 @@
 """The flagship-scale SALAD run: 10^5 leaves, ~10^6 records, bounded RSS.
 
 Section 5 of the paper simulates a 10^5-machine deployment; this driver is
-the repo's equivalent stress run, exercising every flagship-path
-optimization at once:
-
-- **amortized width maintenance** (the leaf's incrementally maintained
-  survivor partition -- zero ``survivor_scans``) plus **deferred width
-  recalculation** (Fig. 6 coalesced to settle-round boundaries during the
-  bulk-join growth storm; opt-out via ``--eager-width``); and
-- the **WAL record store** (``--db-backend wal``), which pages a store's
-  records out to its log behind a key->offset index once they outgrow the
-  store's byte budget.  The budget is per store: at ~10 records per leaf
-  every store stays resident, so it bounds one large store, not the sum of
-  10^5 small ones.
+the repo's equivalent stress run.  It runs the engine every other caller
+runs -- Fig. 6 after every leaf-table change, with the leaf's incrementally
+maintained survivor partition (zero ``survivor_scans``) -- on the **WAL
+record store** (``--db-backend wal``), which pages a store's records out to
+its log behind a key->offset index once they outgrow the store's byte
+budget.  The budget is per store: at ~10 records per leaf every store stays
+resident, so it bounds one large store, not the sum of 10^5 small ones.
 
 Growth runs in geometric stages and insert in waves, each under its own
 span, so the report shows where the wall-clock went at every scale step.
 The environment block records the driver's peak RSS plus the actual scale
-reached -- the committed report at ``docs/flagship_report.json`` is
-regenerated with this CLI.
+reached.  ``--metrics-out`` writes that report.  No full-scale report is
+committed yet; ROADMAP.md's flagship item runs the scale ladder and
+commits the largest report it reaches.
 
 Usage::
 
     python -m repro.experiments.flagship --smoke --metrics-out smoke.json
     python -m repro.experiments.flagship --db-backend wal \
-        --metrics-out docs/flagship_report.json
+        --metrics-out flagship_report.json
 """
 
 from __future__ import annotations
@@ -98,8 +94,6 @@ def run_flagship(
     records: int,
     seed: int = 0,
     settings: RunSettings = RunSettings(db_backend="wal"),
-    eager_width: bool = False,
-    reference_width: bool = False,
     registry: Optional[MetricsRegistry] = None,
 ) -> dict:
     """Grow to *leaves*, insert ~*records*; returns run facts for the report.
@@ -108,14 +102,7 @@ def run_flagship(
     bench section read; wall-clock per phase comes from the span tree, not
     from here.
     """
-    sim = Salad(
-        settings.config(
-            dimensions=2,
-            seed=seed,
-            reference_width=reference_width,
-            deferred_width_recalc=not eager_width and not reference_width,
-        )
-    )
+    sim = Salad(settings.config(dimensions=2, seed=seed))
     per_leaf = max(1, records // leaves)
     waves = min(per_leaf, 4)
     pool = max(records // 4, 16)  # ~4 copies per content => duplicate groups
@@ -200,18 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="directory for the durable record stores, kept after the run "
         "(default: a tempdir, deleted when the run ends)",
     )
-    parser.add_argument(
-        "--eager-width",
-        action="store_true",
-        help="disable deferred width recalculation (the flagship default "
-        "coalesces Fig. 6 runs to settle-round boundaries)",
-    )
-    parser.add_argument(
-        "--reference-width",
-        action="store_true",
-        help="commit width changes via the full-table survivor scan (the "
-        "pre-change oracle path; implies --eager-width)",
-    )
     parser.add_argument("--metrics-out", metavar="PATH", default=None)
     parser.add_argument(
         "--trace-sample-rate",
@@ -265,8 +240,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.records,
                 seed=args.seed,
                 settings=settings,
-                eager_width=args.eager_width,
-                reference_width=args.reference_width,
                 registry=registry,
             )
         elapsed = time.time() - start
@@ -306,9 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "records_inserted": facts["records_inserted"],
                 "seed": args.seed,
                 "db_backend": args.db_backend,
-                "deferred_width_recalc": not args.eager_width
-                and not args.reference_width,
-                "reference_width": args.reference_width or None,
                 "wall_seconds": elapsed,
                 "peak_rss_mib": round(_peak_rss_mib(), 1),
             },

@@ -288,9 +288,11 @@ class DfcPipeline:
             source = self.hosts[migration.source_host]
             target = self.hosts[migration.target_host]
             blob = source.sis.read(migration.file_id)
+            # Store before delete: a target that fails to store leaves the
+            # source's replica in place.
+            target.sis.store(migration.file_id, blob)
             if not migration.copy:
                 source.sis.delete(migration.file_id)
-            target.sis.store(migration.file_id, blob)
             fingerprint, hosts = self.replicas[migration.file_id]
             if not migration.copy:
                 hosts.remove(migration.source_host)

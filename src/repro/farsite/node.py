@@ -142,6 +142,10 @@ class FarsiteDeployment:
             rng=random.Random(self._rng.getrandbits(64)),
         )
         self.salad.leaves[identifier] = node
+        # As Salad.create_leaf does: a failure or recovery must reach the
+        # engine's alive list, or a later join can bootstrap through a
+        # dead node.
+        node.on_liveness_change = self.salad._invalidate_alive_cache
         return node
 
     @property
@@ -201,9 +205,11 @@ class FarsiteDeployment:
             source = self.nodes[migration.source_host].host
             target = self.nodes[migration.target_host].host
             ciphertext = source.fetch_replica(migration.file_id)
+            # Store before drop: a target that fails to store leaves the
+            # source's replica in place.
+            target.store_replica(migration.file_id, ciphertext)
             if not migration.copy:
                 source.drop_replica(migration.file_id)
-            target.store_replica(migration.file_id, ciphertext)
             moved_by_file.setdefault(migration.file_id, []).append(
                 (migration.source_host, migration.target_host, migration.copy)
             )

@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.obs import tracing as _tracing
 from repro.salad import protocol
-from repro.salad.alignment import mismatching_dimensions
 from repro.salad.database import RecordDatabase
 from repro.salad.storage import RecordStore
 from repro.salad.ids import (
@@ -67,10 +66,7 @@ class SaladLeaf(SimMachine):
         database_capacity: Optional[int] = None,
         notify_limit: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        reference_routing: bool = False,
         database: Optional[RecordStore] = None,
-        reference_width: bool = False,
-        deferred_width_recalc: bool = False,
     ):
         super().__init__(identifier, network)
         if dimensions < 1:
@@ -137,8 +133,8 @@ class SaladLeaf(SimMachine):
         # implicit (table minus dropped) and carried as a count; the dropped
         # bucket is the explicit set a committed width increase deletes, so
         # neither the Fig. 6 growth check nor the commit itself needs a
-        # table scan.  The pre-amortization full partition scan survives as
-        # the `reference_width` oracle (and is what `survivor_scans` counts).
+        # table scan.  `survivor_scans` counts full-table partition scans:
+        # this leaf makes none; the test oracle's scan bumps it.
         self._next_cell_mask = 1
         self._next_axis_masks = axis_masks(1, dimensions)
         self._next_width_survivors = 0
@@ -156,24 +152,9 @@ class SaladLeaf(SimMachine):
         self._steady_lo, self._steady_hi = steady_band(
             0, dimensions, target_redundancy, damping
         )
-        # Width-maintenance path selection, mirroring `reference_routing`:
-        # the reference path re-derives the dropped bucket with a full scan
-        # at every committed increase (the seed behavior), the default path
-        # reads the maintained bucket.  Trace-identical by construction --
-        # the width-golden tests assert it.
-        self.reference_width = reference_width
-        # Opt-in coalescing of recalculations to settle-round boundaries
-        # (see _recalculate_width).  Off by default: deferral changes the
-        # width-transition schedule and therefore the message trace.
-        self.deferred_width_recalc = deferred_width_recalc
-        self._recalc_deferred = False
         self._next_hop_cache: Dict[int, object] = {}
         self.next_hop_hits = 0
         self.next_hop_misses = 0
-        # Routing-path selection: the indexed path is the default; the
-        # reference path keeps the seed's per-axis coordinate scan alive as
-        # the golden-trace oracle (message-for-message identical).
-        self.reference_routing = reference_routing
 
         # Telemetry: plain attributes bumped on the hot paths, harvested
         # into a MetricsRegistry at report time (repro.salad.telemetry).
@@ -266,12 +247,6 @@ class SaladLeaf(SimMachine):
     def cell(self, identifier: int) -> int:
         return cell_id(identifier, self.width)
 
-    def _mismatches(self, identifier: int) -> List[int]:
-        """Axes on which *identifier* differs from me: the set Delta."""
-        return mismatching_dimensions(
-            self.identifier, identifier, self.width, self.dimensions
-        )
-
     @property
     def estimated_system_size(self) -> float:
         """L = T / r, with T counting this leaf itself (section 4.6)."""
@@ -289,23 +264,6 @@ class SaladLeaf(SimMachine):
     @property
     def table_size(self) -> int:
         return len(self.leaf_table)
-
-    def _survives_next_width(self, identifier: int) -> bool:
-        """Would *identifier* stay vector-aligned at width W+1?
-
-        The full-mask form of the ``_grow_bit`` / ``_grow_axis`` rule, kept
-        for the ``reference_width`` oracle's partition scan.
-        """
-        diff = (identifier ^ self.identifier) & self._next_cell_mask
-        if not diff:
-            return True
-        mismatched = False
-        for mask in self._next_axis_masks:
-            if diff & mask:
-                if mismatched:
-                    return False
-                mismatched = True
-        return True
 
     def _index_add(self, identifier: int) -> bool:
         """Place a leaf into the cellmate/vector index.
@@ -514,9 +472,6 @@ class SaladLeaf(SimMachine):
         tracer = _tracing.ACTIVE
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_hop(record, hops, message.sender, self.identifier)
-        if self.reference_routing:
-            self._process_batch([(record, hops)])
-            return
         rid = record._rid  # precomputed routing_id; property skipped
         cell = rid & self._cell_mask
         targets = self._next_hop_cache.get(cell)
@@ -565,7 +520,7 @@ class SaladLeaf(SimMachine):
                 if tracer.sampled(record._rid):
                     tracer.record_hop(record, hops, sender, self.identifier)
         out = self._out_records
-        if out is None or self.reference_routing:
+        if out is None:
             self._process_batch(pairs)
         else:
             # The outbox is open: route straight into it.  Same staged lists
@@ -575,18 +530,14 @@ class SaladLeaf(SimMachine):
     def _process_batch(self, pairs: Iterable[tuple]) -> None:
         """Route/store a batch of ``(record, hops)`` pairs, coalescing forwards.
 
-        Each record follows the Fig. 4 procedure independently; the batch
-        layer only merges same-destination forwards into one envelope.  A
-        destination owed a single record receives a legacy RECORD message,
-        so aggregation never *adds* overhead.
+        Each record follows the Fig. 4 procedure independently
+        (:meth:`_route_batch_indexed`); the batch layer only merges
+        same-destination forwards into one envelope.  A destination owed a
+        single record receives a legacy RECORD message, so aggregation never
+        *adds* overhead.
         """
         forwards: Dict[int, List[tuple]] = {}
-        if self.reference_routing:
-            route = self._route_record_reference
-            for record, hops in pairs:
-                route(record, hops, forwards)
-        else:
-            self._route_batch_indexed(pairs, forwards)
+        self._route_batch_indexed(pairs, forwards)
         self._stage_forwards(forwards)
 
     def _open_outbox(self) -> bool:
@@ -647,50 +598,27 @@ class SaladLeaf(SimMachine):
                 counts = self.batch_size_counts
                 counts[size] = counts.get(size, 0) + 1
 
-    def _route_record_reference(
-        self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
-    ) -> None:
-        """The Fig. 4 procedure for record `<f, l>` at leaf I (oracle path).
-
-        Nominal delivery takes at most D hops (section 4.3), but leaves with
-        different system-size estimates compute different coordinates, which
-        can bounce a record between vectors indefinitely.  A hop budget of
-        2*D forwards every nominal path (plus slack for mild disagreement)
-        while converting pathological cycles into ordinary lossiness.
-
-        Outbound forwards are appended to *forwards* (target -> pairs) for
-        the caller to coalesce; match notifications leave through the store
-        path (:meth:`_store_record`).
-
-        This is the seed's implementation -- per-axis coordinate extraction
-        on every record, no caching.  It stays in-tree as the oracle the
-        golden-trace tests compare the next-hop-cache paths
-        (:meth:`_route_batch_indexed`, :meth:`_on_record`) against.
-        """
-        routing_id = record.routing_id
-        for d in range(self.dimensions):
-            if self.coord(routing_id, d) != self.coord(self.identifier, d):
-                if hops >= 2 * self.dimensions:
-                    return  # hop budget exhausted: the record is lost
-                # Forward along my d-axis vector to leaves whose d-coordinate
-                # matches the fingerprint's, then exit.
-                for target in self._vector_members(d, self.coord(routing_id, d)):
-                    forwards.setdefault(target, []).append((record, hops + 1))
-                return
-        self.record_arrivals += 1
-        self.record_hops += hops
-        self._store(record, hops, forwards)
-
     def _route_batch_indexed(
         self, pairs: Iterable[tuple], forwards: Dict[int, List[tuple]]
     ) -> None:
-        """Fig. 4 routing through the next-hop cache (default path).
+        """The Fig. 4 procedure for each record `<f, l>` at leaf I.
 
-        Message-for-message identical to :meth:`_route_record_reference`:
-        the cache memoizes, per record cell-ID, the first mismatching axis's
-        forwarding targets (computed once with mask arithmetic instead of
-        per-axis extraction), so every further record bound for the same
-        cell costs one AND plus one dict probe.  Invalidation: the cache is
+        A record whose cell is mine is stored (:meth:`_store_record`, which
+        also sends the match notifications); otherwise it is forwarded along
+        my vector on its first mismatching axis.  Nominal delivery takes at
+        most D hops (section 4.3), but leaves with different system-size
+        estimates compute different coordinates, which can bounce a record
+        between vectors indefinitely.  A hop budget of 2*D forwards every
+        nominal path (plus slack for mild disagreement) while converting
+        pathological cycles into ordinary lossiness.  Outbound forwards are
+        appended to *forwards* (target -> pairs) for the caller to coalesce.
+
+        A next-hop cache memoizes, per record cell-ID, the first mismatching
+        axis's forwarding targets (computed once with mask arithmetic), so
+        every further record bound for the same cell costs one AND plus one
+        dict probe; it is message-for-message identical to the seed's
+        per-axis coordinate scan, which the golden-trace tests keep as their
+        oracle (``tests/reference_engine.py``).  Invalidation: the cache is
         cleared whenever the leaf table gains or loses an entry or the width
         changes (see :meth:`_index_add` / :meth:`_rebuild_index`), which are
         exactly the events that can alter any cell's next hop.
@@ -738,10 +666,9 @@ class SaladLeaf(SimMachine):
     def _compute_next_hop(self, routing_id: int) -> object:
         """First-mismatching-axis targets for a cell, or _LOCAL if mine.
 
-        The tuple holds the same members, in the same send order, as the
-        reference path iterates, so forwarding order is identical on a cache
-        miss and (because the cache is cleared on any membership change) on
-        every hit thereafter.
+        The tuple holds the vector's members in send order, so forwarding
+        order is identical on a cache miss and (because the cache is cleared
+        on any membership change) on every hit thereafter.
         """
         diff = (routing_id ^ self.identifier) & self._cell_mask
         if not diff:
@@ -966,22 +893,8 @@ class SaladLeaf(SimMachine):
 
     def _recalculate_width(self) -> None:
         """The Fig. 6 procedure, run whenever the leaf table changes."""
-        if self._in_recalculate or self._recalc_deferred:
+        if self._in_recalculate:
             return
-        if self.deferred_width_recalc:
-            # Bulk-join storms run this procedure once per table change even
-            # though only the final state of a delivery window can influence
-            # the *next* window.  Deferral coalesces all of a window's
-            # invocations into one at the settle-round boundary.  This is a
-            # schedule change relative to Fig. 6's recalculate-on-every-
-            # change (width transitions land at window granularity, which
-            # alters e.g. which WELCOMEs a joining leaf accepts), so it is
-            # opt-in and off by default.  Outside a delivery window the
-            # network refuses the deferral and we fall through to the eager
-            # path, so driver-level calls still take effect immediately.
-            if self.network.defer_post_window(self._flush_deferred_recalc):
-                self._recalc_deferred = True
-                return
         self.width_recalcs += 1
         if self._steady_lo <= len(self.leaf_table) + 1 < self._steady_hi:
             # Inside the steady band neither loop of the procedure would
@@ -993,14 +906,6 @@ class SaladLeaf(SimMachine):
             self._recalculate_width_inner()
         finally:
             self._in_recalculate = False
-
-    def _flush_deferred_recalc(self) -> None:
-        """Run the one coalesced recalculation at the window boundary."""
-        self._recalc_deferred = False
-        if self.alive:
-            # The window has drained, so the network refuses a deferral and
-            # this runs the procedure eagerly.
-            self._recalculate_width()
 
     def _recalculate_width_inner(self) -> None:
         d_count = self.dimensions
@@ -1034,21 +939,7 @@ class SaladLeaf(SimMachine):
             tentative_target = target_width(tentative_estimate, self.target_redundancy)
             if tentative_target < tentative_width:
                 return  # the tentative width is unstable; stay put
-            if self.reference_width:
-                # Reference oracle: re-derive the dropped bucket with the
-                # pre-amortization full partition scan (counted so tests can
-                # pin the bound and assert identity with the default path).
-                self.survivor_scans += 1
-                dropped = [
-                    identifier
-                    for identifier in self.leaf_table
-                    if not self._survives_next_width(identifier)
-                ]
-            else:
-                # Amortized commit: the partition was maintained on every
-                # add/remove, so committing costs O(dropped), and the only
-                # remaining full pass is _rebuild_index at the new width.
-                dropped = self._next_width_dropped
+            dropped = self._dropped_at_next_width()
             self.width = tentative_width
             self.width_changes += 1
             for identifier in dropped:
@@ -1056,6 +947,15 @@ class SaladLeaf(SimMachine):
             self._rebuild_index()
             estimate = tentative_estimate
             target = tentative_target
+
+    def _dropped_at_next_width(self) -> Set[int]:
+        """The entries a committed width increase deletes.
+
+        The partition was maintained on every add/remove, so committing
+        costs O(dropped), and the only remaining full pass is
+        _rebuild_index at the new width.
+        """
+        return self._next_width_dropped
 
     def _request_newly_aligned(self, old_width: int) -> None:
         """After a width decrease, learn the newly vector-aligned leaves.

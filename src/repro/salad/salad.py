@@ -83,22 +83,6 @@ class SaladConfig:
     #: trace-identical to None.
     topology: Optional["Topology"] = None
     seed: int = 0
-    #: Route with the seed's per-axis coordinate scan instead of the indexed
-    #: next-hop cache.  Message-for-message identical (the golden-trace tests
-    #: assert it); only useful as the oracle side of that comparison.
-    reference_routing: bool = False
-    #: Commit width increases with the seed's full-table survivor scan
-    #: instead of the incrementally maintained drop bucket.  Trace-identical
-    #: (the width-golden tests assert it); only useful as the oracle side of
-    #: that comparison and as the pre-change leg of the flagship bench.
-    reference_width: bool = False
-    #: Coalesce width recalculations during bulk-join storms to settle-round
-    #: (delivery-window) boundaries instead of running Fig. 6 after every
-    #: leaf-table change.  NOT trace-identical to the eager default -- width
-    #: transitions land at window granularity, which changes e.g. which
-    #: WELCOMEs a joining leaf accepts -- so it is opt-in; the flagship run
-    #: turns it on.
-    deferred_width_recalc: bool = False
     #: Record-database backend per leaf: one of repro.salad.storage.BACKENDS
     #: ("memory" or "wal"; "wal-paged" is still accepted as another name for
     #: "wal").  Both are contract-identical; "wal" adds crash recovery, and
@@ -207,6 +191,10 @@ class CollectedMatches:
 class Salad:
     """A SALAD instance: a set of leaves over one simulated network."""
 
+    #: The class every leaf is built from.  The golden-trace tests subclass
+    #: the engine to build their reference-oracle leaves instead.
+    leaf_class = SaladLeaf
+
     def __init__(self, config: SaladConfig, network: Optional[Network] = None):
         self.config = config
         self._rng = random.Random(config.seed)
@@ -289,7 +277,7 @@ class Salad:
             identifier = self._fresh_identifier()
         if identifier in self.leaves:
             raise ValueError(f"leaf {identifier:#x} already exists")
-        leaf = SaladLeaf(
+        leaf = self.leaf_class(
             identifier,
             self.network,
             target_redundancy=self.config.target_redundancy,
@@ -298,10 +286,7 @@ class Salad:
             database_capacity=self.config.database_capacity,
             notify_limit=self.config.notify_limit,
             rng=random.Random(self._rng.getrandbits(64)),
-            reference_routing=self.config.reference_routing,
             database=self._database_for(identifier),
-            reference_width=self.config.reference_width,
-            deferred_width_recalc=self.config.deferred_width_recalc,
         )
         self.leaves[identifier] = leaf
         leaf.on_liveness_change = self._invalidate_alive_cache

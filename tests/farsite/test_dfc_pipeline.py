@@ -326,3 +326,27 @@ class TestDurableStoreDirectories:
         assert sis_dir.parent == leaf_dir.parent == tmp_path
         assert any(sis_dir.glob("sis-host-*.sqlite"))
         assert any(leaf_dir.glob("leaf-*.wal"))
+
+
+class TestRelocationStoresBeforeDeleting:
+    def test_a_failed_store_keeps_the_source_replica(self, monkeypatch):
+        pipeline = DfcPipeline(
+            generate_corpus(SPEC, seed=5), DfcConfig(target_redundancy=2.5, seed=5)
+        )
+        pipeline.load_hosts()
+        pipeline.discover()
+        held = {
+            (host_id, file_id): pipeline.hosts[host_id].sis.read(file_id)
+            for file_id, (_, hosts) in pipeline.replicas.items()
+            for host_id in hosts
+        }
+
+        def refuse(name, data):
+            raise OSError("target disk full")
+
+        for host in pipeline.hosts.values():
+            monkeypatch.setattr(host.sis, "store", refuse)
+        with pytest.raises(OSError):
+            pipeline.relocate()
+        for (host_id, file_id), blob in held.items():
+            assert pipeline.hosts[host_id].sis.read(file_id) == blob

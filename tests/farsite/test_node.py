@@ -120,3 +120,40 @@ class TestDeploymentsShareNothing:
         assert second_receipts == first_receipts
         assert second_report == first_report
         assert first_report.migrations >= 1
+
+
+class TestLiveness:
+    def test_a_failed_node_leaves_the_engine_alive_list(self):
+        deployment = FarsiteDeployment(machine_count=16, seed=3)
+        salad = deployment.salad
+        victim = next(iter(deployment.nodes.values()))
+        victim.fail()
+        assert salad.alive_count() == 15
+        assert victim not in salad.alive_leaves()
+        victim.recover()
+        assert salad.alive_count() == 16
+
+
+class TestRelocationStoresBeforeDropping:
+    def test_a_failed_store_keeps_the_source_replica(self, monkeypatch):
+        deployment = FarsiteDeployment(machine_count=16, replication_factor=2, seed=3)
+        for name in ("ana", "ben", "cho"):
+            client = deployment.client_for(deployment.create_user(name))
+            client.write_file(f"/home/{name}/doc.txt", DOCUMENT)
+        held = {
+            (identifier, file_id)
+            for identifier, node in deployment.nodes.items()
+            for file_id in node.host.replica_ids()
+        }
+
+        def refuse(file_id, ciphertext):
+            raise OSError("target disk full")
+
+        for node in deployment.nodes.values():
+            monkeypatch.setattr(node.host, "store_replica", refuse)
+        with pytest.raises(OSError):
+            deployment.run_dfc_cycle()
+        for identifier, file_id in held:
+            host = deployment.nodes[identifier].host
+            assert file_id in host.replica_ids()
+            assert host.fetch_replica(file_id).data

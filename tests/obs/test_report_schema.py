@@ -73,8 +73,9 @@ class TestBuildAndValidate:
             assert key in env
 
     def test_v1_reports_remain_valid(self):
-        # v2 only added the optional traces section: committed v1 artifacts
-        # (docs/flagship_report.json, archived CI reports) must still pass.
+        # v2 only added the optional traces section: v1 reports written
+        # earlier (by the flagship CLI's --metrics-out, archived CI runs)
+        # must still pass.
         report = _report()
         report["schema"] = "repro.run-report/1"
         assert report["schema"] in ACCEPTED_SCHEMAS

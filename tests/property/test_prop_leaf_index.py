@@ -18,6 +18,7 @@ from repro.salad.ids import axis_masks, spread_coordinate
 from repro.salad.leaf import SaladLeaf
 from repro.sim.events import EventScheduler
 from repro.sim.network import Network
+from tests.reference_engine import survives_next_width
 
 operations = st.lists(
     st.tuples(
@@ -74,7 +75,7 @@ def check_index(leaf: SaladLeaf) -> None:
     # committed width increase deletes precisely these entries without
     # scanning (the amortized path of _recalculate_width_inner).
     assert leaf._next_width_dropped == {
-        other for other in table if not leaf._survives_next_width(other)
+        other for other in table if not survives_next_width(leaf, other)
     }
     assert len(leaf._next_width_dropped) + leaf._next_width_survivors == len(table)
 

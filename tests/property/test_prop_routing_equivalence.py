@@ -2,8 +2,9 @@
 
 A leaf routes a record one of three ways:
 
-- *reference*: ``reference_routing=True`` -- the seed's per-axis coordinate
-  scan, no caching, always through :meth:`SaladLeaf._process_batch`;
+- *reference*: a ``ReferenceLeaf`` (``tests/reference_engine.py``) -- the
+  seed's per-axis coordinate scan, no caching, always through
+  :meth:`SaladLeaf._process_batch`;
 - *batch*: the next-hop cache driven by ``_process_batch`` (local
   initiation and RECORD_BATCH arrivals);
 - *direct*: the next-hop cache driven by :meth:`SaladLeaf._on_record`, the
@@ -31,6 +32,7 @@ from repro.salad.leaf import _LOCAL, SaladLeaf
 from repro.salad.records import SaladRecord
 from repro.sim.events import EventScheduler
 from repro.sim.network import Message, Network
+from tests.reference_engine import ReferenceLeaf
 
 SELF = 0xC0FFEE
 #: Record locations: the leaf itself plus a few foreign machines, so one
@@ -77,13 +79,12 @@ class RecordingNetwork(Network):
 
 
 def make_leaf(dimensions=2, notify_limit=None, reference=False):
-    return SaladLeaf(
+    return (ReferenceLeaf if reference else SaladLeaf)(
         SELF,
         RecordingNetwork(),
         target_redundancy=2.0,
         dimensions=dimensions,
         notify_limit=notify_limit,
-        reference_routing=reference,
     )
 
 

@@ -1,14 +1,15 @@
-"""Golden-trace equivalence of the optimized and reference execution paths.
+"""Golden-trace equivalence of the shipped engine and the seed's oracles.
 
-Two optimizations -- indexed next-hop routing in the leaf and the
-calendar-queue scheduler -- are *observably identical* to the seed's
-implementations, not merely statistically similar.  These tests pin that
-down at the strongest level available: the full ordered message trace
-(time, sender, recipient, kind, payload) and the per-machine traffic
-counters of a seeded build-then-insert workload must match
+Two optimizations -- indexed next-hop routing in the leaf (with the
+amortized width commit) and the calendar-queue scheduler -- are
+*observably identical* to the seed's implementations
+(``tests/reference_engine.py``), not merely statistically similar.  These
+tests pin that down at the strongest level available: the full ordered
+message trace (time, sender, recipient, kind, payload) and the per-machine
+traffic counters of a seeded build-then-insert workload must match
 message-for-message across every combination of optimized and reference
-components, on the network's windowed delivery (which the leaves' per-window
-outboxes are defined on).
+components, on the network's windowed delivery (which the leaves'
+per-window outboxes are defined on).
 """
 
 import random
@@ -18,26 +19,26 @@ import pytest
 from repro.core.fingerprint import Fingerprint
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
-from repro.sim.events import EventScheduler, ReferenceEventScheduler
+from repro.sim.events import EventScheduler
 from repro.sim.network import Network
 from repro.sim.tracer import NetworkTracer
+from tests.reference_engine import ReferenceEventScheduler, ReferenceSalad
 
 LEAVES = 40
 RECORDS_PER_LEAF = 15
 CONTENT_POOL = 120  # small pool => plenty of duplicate groups => MATCH traffic
 
 
-def _run_workload(sched_cls, reference_routing, churn=False):
+def _run_workload(sched_cls, reference_leaves, churn=False):
     """One seeded build + insert (+ optional churn); returns (trace, counters)."""
-    config = SaladConfig(
-        dimensions=2, seed=11, reference_routing=reference_routing
-    )
+    config = SaladConfig(dimensions=2, seed=11)
     network = Network(
         scheduler=sched_cls(),
         latency=config.latency,
         rng=random.Random(123),
     )
-    salad = Salad(config, network=network)
+    engine = ReferenceSalad if reference_leaves else Salad
+    salad = engine(config, network=network)
     tracer = NetworkTracer(network)
 
     salad.build(LEAVES)
@@ -89,17 +90,17 @@ def _run_workload(sched_cls, reference_routing, churn=False):
 
 class TestRoutingGoldenTrace:
     def test_indexed_routing_matches_reference_trace(self):
-        reference = _run_workload(EventScheduler, reference_routing=True)
-        indexed = _run_workload(EventScheduler, reference_routing=False)
+        reference = _run_workload(EventScheduler, reference_leaves=True)
+        indexed = _run_workload(EventScheduler, reference_leaves=False)
         assert indexed[0] == reference[0]  # ordered message-for-message
         assert indexed[1] == reference[1]  # per-machine traffic counters
 
     def test_indexed_routing_matches_reference_under_churn(self):
         reference = _run_workload(
-            EventScheduler, reference_routing=True, churn=True
+            EventScheduler, reference_leaves=True, churn=True
         )
         indexed = _run_workload(
-            EventScheduler, reference_routing=False, churn=True
+            EventScheduler, reference_leaves=False, churn=True
         )
         assert indexed[0] == reference[0]
         assert indexed[1] == reference[1]
@@ -111,19 +112,19 @@ class TestEngineGoldenTrace:
         # Windowed delivery is the network's only path, so both runs batch
         # per window and flush the leaves' outboxes the same way.
         seed_style = _run_workload(
-            ReferenceEventScheduler, reference_routing=False
+            ReferenceEventScheduler, reference_leaves=False
         )
-        optimized = _run_workload(EventScheduler, reference_routing=False)
+        optimized = _run_workload(EventScheduler, reference_leaves=False)
         assert optimized[0] == seed_style[0]
         assert optimized[1] == seed_style[1]
 
     # [True-ReferenceEventScheduler] is the seed configuration: heap
-    # scheduler and per-axis routing scan.
+    # scheduler, per-axis routing scan and scan-based width commits.
     @pytest.mark.parametrize("sched_cls", [EventScheduler, ReferenceEventScheduler])
-    @pytest.mark.parametrize("reference_routing", [True, False])
-    def test_all_engine_combinations_agree(self, sched_cls, reference_routing):
-        baseline = _run_workload(EventScheduler, reference_routing=False)
-        variant = _run_workload(sched_cls, reference_routing=reference_routing)
+    @pytest.mark.parametrize("reference_leaves", [True, False])
+    def test_all_engine_combinations_agree(self, sched_cls, reference_leaves):
+        baseline = _run_workload(EventScheduler, reference_leaves=False)
+        variant = _run_workload(sched_cls, reference_leaves=reference_leaves)
         assert variant[0] == baseline[0]
         assert variant[1] == baseline[1]
 
@@ -131,10 +132,10 @@ class TestEngineGoldenTrace:
 class TestFullCrossProduct:
     def test_everything_reference_matches_everything_optimized(self):
         all_reference = _run_workload(
-            ReferenceEventScheduler, reference_routing=True, churn=True
+            ReferenceEventScheduler, reference_leaves=True, churn=True
         )
         all_optimized = _run_workload(
-            EventScheduler, reference_routing=False, churn=True
+            EventScheduler, reference_leaves=False, churn=True
         )
         assert all_optimized[0] == all_reference[0]
         assert all_optimized[1] == all_reference[1]

@@ -11,6 +11,7 @@ from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
 from repro.sim.network import Network
+from tests.reference_engine import ScanWidthLeaf
 
 
 def make_leaf(identifier=0b0110, target_redundancy=2.0, dimensions=2, **kwargs):
@@ -125,7 +126,11 @@ class TestWidthRecalculationCost:
         import random
 
         rng = random.Random(11)
-        leaf, _ = make_leaf(identifier=rng.randrange(1 << 24))
+        # The scan oracle scans where the shipped leaf reads its drop bucket,
+        # so its count shows how often a width check reaches a commit.
+        leaf = ScanWidthLeaf(
+            rng.randrange(1 << 24), Network(EventScheduler()), dimensions=2
+        )
         joins = 0
         while joins < 1000:
             if leaf.add_leaf(rng.randrange(1 << 24)):

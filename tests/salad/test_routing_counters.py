@@ -21,6 +21,7 @@ from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
 from repro.sim.network import Network
+from tests.reference_engine import ReferenceSalad
 
 LEAVES = 40
 RECORDS_PER_LEAF = 15
@@ -53,13 +54,14 @@ def _wave(salad, rng, per_leaf):
     return by_leaf
 
 
-def _drive(reference_routing, churn):
+def _drive(reference_leaves, churn):
     """The golden-trace workload, with every record send and wave recorded."""
-    config = SaladConfig(dimensions=2, seed=11, reference_routing=reference_routing)
+    config = SaladConfig(dimensions=2, seed=11)
     network = Network(
         scheduler=EventScheduler(), latency=config.latency, rng=random.Random(123)
     )
-    salad = Salad(config, network=network)
+    engine = ReferenceSalad if reference_leaves else Salad
+    salad = engine(config, network=network)
     salad.build(LEAVES)
     sends = []
     original = salad.network.send
@@ -115,9 +117,9 @@ def _recount(salad, sends, waves):
 
 
 @pytest.mark.parametrize("churn", [False, True])
-@pytest.mark.parametrize("reference_routing", [False, True])
-def test_counters_equal_the_recorded_values(reference_routing, churn):
-    _, _, _, registry = _drive(reference_routing, churn)
+@pytest.mark.parametrize("reference_leaves", [False, True])
+def test_counters_equal_the_recorded_values(reference_leaves, churn):
+    _, _, _, registry = _drive(reference_leaves, churn)
     totals = registry.counter_totals()
     assert (
         totals["salad.routing.envelopes"],
@@ -131,9 +133,9 @@ def test_counters_equal_the_recorded_values(reference_routing, churn):
     ) == RECORDED_BATCH_SIZE[churn]
 
 
-@pytest.mark.parametrize("reference_routing", [False, True])
-def test_counters_equal_a_recount_of_the_sends(reference_routing):
-    salad, sends, waves, registry = _drive(reference_routing, churn=False)
+@pytest.mark.parametrize("reference_leaves", [False, True])
+def test_counters_equal_a_recount_of_the_sends(reference_leaves):
+    salad, sends, waves, registry = _drive(reference_leaves, churn=False)
     batch_sizes, arrivals, hops = _recount(salad, sends, waves)
     totals = registry.counter_totals()
     assert totals["salad.routing.envelopes"] == sum(batch_sizes.values())
@@ -151,7 +153,7 @@ def test_counters_equal_a_recount_of_the_sends(reference_routing):
 
 
 def test_envelope_counters_equal_a_recount_of_the_sends_under_churn():
-    _, sends, _, registry = _drive(reference_routing=False, churn=True)
+    _, sends, _, registry = _drive(reference_leaves=False, churn=True)
     batches = [payload for _, kind, payload in sends if kind == protocol.RECORD_BATCH]
     totals = registry.counter_totals()
     assert totals["salad.routing.envelopes"] == len(batches)

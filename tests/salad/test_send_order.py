@@ -14,7 +14,6 @@ import random
 from collections import defaultdict
 
 from repro.core.fingerprint import Fingerprint
-from repro.salad import salad as salad_module
 from repro.salad.ids import coordinate_width, spread_coordinate
 from repro.salad.leaf import SaladLeaf
 from repro.salad.protocol import JOIN
@@ -88,7 +87,7 @@ def _records_for(identifiers):
 
 def _run(leaf_class, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(salad_module, "SaladLeaf", leaf_class)
+        patch.setattr(Salad, "leaf_class", leaf_class)
         # Jitter draws from the network's RNG once per send, so a send moved
         # anywhere in a fan-out moves every delivery time after it.
         network = Network(

@@ -1,18 +1,14 @@
 """Golden identity of amortized width maintenance vs. the scan oracle.
 
-The flagship insert path replaces the full leaf-table rescan at width-commit
-time with an incrementally maintained two-bucket partition (survivor count +
-dropped set, updated on every index add/remove).  The claim is *trace
-identity*, not statistical equivalence: with ``reference_width=True`` a leaf
+The leaf replaces the full leaf-table rescan at width-commit time with an
+incrementally maintained two-bucket partition (survivor count + dropped
+set, updated on every index add/remove).  The claim is *trace identity*,
+not statistical equivalence: a ``ScanWidthLeaf`` (``tests/reference_engine.py``)
 re-derives the dropped set by scanning (the seed behavior, counted by
-``survivor_scans``); the default amortized path must produce bit-identical
+``survivor_scans``); the shipped amortized path must produce bit-identical
 stored records, duplicate matches, per-machine message totals, and telemetry
 -- the only permitted difference is the ``salad.routing.survivor_scans``
 counter itself (the whole point: it pins to zero).
-
-``deferred_width_recalc`` is a different knob: it is NOT trace-identical to
-the eager default (a joining newbie's width stays 0 through a welcome wave),
-so only its effect is pinned -- fewer recalcs, the same settled widths.
 """
 
 import random
@@ -23,6 +19,7 @@ from repro.core.fingerprint import Fingerprint
 from repro.obs.registry import MetricsRegistry
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
+from tests.reference_engine import ScanWidthSalad
 
 LEAVES = 24
 RECORDS_PER_LEAF = 10
@@ -98,7 +95,7 @@ def amortized_single():
 
 @pytest.fixture(scope="module")
 def reference_single():
-    return _drive(Salad(_config(reference_width=True)))
+    return _drive(ScanWidthSalad(_config()))
 
 
 def _assert_trace_identical(left, right):
@@ -130,18 +127,3 @@ class TestAmortizedWidthGolden:
             <= reference_single["width_changes"]
         )
 
-
-class TestDeferredRecalcGolden:
-    """Deferral changes the trace (documented, opt-in)."""
-
-    def test_deferred_coalesces_recalcs(self):
-        eager = _drive(Salad(_config()))
-        deferred = _drive(Salad(_config(deferred_width_recalc=True)))
-        # Coalescing is the optimization: strictly fewer recalc executions
-        # over a join-storm workload, and an equally settled final cube
-        # (every leaf converges to the same width distribution).
-        assert (
-            deferred["counters"]["salad.width.recalcs"]
-            < eager["counters"]["salad.width.recalcs"]
-        )
-        assert deferred["widths"] == eager["widths"]

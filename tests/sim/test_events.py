@@ -2,15 +2,17 @@
 
 The whole contract suite runs against both engines -- the calendar-queue
 :class:`EventScheduler` and the heap-based :class:`ReferenceEventScheduler`
-oracle -- via the ``sched_cls`` fixture; the :class:`TestCalendarQueueEdges`
-cases target bucket/heap interactions specific to the calendar engine.
+oracle in ``tests/reference_engine.py`` -- via the ``sched_cls`` fixture;
+the :class:`TestCalendarQueueEdges` cases target bucket/heap interactions
+specific to the calendar engine.
 """
 
 import gc
 
 import pytest
 
-from repro.sim.events import EventScheduler, ReferenceEventScheduler, SimulationError
+from repro.sim.events import EventScheduler, SimulationError
+from tests.reference_engine import ReferenceEventScheduler
 
 
 @pytest.fixture(params=[EventScheduler, ReferenceEventScheduler])

@@ -308,28 +308,42 @@ class TestHandlerExceptionMidWindow:
         assert net.messages_sent == net.messages_delivered + net.messages_dropped
 
     def test_post_window_callbacks_do_not_outlive_the_window(self):
-        # Under deferred_width_recalc a leaf that adds a table entry queues
-        # its Fig. 6 recalculation for the end of the window.  A raise in
-        # that window must not carry the callback into the next window,
-        # nor leave the leaf believing a recalculation is pending.
-        salad = Salad(SaladConfig(seed=3, deferred_width_recalc=True))
+        # A leaf that stages a record forward or a MATCH notice queues its
+        # outbox flush for the end of the window.  A raise after staging
+        # must not carry the callback into the next window, nor leave any
+        # leaf's outbox open.
+        salad = Salad(SaladConfig(seed=3))
         salad.build(16)
         net = salad.network
-        newcomer = salad.add_leaf(settle=False)
-        welcome = newcomer._handlers[protocol.WELCOME]
+        kinds = (protocol.RECORD, protocol.RECORD_BATCH)
+        handlers = {
+            leaf: {kind: leaf._handlers[kind] for kind in kinds}
+            for leaf in salad.leaves.values()
+        }
+        staged = []
 
-        def welcome_then_raise(message):
-            welcome(message)  # adds the sender: a deferred recalculation
-            raise RuntimeError("handler failed mid-window")
+        def stage_then_raise(leaf, handler):
+            def handle(message):
+                handler(message)
+                if leaf._out_records is not None:  # its flush is queued
+                    staged.append(leaf)
+                    raise RuntimeError("handler failed mid-window")
 
-        newcomer.on(protocol.WELCOME, welcome_then_raise)
+            return handle
+
+        for leaf, by_kind in handlers.items():
+            for kind, handler in by_kind.items():
+                leaf.on(kind, stage_then_raise(leaf, handler))
         with pytest.raises(RuntimeError):
-            net.run()
-        assert newcomer.table_size == 1
+            salad_wave(salad, 0)
+        assert len(staged) == 1
         assert not net._post_window
-        assert not any(leaf._recalc_deferred for leaf in salad.leaves.values())
-        newcomer.on(protocol.WELCOME, welcome)
-        salad_wave(salad, 0)
+        for leaf in salad.leaves.values():
+            assert leaf._out_records is None and leaf._out_notices is None
+        for leaf, by_kind in handlers.items():
+            for kind, handler in by_kind.items():
+                leaf.on(kind, handler)
+        salad_wave(salad, 1)
         assert_accounted(net)
 
 
