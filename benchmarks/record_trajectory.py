@@ -469,10 +469,6 @@ def main(argv=None) -> int:
     print(f"snapshot written to {output}")
 
     if args.metrics_out:
-        # Fold in the module-level collectors (accumulated across benches).
-        from repro.crypto import modes
-
-        modes.collect_metrics(_BENCH_REGISTRY)
         report = build_run_report(
             _BENCH_REGISTRY,
             env={

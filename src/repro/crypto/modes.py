@@ -92,21 +92,6 @@ _bytes_buffer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object)(
     ("PyBytes_AsString", ctypes.pythonapi)
 )
 
-#: Bulk-CTR lifetime totals (plain module ints on the hot path; harvested
-#: into a MetricsRegistry by :func:`collect_metrics` at report time).
-_BULK_CALLS = 0
-_BULK_BYTES = 0
-
-
-def collect_metrics(registry) -> None:
-    """Harvest the bulk-CTR path's lifetime totals into *registry*.
-
-    A harvest is a snapshot: calling it on two registries double-counts
-    nothing.
-    """
-    registry.counter("crypto.ctr.bulk_calls").inc(_BULK_CALLS)
-    registry.counter("crypto.ctr.bulk_bytes").inc(_BULK_BYTES)
-
 
 def bulk_encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
     """Encrypt *plaintext* in CTR mode on libcrypto's AES.
@@ -115,13 +100,10 @@ def bulk_encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
     is byte-identical to :func:`encrypt_ctr_scalar`.  One cipher context and
     one update per call (an input past :data:`_STEP` bytes takes more).
     """
-    global _BULK_CALLS, _BULK_BYTES
     if not plaintext:
         return b""
     if len(key) not in _EVP_CTR:
         raise ValueError(f"AES key must be 16, 24, or 32 bytes, got {len(key)}")
-    _BULK_CALLS += 1
-    _BULK_BYTES += len(plaintext)
     lib = _libcrypto()
     data = bytes(plaintext)
     size = len(data)

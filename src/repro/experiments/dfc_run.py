@@ -204,14 +204,11 @@ class DfcRun:
         return self.salad.leaf_table_sizes(alive_only=True)
 
     def collect_metrics(self, registry) -> None:
-        """Harvest engine and module counters into *registry*.
+        """Harvest this run's engine counters into *registry*.
 
         Harvest before :meth:`close`: a shut-down engine has nothing left to
         report.
         """
-        from repro.crypto import modes
-
-        modes.collect_metrics(registry)
         self.salad.collect_metrics(registry)
 
     def close(self) -> None:

@@ -62,6 +62,9 @@ class FigTopologyResult:
     #: The hottest cell's share of all stored records.
     top_cell_share: float
     metrics: Optional[dict] = field(default=None, metadata={"telemetry": True})
+    trace_events: List[dict] = field(
+        default_factory=list, metadata={"telemetry": True}
+    )
 
     def render(self) -> str:
         lines = [
@@ -210,6 +213,7 @@ def run(
             cell_stress=max_db / mean_db if mean_db else 0.0,
             top_cell_share=max_db / total_records,
             metrics=registry.to_dict(),
+            trace_events=engine.take_trace_events(),
         )
     finally:
         engine.shutdown()

@@ -94,6 +94,9 @@ class FigTradeoffResult:
     sweep: Tuple[int, ...]
     points: List[TradeoffPoint]
     metrics: Optional[dict] = field(default=None, metadata={"telemetry": True})
+    trace_events: List[dict] = field(
+        default_factory=list, metadata={"telemetry": True}
+    )
 
     def point(self, replication: int, dedup: bool) -> TradeoffPoint:
         for p in self.points:
@@ -171,6 +174,7 @@ def _run_point(
     dedup: bool,
     registry: Optional[MetricsRegistry],
     settings: RunSettings,
+    trace_events: List[dict],
 ) -> TradeoffPoint:
     config = DfcConfig(
         target_redundancy=2.5,
@@ -213,6 +217,7 @@ def _run_point(
             if registry is not None:
                 pipeline.collect_metrics(registry)
                 harness.collect_metrics(registry)
+            trace_events.extend(salad.take_trace_events())
 
             return TradeoffPoint(
                 replication=replication,
@@ -266,9 +271,12 @@ def run(
     corpus = generate_corpus(spec, seed=seed)
     registry = MetricsRegistry()
     points: List[TradeoffPoint] = []
+    trace_events: List[dict] = []
     for r in factors:
         for dedup in (False, True):
-            points.append(_run_point(corpus, seed, r, dedup, registry, settings))
+            points.append(
+                _run_point(corpus, seed, r, dedup, registry, settings, trace_events)
+            )
     harvest_tradeoff_metrics(registry, points)
     return FigTradeoffResult(
         machines=spec.machines,
@@ -276,4 +284,5 @@ def run(
         sweep=factors,
         points=points,
         metrics=registry.to_dict(),
+        trace_events=trace_events,
     )

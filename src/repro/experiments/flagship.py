@@ -33,7 +33,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.fingerprint import Fingerprint
-from repro.obs import tracing
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import (
     CollectorWatch,
@@ -42,6 +41,7 @@ from repro.obs.report import (
     write_run_report,
 )
 from repro.obs.spans import phase, reset_spans, span
+from repro.obs.tracing import FlightRecorder, build_timelines, export_chrome_trace
 from repro.salad.records import SaladRecord
 from repro.salad.salad import RunSettings, Salad
 from repro.salad.storage import BACKENDS, check_backend
@@ -95,14 +95,18 @@ def run_flagship(
     seed: int = 0,
     settings: RunSettings = RunSettings(db_backend="wal"),
     registry: Optional[MetricsRegistry] = None,
+    flight: Optional[FlightRecorder] = None,
 ) -> dict:
     """Grow to *leaves*, insert ~*records*; returns run facts for the report.
 
     The return dict carries the observables the committed report and the
     bench section read; wall-clock per phase comes from the span tree, not
-    from here.
+    from here.  A *flight* recorder gets a heartbeat per growth stage and
+    insert wave, and the engine's sampled trace events as they happen.
     """
     sim = Salad(settings.config(dimensions=2, seed=seed))
+    if flight is not None and sim.recorder is not None:
+        sim.recorder.flight = flight
     per_leaf = max(1, records // leaves)
     waves = min(per_leaf, 4)
     pool = max(records // 4, 16)  # ~4 copies per content => duplicate groups
@@ -111,7 +115,8 @@ def run_flagship(
             for stage in growth_stages(leaves):
                 with span(f"grow_to_{stage}", ops=stage):
                     sim.build(stage)
-                tracing.heartbeat("growth", leaves=stage)
+                if flight is not None:
+                    flight.heartbeat("growth", leaves=stage)
             growth_span.set_ops(leaves)
 
         inserted_total = 0
@@ -130,9 +135,10 @@ def run_flagship(
                         wave_inserted += sim.insert_records(batch)
                     wave_span.set_ops(wave_inserted)
                 inserted_total += wave_inserted
-                tracing.heartbeat(
-                    "insert", wave=wave, inserted_total=inserted_total
-                )
+                if flight is not None:
+                    flight.heartbeat(
+                        "insert", wave=wave, inserted_total=inserted_total
+                    )
             insert_span.set_ops(inserted_total)
 
         with phase("harvest"):
@@ -146,7 +152,7 @@ def run_flagship(
                 "records_inserted": inserted_total,
                 "total_stored": sim.total_stored_records(),
                 "widths": sim.width_distribution(),
-                "trace_events": tracing.take_events(),
+                "trace_events": sim.take_trace_events(),
             }
     finally:
         sim.shutdown()
@@ -224,8 +230,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    if args.flight_recorder:
-        tracing.install_flight_recorder(args.flight_recorder)
+    flight = FlightRecorder(args.flight_recorder) if args.flight_recorder else None
 
     registry = MetricsRegistry() if args.metrics_out else None
     # A CLI run owns the process span buffer: discard anything a previous
@@ -241,10 +246,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 seed=args.seed,
                 settings=settings,
                 registry=registry,
+                flight=flight,
             )
         elapsed = time.time() - start
-        if args.flight_recorder:
-            tracing.heartbeat(
+        if flight is not None:
+            flight.heartbeat(
                 "done",
                 leaves=facts["alive_leaves"],
                 records_inserted=facts["records_inserted"],
@@ -253,8 +259,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         # Also on failure: close() writes the ring's pending events, and the
         # ones leading up to a failure are what the recorder is for.
-        if args.flight_recorder:
-            tracing.uninstall_flight_recorder()
+        if flight is not None:
+            flight.close()
     print(
         f"flagship: {facts['alive_leaves']:,} leaves, "
         f"{facts['records_inserted']:,} records inserted "
@@ -263,8 +269,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_rate = args.trace_sample_rate
     trace_events = facts["trace_events"]
     if args.trace_out:
-        out = tracing.export_chrome_trace(trace_events, args.trace_out)
-        timelines = tracing.build_timelines(trace_events)
+        out = export_chrome_trace(trace_events, args.trace_out)
+        timelines = build_timelines(trace_events)
         print(
             f"trace: {len(trace_events)} events across {len(timelines)} "
             f"sampled records written to {out} (open in Perfetto)"

@@ -38,6 +38,10 @@ class GrowthResult:
     #: telemetry: contains wall-clock histograms, so the runner keeps it
     #: out of --json output.
     metrics: Optional[dict] = field(default=None, metadata={"telemetry": True})
+    #: Sampled causal-trace events (empty unless the settings trace).
+    trace_events: List[dict] = field(
+        default_factory=list, metadata={"telemetry": True}
+    )
 
     def snapshot_at(self, system_size: int) -> GrowthSnapshot:
         for snap in self.snapshots:
@@ -85,6 +89,7 @@ def run_growth(
         registry = MetricsRegistry()
         salad.collect_metrics(registry)
         metrics = registry.to_dict()
+        trace_events = salad.take_trace_events()
     finally:
         salad.shutdown()
     return GrowthResult(
@@ -92,6 +97,7 @@ def run_growth(
         dimensions=dimensions,
         snapshots=snapshots,
         metrics=metrics,
+        trace_events=trace_events,
     )
 
 

@@ -49,9 +49,9 @@ from repro.obs.report import (
     write_run_report,
 )
 from repro.obs.spans import reset_spans, span
+from repro.obs.tracing import build_timelines, export_chrome_trace
 from repro.experiments.scales import PAPER_LAMBDAS, SCALES, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
-from repro.obs import tracing
 from repro.salad.salad import RunSettings
 from repro.salad.storage import BACKENDS, check_backend
 
@@ -118,6 +118,7 @@ def run_experiments(
     traffic: str = None,
     replication_factor: int = None,
     workers: int = 1,
+    trace_events: List[dict] = None,
 ) -> Dict[str, Any]:
     """Run the named experiments; returns rendered output (or raw results) per name.
 
@@ -126,10 +127,12 @@ def run_experiments(
     processes included; every backend reports identical numbers, the
     durable ones just bound RAM at full scale.
     ``registry`` collects telemetry (repro.obs) from the runs that harvest
-    it -- the shared sweep and growth engines, and the topology experiment
-    -- for a ``--metrics-out`` RunReport.  ``topology``/``traffic`` are the
-    fig-topology spec strings (see repro.sim.topology.parse_topology and
-    repro.workload.traffic.parse_traffic); other experiments ignore them.
+    it -- the shared sweep and growth engines, and the topology and
+    tradeoff experiments -- for a ``--metrics-out`` RunReport, and
+    ``trace_events`` (a list, extended in place) the sampled causal-trace
+    events those runs carry back in their results.  ``topology``/``traffic``
+    are the fig-topology spec strings (see repro.sim.topology.parse_topology
+    and repro.workload.traffic.parse_traffic); other experiments ignore them.
     ``replication_factor`` restricts the fig-tradeoff sweep to one R
     (None = the default 1..4 sweep); other experiments ignore it.
     ``workers`` is the process count for the sweeps of independent
@@ -148,6 +151,8 @@ def run_experiments(
         if registry is not None:
             for dump in sweep.metrics.values():
                 registry.merge_dict(dump)
+        if trace_events is not None:
+            trace_events.extend(sweep.trace_events)
 
     growth = None
     if GROWTH_FIGURES & set(names):
@@ -160,10 +165,11 @@ def run_experiments(
                 PAPER_LAMBDAS, scale.growth_max_leaves, sample_sizes,
                 seed=seed, workers=workers, settings=settings,
             )
-        if registry is not None:
-            for result in growth.values():
-                if result.metrics:
-                    registry.merge_dict(result.metrics)
+        for result in growth.values():
+            if registry is not None and result.metrics:
+                registry.merge_dict(result.metrics)
+            if trace_events is not None:
+                trace_events.extend(result.trace_events)
 
     for name in names:
         with span(name):
@@ -195,14 +201,10 @@ def run_experiments(
                 result = fig_topology.run(
                     scale, seed=seed, topology=topology, traffic=traffic, settings=settings
                 )
-                if registry is not None and result.metrics:
-                    registry.merge_dict(result.metrics)
             elif name == "fig-tradeoff":
                 result = fig_tradeoff.run(
                     scale, seed=seed, replication=replication_factor, settings=settings
                 )
-                if registry is not None and result.metrics:
-                    registry.merge_dict(result.metrics)
             elif name == "model":
                 result = model_check.run(scale, seed=seed, settings=settings)
             elif name == "attack":
@@ -215,6 +217,11 @@ def run_experiments(
                 result = churn.run(scale, seed=seed, settings=settings)
             else:
                 raise ValueError(f"unknown experiment {name!r}")
+            if name in ("fig-topology", "fig-tradeoff"):
+                if registry is not None and result.metrics:
+                    registry.merge_dict(result.metrics)
+                if trace_events is not None:
+                    trace_events.extend(result.trace_events)
         outputs[name] = result if raw else result.render()
     return outputs
 
@@ -307,7 +314,9 @@ def main(argv: List[str] = None) -> int:
         metavar="RATE",
         help="causal-trace sampling rate in [0,1] for every simulation the "
         "run builds (deterministic per-record hash; 0 = off, the default); "
-        "sampled timelines land in the RunReport's traces section",
+        "the timelines sampled by the threshold sweep (fig07, fig09-12), "
+        "the growth suite, fig-topology and fig-tradeoff land in the "
+        "RunReport's traces section, at any --workers",
     )
     parser.add_argument(
         "--trace-out",
@@ -327,11 +336,6 @@ def main(argv: List[str] = None) -> int:
     if args.workers < 0:
         parser.error(f"--workers must be >= 0 (0 = auto): {args.workers}")
     workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and args.trace_sample_rate > 0.0:
-        # Sampled events are recorded in whichever process ran the
-        # simulation; a pool process takes its events with it.
-        parser.error("--trace-sample-rate needs --workers 1: trace events "
-                     "recorded in pool processes never reach --trace-out")
     if args.replication_factor is not None and args.replication_factor < 1:
         parser.error(
             f"--replication-factor must be >= 1: {args.replication_factor}"
@@ -357,6 +361,7 @@ def main(argv: List[str] = None) -> int:
         parser.error(str(exc))
 
     registry = MetricsRegistry() if args.metrics_out else None
+    trace_events: List[dict] = []
     names = args.only or ALL_EXPERIMENTS
     # A CLI run owns the process span buffer: discard anything a previous
     # in-process run left behind (library callers invoking main() twice)
@@ -378,6 +383,7 @@ def main(argv: List[str] = None) -> int:
             traffic=args.traffic,
             replication_factor=args.replication_factor,
             workers=workers,
+            trace_events=trace_events,
         )
     if args.json:
         outputs = {name: result.render() for name, result in results.items()}
@@ -396,10 +402,9 @@ def main(argv: List[str] = None) -> int:
         print(outputs[name])
     print(f"\ncompleted {len(names)} experiments in {time.time() - start:.1f}s")
     trace_rate = args.trace_sample_rate
-    trace_events = tracing.take_events() if trace_rate > 0.0 else []
     if args.trace_out:
-        out = tracing.export_chrome_trace(trace_events, args.trace_out)
-        timelines = tracing.build_timelines(trace_events)
+        out = export_chrome_trace(trace_events, args.trace_out)
+        timelines = build_timelines(trace_events)
         print(
             f"trace: {len(trace_events)} events across {len(timelines)} "
             f"sampled records written to {out} (open in Perfetto)"

@@ -43,6 +43,11 @@ class ThresholdSweepResult:
     metrics: Dict[float, dict] = field(
         default_factory=dict, metadata={"telemetry": True}
     )
+    #: Sampled causal-trace events of every run, in Lambda order (empty
+    #: unless the settings trace); telemetry like ``metrics``.
+    trace_events: List[dict] = field(
+        default_factory=list, metadata={"telemetry": True}
+    )
 
     @property
     def ideal_consumed(self) -> List[int]:
@@ -79,7 +84,10 @@ def _sweep_one_lambda(task):
         # Harvest telemetry before close(): a shut-down engine reports nothing.
         registry = MetricsRegistry()
         run.collect_metrics(registry)
-        return lam, points, run.message_totals(), run.database_sizes(), registry.to_dict()
+        return (
+            lam, points, run.message_totals(), run.database_sizes(),
+            registry.to_dict(), run.salad.take_trace_events(),
+        )
     finally:
         run.close()
 
@@ -108,11 +116,13 @@ def run_threshold_sweep(
     message_totals: Dict[float, List[int]] = {}
     database_sizes: Dict[float, List[int]] = {}
     metrics: Dict[float, dict] = {}
-    for lam, pts, totals, sizes, registry_dump in results:
+    trace_events: List[dict] = []
+    for lam, pts, totals, sizes, registry_dump, events in results:
         points[lam] = pts
         message_totals[lam] = totals
         database_sizes[lam] = sizes
         metrics[lam] = registry_dump
+        trace_events.extend(events)
     return ThresholdSweepResult(
         corpus_summary=corpus.summary(),
         thresholds=tuple(sorted(set(thresholds))),
@@ -121,4 +131,5 @@ def run_threshold_sweep(
         message_totals=message_totals,
         database_sizes=database_sizes,
         metrics=metrics,
+        trace_events=trace_events,
     )

@@ -49,7 +49,6 @@ from repro.farsite.placement import (
 from repro.farsite.relocation import RelocationPlan, RelocationPlanner
 from repro.farsite.sis import SingleInstanceStore
 from repro.obs.spans import phase, span
-from repro.obs.tracing import heartbeat
 from repro.workload.content import synthetic_content
 from repro.workload.corpus import Corpus
 
@@ -340,15 +339,12 @@ class DfcPipeline:
             with span("load_hosts") as load_span:
                 self.load_hosts()
                 load_span.set_ops(len(self.replicas))
-            heartbeat("dfc.load_hosts", replicas=len(self.replicas))
             with span("discover") as discover_span:
                 discovered = self.discover(min_size=min_size)
                 discover_span.set_ops(discovered)
-            heartbeat("dfc.discover", matches=discovered)
             with span("relocate") as relocate_span:
                 plan = self.relocate()
                 relocate_span.set_ops(plan.moved_replicas)
-            heartbeat("dfc.relocate", moved_replicas=plan.moved_replicas)
             with span("report"):
                 return self.report(plan)
 

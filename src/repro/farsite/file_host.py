@@ -17,6 +17,10 @@ from repro.core.fingerprint import Fingerprint, fingerprint_of
 from repro.farsite.sis import SingleInstanceStore
 
 
+class ReplicaMismatchError(ValueError):
+    """Replica bytes offered for storage are not the content expected."""
+
+
 @dataclass
 class ReplicaInfo:
     """Metadata a host keeps per stored replica."""
@@ -36,7 +40,12 @@ class FileHost:
 
     # -- replica management --------------------------------------------------
 
-    def store_replica(self, file_id: str, ciphertext: ConvergentCiphertext) -> bool:
+    def store_replica(
+        self,
+        file_id: str,
+        ciphertext: ConvergentCiphertext,
+        expected: Optional[Fingerprint] = None,
+    ) -> bool:
         """Store one file's encrypted replica; returns True if it coalesced.
 
         The host computes the fingerprint of the *ciphertext* -- it cannot
@@ -44,9 +53,15 @@ class FileHost:
         publishes into the SALAD.  Identical plaintexts produce identical
         ciphertexts under convergent encryption, so their replicas coalesce
         in the SIS, which finds them by comparing bytes, not by the
-        fingerprint.
+        fingerprint.  With *expected* (a relocation moving a duplicate
+        group's content) bytes of any other fingerprint raise
+        :class:`ReplicaMismatchError` and nothing is stored.
         """
         fingerprint = fingerprint_of(ciphertext.data)
+        if expected is not None and fingerprint != expected:
+            raise ReplicaMismatchError(
+                f"replica {file_id!r} is not the expected content {expected}"
+            )
         coalesced = self.sis.store(file_id, ciphertext.data)
         self._replicas[file_id] = ReplicaInfo(
             file_id=file_id,

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.fingerprint import Fingerprint
 from repro.core.keyring import User, UserDirectory
 from repro.farsite.client import FarsiteClient
 from repro.farsite.directory_group import DirectoryGroup
-from repro.farsite.file_host import FileHost
+from repro.farsite.file_host import FileHost, ReplicaMismatchError
 from repro.farsite.namespace import Namespace
 from repro.farsite.relocation import RelocationPlan, RelocationPlanner
 from repro.salad.leaf import SaladLeaf
@@ -105,11 +105,14 @@ class FarsiteDeployment:
         self._rng = random.Random(seed)
         self.replication_factor = replication_factor
 
-        # The SALAD fabric; nodes are FarsiteNodes rather than bare leaves.
+        # The SALAD fabric; nodes are FarsiteNodes rather than bare leaves,
+        # built by the engine's own factory with their RNG seeds drawn from
+        # the deployment's RNG.
         self.salad = Salad(
             SaladConfig(target_redundancy=target_redundancy, seed=seed, notify_limit=4)
         )
-        self.salad.create_leaf = self._create_node  # type: ignore[assignment]
+        self.salad.leaf_class = FarsiteNode
+        self.salad.leaf_seeds = self._rng
         self.salad.build(machine_count)
         self.nodes: Dict[int, FarsiteNode] = {
             identifier: leaf  # type: ignore[misc]
@@ -125,28 +128,10 @@ class FarsiteDeployment:
         self.namespace = Namespace(self.groups)
         self.users = UserDirectory()
         self.planner = RelocationPlanner(replication_factor=replication_factor)
+        # Migrations whose bytes did not match the group's fingerprint.
+        self.relocations_refused = 0
 
     # -- assembly ---------------------------------------------------------------
-
-    def _create_node(self, identifier: Optional[int] = None) -> FarsiteNode:
-        """Leaf factory handed to the Salad (keeps join protocol intact)."""
-        if identifier is None:
-            identifier = self.salad._fresh_identifier()
-        node = FarsiteNode(
-            identifier,
-            self.salad.network,
-            target_redundancy=self.salad.config.target_redundancy,
-            dimensions=self.salad.config.dimensions,
-            damping=self.salad.config.damping,
-            notify_limit=self.salad.config.notify_limit,
-            rng=random.Random(self._rng.getrandbits(64)),
-        )
-        self.salad.leaves[identifier] = node
-        # As Salad.create_leaf does: a failure or recovery must reach the
-        # engine's alive list, or a later join can bootstrap through a
-        # dead node.
-        node.on_liveness_change = self.salad._invalidate_alive_cache
-        return node
 
     @property
     def hosts(self) -> Dict[int, FileHost]:
@@ -205,9 +190,16 @@ class FarsiteDeployment:
             source = self.nodes[migration.source_host].host
             target = self.nodes[migration.target_host].host
             ciphertext = source.fetch_replica(migration.file_id)
-            # Store before drop: a target that fails to store leaves the
-            # source's replica in place.
-            target.store_replica(migration.file_id, ciphertext)
+            # Store before drop: a target that refuses bytes that are not
+            # the group's content leaves the source's replica and the
+            # namespace entry as they were.
+            try:
+                target.store_replica(
+                    migration.file_id, ciphertext, expected=migration.fingerprint
+                )
+            except ReplicaMismatchError:
+                self.relocations_refused += 1
+                continue
             if not migration.copy:
                 source.drop_replica(migration.file_id)
             moved_by_file.setdefault(migration.file_id, []).append(
@@ -226,6 +218,11 @@ class FarsiteDeployment:
                 elif source in hosts:
                     hosts[hosts.index(source)] = target
             self.namespace.set_replica_hosts(path, tuple(hosts))
+
+    def collect_metrics(self, registry):
+        """Harvest the deployment's relocation counters and its SALAD."""
+        registry.counter("farsite.relocation.refused").inc(self.relocations_refused)
+        return self.salad.collect_metrics(registry)
 
     def run_dfc_cycle(self, min_size: int = 0) -> DfcCycleReport:
         """Publish fingerprints, discover duplicates, relocate, coalesce."""

@@ -9,12 +9,7 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     bucket_of,
-    disable,
-    enable,
-    enabled,
-    get_registry,
 )
 from repro.obs.report import (
     SCHEMA,
@@ -31,10 +26,7 @@ from repro.obs.tracing import (
     TraceRecorder,
     build_timelines,
     export_chrome_trace,
-    heartbeat,
-    install_flight_recorder,
     trace_id_for,
-    uninstall_flight_recorder,
 )
 
 __all__ = [
@@ -42,12 +34,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "bucket_of",
-    "disable",
-    "enable",
-    "enabled",
-    "get_registry",
     "SCHEMA",
     "CollectorWatch",
     "build_run_report",
@@ -64,8 +51,5 @@ __all__ = [
     "TraceRecorder",
     "build_timelines",
     "export_chrome_trace",
-    "heartbeat",
-    "install_flight_recorder",
     "trace_id_for",
-    "uninstall_flight_recorder",
 ]

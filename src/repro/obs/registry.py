@@ -22,17 +22,14 @@ the max, histograms add bucket-wise; all three operate on exact ints
 wherever the instrumented code observes ints.
 
 **Hot-path policy.**  The hot paths themselves do *not* call into this
-module.  They keep plain integer attributes (``leaf.next_hop_hits``,
-``modes._BULK_BYTES``) that cost one integer add, and each subsystem
-exposes a ``collect_metrics(registry)`` / ``harvest_*`` function that
-builds registry entries from those attributes at report time.  That keeps
-the disabled-telemetry overhead at effectively zero and makes merging
-trivially exact (a harvest is a snapshot, never a double count).
-
-Instrument handles are still available live for cold paths: when the
-module-level switch is off (the default), :func:`get_registry` returns a
-null registry whose instruments are shared no-op singletons, so library
-code may write ``get_registry().counter("x").inc()`` unconditionally.
+module.  They keep plain integer attributes on the object that does the
+work (``leaf.next_hop_hits``, ``leaf.record_arrivals``) that cost one
+integer add, and each engine exposes a ``collect_metrics(registry)`` /
+``harvest_*`` function that builds registry entries from those attributes
+at report time.  A registry is always one the caller made; there is no
+session-wide one.  That keeps the disabled-telemetry overhead at
+effectively zero and makes merging trivially exact (a harvest is a
+snapshot of one engine, never a double count).
 
 Naming convention: dotted lowercase paths, ``<layer>.<subsystem>.<what>``
 (e.g. ``salad.routing.next_hop_hits``).  ``docs/OBSERVABILITY.md`` is the
@@ -290,76 +287,3 @@ def _render_key(name: str, labels: LabelKey) -> str:
         return name
     rendered = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{rendered}}}"
-
-
-# ----------------------------------------------------------------------------
-# null instruments & the session switch
-# ----------------------------------------------------------------------------
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry whose instruments are shared no-op singletons.
-
-    Returned by :func:`get_registry` while telemetry is disabled, so cold
-    paths can hold instrument handles unconditionally at zero cost.
-    """
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, **labels: str) -> Histogram:
-        return _NULL_HISTOGRAM
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-_NULL_REGISTRY = NullRegistry()
-
-_session_registry: Optional[MetricsRegistry] = None
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Turn session telemetry on; returns the active registry."""
-    global _session_registry
-    _session_registry = registry if registry is not None else MetricsRegistry()
-    return _session_registry
-
-
-def disable() -> None:
-    """Turn session telemetry off; live handles become stale snapshots."""
-    global _session_registry
-    _session_registry = None
-
-
-def enabled() -> bool:
-    return _session_registry is not None
-
-
-def get_registry() -> MetricsRegistry:
-    """The session registry, or the shared null registry when disabled."""
-    return _session_registry if _session_registry is not None else _NULL_REGISTRY

@@ -22,9 +22,11 @@ Two complementary instruments, both zero-cost when disabled:
    and post-mortem after a crash -- the ring survives in the last
    heartbeat's wake.
 
-Like the rest of ``repro.obs`` this module is dependency-free and imports
-nothing from the simulation packages: engines hand it plain ints, floats,
-and callables at activation time.
+Neither lives in module state: each engine builds its own
+:class:`TraceRecorder`, and a run that wants a flight recorder builds
+one and hands it to that recorder.  Like the rest of ``repro.obs`` this
+module is dependency-free and imports nothing from the simulation
+packages: engines hand it plain ints, floats, and callables.
 """
 
 from __future__ import annotations
@@ -36,20 +38,12 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "ACTIVE",
-    "FLIGHT",
     "FlightRecorder",
     "TraceRecorder",
-    "activate",
     "build_timelines",
-    "deactivate",
     "export_chrome_trace",
-    "heartbeat",
-    "install_flight_recorder",
     "sample_threshold",
-    "take_events",
     "trace_id_for",
-    "uninstall_flight_recorder",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -102,17 +96,19 @@ _KIND_ORDER = {
 
 
 class TraceRecorder:
-    """Per-process event sink for one engine.
+    """The event sink of one engine.
 
-    Hot paths hold no reference to this object; they read the module global
-    :data:`ACTIVE` once per batch and skip everything when it is ``None``,
-    mirroring the harvest pattern's zero-cost-when-off discipline.
+    The engine builds it (or ``None`` at rate 0) and hands it to every leaf
+    it builds; the hot paths read their own reference once per batch and
+    skip everything when it is ``None``.  ``flight``, when a caller sets
+    it, also receives every event (:class:`FlightRecorder`).
     """
 
     __slots__ = (
         "sample_rate",
         "events",
         "records_sampled",
+        "flight",
         "_threshold",
         "_seq",
         "_now",
@@ -129,6 +125,7 @@ class TraceRecorder:
         self.sample_rate = float(sample_rate)
         self.events: List[dict] = []
         self.records_sampled = 0
+        self.flight: Optional[FlightRecorder] = None
         self._threshold = sample_threshold(sample_rate)
         self._seq = 0
         self._now = now or (lambda: 0.0)
@@ -157,7 +154,7 @@ class TraceRecorder:
             event.update(extra)
         self._seq += 1
         self.events.append(event)
-        flight = FLIGHT
+        flight = self.flight
         if flight is not None:
             flight.note_event(event)
 
@@ -196,54 +193,6 @@ class TraceRecorder:
     def take_events(self) -> List[dict]:
         events, self.events = self.events, []
         return events
-
-
-#: The process-wide recorder, or ``None`` when tracing is off.  Hot paths
-#: read this once per batch; ``None`` is the only check they pay.
-ACTIVE: Optional[TraceRecorder] = None
-
-#: Events that outlived their recorder: a session that builds several
-#: engines in sequence (the experiment runner's sweeps) re-activates per
-#: engine, and :func:`take_events` hands the earlier engines' events out
-#: exactly once.
-_orphaned: List[dict] = []
-
-
-def activate(
-    sample_rate: float,
-    now: Optional[Callable[[], float]] = None,
-    link_of: Optional[Callable[[int, int], Tuple[str, str]]] = None,
-) -> Optional[TraceRecorder]:
-    """Install (or clear, for rate <= 0) the process-wide recorder.
-
-    The outgoing recorder's undrained events move to the orphan buffer
-    first, so engine turnover never loses sampled timelines.
-    """
-    global ACTIVE
-    if ACTIVE is not None and ACTIVE.events:
-        _orphaned.extend(ACTIVE.take_events())
-    if sample_rate is None or sample_rate <= 0.0:
-        ACTIVE = None
-    else:
-        ACTIVE = TraceRecorder(sample_rate, now=now, link_of=link_of)
-    return ACTIVE
-
-
-def deactivate() -> None:
-    """Hard off: discard the recorder AND any orphaned events (test
-    teardown uses it for isolation)."""
-    global ACTIVE
-    ACTIVE = None
-    _orphaned.clear()
-
-
-def take_events() -> List[dict]:
-    """Drain all events: the orphan buffer, then the active recorder's."""
-    events = list(_orphaned)
-    _orphaned.clear()
-    if ACTIVE is not None:
-        events.extend(ACTIVE.take_events())
-    return events
 
 
 # -- timeline merging -----------------------------------------------------
@@ -368,32 +317,6 @@ def _rss_mib() -> Optional[float]:
     except ImportError:  # pragma: no cover - non-POSIX
         return None
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-
-
-#: Process-wide flight recorder, or ``None``.  Same discipline as ACTIVE.
-FLIGHT: Optional[FlightRecorder] = None
-
-
-def install_flight_recorder(path, ring_size: int = 512) -> FlightRecorder:
-    global FLIGHT
-    if FLIGHT is not None:
-        FLIGHT.close()
-    FLIGHT = FlightRecorder(path, ring_size=ring_size)
-    return FLIGHT
-
-
-def uninstall_flight_recorder() -> None:
-    global FLIGHT
-    if FLIGHT is not None:
-        FLIGHT.close()
-        FLIGHT = None
-
-
-def heartbeat(label: str, **stats) -> None:
-    """Emit one heartbeat if a flight recorder is installed (no-op cost:
-    one global read) -- subsystems sprinkle these at stage boundaries."""
-    if FLIGHT is not None:
-        FLIGHT.heartbeat(label, **stats)
 
 
 # -- flight-recorder tail rendering (python -m repro.obs tail) ------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.obs import tracing as _tracing
+from repro.obs.tracing import TraceRecorder
 from repro.salad import protocol
 from repro.salad.database import RecordDatabase
 from repro.salad.storage import RecordStore
@@ -67,6 +67,7 @@ class SaladLeaf(SimMachine):
         notify_limit: Optional[int] = None,
         rng: Optional[random.Random] = None,
         database: Optional[RecordStore] = None,
+        recorder: Optional[TraceRecorder] = None,
     ):
         super().__init__(identifier, network)
         if dimensions < 1:
@@ -159,14 +160,14 @@ class SaladLeaf(SimMachine):
         # Telemetry: plain attributes bumped on the hot paths, harvested
         # into a MetricsRegistry at report time (repro.salad.telemetry).
         # Identical across engines: every field below is driven purely by
-        # the deterministic message trace.  When a causal-trace recorder is
-        # active at construction (the engine activates before building
-        # leaves), the store path goes through the traced wrapper; otherwise
-        # the untraced path pays nothing -- not even a global read per
-        # stored record.
+        # the deterministic message trace.  With a causal-trace recorder
+        # (the engine's, handed in like the network) the store path goes
+        # through the traced wrapper; without one the untraced path pays
+        # nothing -- not even an attribute read per stored record.
+        self.recorder = recorder
         self._store = (
             self._store_record_traced
-            if _tracing.ACTIVE is not None
+            if recorder is not None
             else self._store_record
         )
         # Cell-aligned arrivals (records handed to the store path) and the
@@ -431,7 +432,7 @@ class SaladLeaf(SimMachine):
         """
         if not self.alive:
             return 0
-        tracer = _tracing.ACTIVE
+        tracer = self.recorder
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_insert(record, self.identifier)
         self._process_batch([(record, 0)])
@@ -451,7 +452,7 @@ class SaladLeaf(SimMachine):
         if not self.alive:
             return 0
         pairs = [(record, 0) for record in records]
-        tracer = _tracing.ACTIVE  # one check per batch; None costs nothing more
+        tracer = self.recorder  # one check per batch; None costs nothing more
         if tracer is not None:
             for record, _hops in pairs:
                 if tracer.sampled(record._rid):
@@ -469,7 +470,7 @@ class SaladLeaf(SimMachine):
         in the cached next-hop tuple is staged straight into the outbox.
         """
         record, hops = message.payload
-        tracer = _tracing.ACTIVE
+        tracer = self.recorder
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_hop(record, hops, message.sender, self.identifier)
         rid = record._rid  # precomputed routing_id; property skipped
@@ -513,7 +514,7 @@ class SaladLeaf(SimMachine):
     def _on_record_batch(self, message: Message) -> None:
         pairs = message.payload
         self.extra_received += len(pairs) - 1
-        tracer = _tracing.ACTIVE
+        tracer = self.recorder
         if tracer is not None:
             sender = message.sender
             for record, hops in pairs:
@@ -682,13 +683,13 @@ class SaladLeaf(SimMachine):
     def _store_record_traced(
         self, record: SaladRecord, hops: int, forwards: Dict[int, List[tuple]]
     ) -> None:
-        """The store path when a causal-trace recorder is active.
+        """The store path of a leaf built with a causal-trace recorder.
 
         Emits the ``store`` event *before* delegating, so a sampled record's
         timeline orders store ahead of the MATCH sends it triggers.
         """
-        tracer = _tracing.ACTIVE
-        if tracer is not None and tracer.sampled(record._rid):
+        tracer = self.recorder
+        if tracer.sampled(record._rid):
             tracer.record_store(record, self.identifier, hops)
         self._store_record(record, hops, forwards)
 

@@ -23,6 +23,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.obs.tracing import TraceRecorder
 from repro.salad.leaf import SaladLeaf
 from repro.salad.protocol import MatchPayload
 from repro.salad.records import SaladRecord
@@ -192,12 +193,17 @@ class Salad:
     """A SALAD instance: a set of leaves over one simulated network."""
 
     #: The class every leaf is built from.  The golden-trace tests subclass
-    #: the engine to build their reference-oracle leaves instead.
+    #: the engine to build their reference-oracle leaves instead, and the
+    #: Farsite deployment sets it on its engine to build FarsiteNodes.
     leaf_class = SaladLeaf
 
     def __init__(self, config: SaladConfig, network: Optional[Network] = None):
         self.config = config
         self._rng = random.Random(config.seed)
+        #: The RNG each new leaf's own RNG seed is drawn from: the engine's,
+        #: unless the owner of the engine hands in its own (the Farsite
+        #: deployment draws its nodes' seeds from the deployment's RNG).
+        self.leaf_seeds = self._rng
         self.network = network or Network(
             scheduler=EventScheduler(),
             latency=config.latency,
@@ -219,16 +225,15 @@ class Salad:
             from repro.sim.tracer import NetworkTracer
 
             self.tracer = NetworkTracer(self.network)
-        # Causal tracing (repro.obs.tracing): latest engine wins the module
-        # recorder, so sweeps that build several Salads trace the active
-        # one.  Activation at rate 0 clears any stale recorder.
-        from repro.obs import tracing
-
-        tracing.activate(
-            config.trace_sample_rate,
-            now=lambda: self.network.scheduler.now,
-            link_of=_topology_link_of(config.topology),
-        )
+        # Causal tracing (repro.obs.tracing): this engine's own recorder,
+        # handed to every leaf it builds; None at rate 0.
+        self.recorder: Optional[TraceRecorder] = None
+        if config.trace_sample_rate > 0.0:
+            self.recorder = TraceRecorder(
+                config.trace_sample_rate,
+                now=lambda: self.network.scheduler.now,
+                link_of=_topology_link_of(config.topology),
+            )
         # Durable-store housing: made lazily so memory-backed SALADs (the
         # default) never touch the filesystem.
         self._db_dir: Optional[Path] = None
@@ -285,8 +290,9 @@ class Salad:
             damping=self.config.damping,
             database_capacity=self.config.database_capacity,
             notify_limit=self.config.notify_limit,
-            rng=random.Random(self._rng.getrandbits(64)),
+            rng=random.Random(self.leaf_seeds.getrandbits(64)),
             database=self._database_for(identifier),
+            recorder=self.recorder,
         )
         self.leaves[identifier] = leaf
         leaf.on_liveness_change = self._invalidate_alive_cache
@@ -433,15 +439,17 @@ class Salad:
             self.run()
             # Batch boundary: make the settled round durable, so a crash
             # loses at most the round in flight (no-op for memory stores).
-            from repro.obs import tracing
-
-            recorder = tracing.ACTIVE
+            recorder = self.recorder
             for leaf in self.leaves.values():
                 if leaf.alive:
                     leaf.database.flush()
                     if recorder is not None:
                         recorder.record_flush(leaf.identifier)
         return inserted
+
+    def take_trace_events(self) -> List[dict]:
+        """Drain this engine's sampled causal-trace events ([] when untraced)."""
+        return self.recorder.take_events() if self.recorder is not None else []
 
     def collected_matches(self) -> "CollectedMatches":
         """All duplicate notifications received, as (machine, payload) pairs.
@@ -531,7 +539,8 @@ class Salad:
         harvest_salad_metrics(
             registry, self.leaves.values(), self.network, self.config.dimensions
         )
-        harvest_trace_metrics(registry)
+        if self.recorder is not None:
+            harvest_trace_metrics(registry, self.recorder)
         if self.tracer is not None:
             self.tracer.feed_registry(registry, self.leaves, self.config.dimensions)
         return registry

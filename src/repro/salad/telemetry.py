@@ -145,17 +145,12 @@ def harvest_salad_metrics(
     return registry
 
 
-def harvest_trace_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Registry entries for this process's causal-trace recorder, if any.
+def harvest_trace_metrics(registry: MetricsRegistry, recorder) -> MetricsRegistry:
+    """Registry entries for one engine's causal-trace recorder.
 
-    Lands under ``sim.trace.*``.  No-op when tracing is off, so the
-    counters appear only in sampled runs (skip-if-absent downstream).
+    Lands under ``sim.trace.*``.  Engines call it only when they trace, so
+    the counters appear only in sampled runs (skip-if-absent downstream).
     """
-    from repro.obs import tracing
-
-    recorder = tracing.ACTIVE
-    if recorder is None:
-        return registry
     registry.counter("sim.trace.records_sampled").inc(recorder.records_sampled)
     registry.counter("sim.trace.events_recorded").inc(
         recorder._seq  # total ever emitted, not just the undrained tail

@@ -187,16 +187,3 @@ class TestNothingKeptBetweenCalls:
         finally:
             tracemalloc.stop()
         assert held < 256 << 10
-
-
-class TestHarvest:
-    def test_bulk_calls_and_bytes(self):
-        from repro.obs.registry import MetricsRegistry
-
-        before = MetricsRegistry()
-        modes.collect_metrics(before)
-        bulk_encrypt_ctr(KEY, bytes(4096), nonce=77)
-        after = MetricsRegistry()
-        modes.collect_metrics(after)
-        for name, grew_by in (("crypto.ctr.bulk_calls", 1), ("crypto.ctr.bulk_bytes", 4096)):
-            assert after.counter(name).value == before.counter(name).value + grew_by

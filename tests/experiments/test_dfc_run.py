@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.crypto.modes import bulk_encrypt_ctr
 from repro.experiments.dfc_run import DfcConfig, DfcRun
+from repro.obs.registry import MetricsRegistry
 from repro.workload.generator import CorpusSpec, generate_corpus
 
 
@@ -122,3 +124,21 @@ class TestFailureModes:
         run = DfcRun(corpus, DfcConfig(seed=12))
         with pytest.raises(ValueError):
             run.set_failure_probability(1.5)
+
+
+class TestHarvest:
+    def test_reports_only_what_this_run_did(self, corpus):
+        # A DFC run encrypts nothing: an unrelated CTR call made earlier in
+        # the process must not show up in its harvest.
+        bulk_encrypt_ctr(bytes(16), bytes(4096), nonce=77)
+        run = DfcRun(corpus, DfcConfig(seed=13))
+        try:
+            run.build()
+            run.insert_all()
+            registry = MetricsRegistry()
+            run.collect_metrics(registry)
+        finally:
+            run.close()
+        names = registry.counter_totals()
+        assert names["salad.records.arrivals"] > 0
+        assert not [name for name in names if name.startswith("crypto.")]

@@ -1,5 +1,6 @@
 """The experiments CLI."""
 
+import json
 import multiprocessing.context
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.scales import ExperimentScale, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
+from repro.obs.tracing import build_timelines
 
 TINY = ExperimentScale(
     name="tiny",
@@ -78,19 +80,26 @@ class TestCli:
             runner.main(["--only", "fig-topology", "--traffic", "burst=2"])
         assert "unknown traffic key" in capsys.readouterr().err
 
-    def test_trace_sampling_with_a_pool_rejected(self, capsys):
-        """Sampled events stay in the pool process that recorded them, so a
-        pooled run used to write an empty --trace-out."""
-        with pytest.raises(SystemExit):
-            runner.main(
+    def test_trace_sampling_with_a_pool_matches_the_serial_run(self, tmp_path):
+        """Sampled events travel back inside each sweep task's result, so a
+        pooled run writes the timelines the serial run writes."""
+        timelines = {}
+        for workers in ("1", "2"):
+            path = tmp_path / f"report-{workers}.json"
+            code = runner.main(
                 [
                     "--scale", "small",
-                    "--only", "dataset",
-                    "--workers", "2",
+                    "--only", "fig07", "fig14",
+                    "--workers", workers,
                     "--trace-sample-rate", "0.05",
+                    "--metrics-out", str(path),
                 ]
             )
-        assert "--trace-sample-rate needs --workers 1" in capsys.readouterr().err
+            assert code == 0
+            events = json.loads(path.read_text(encoding="utf-8"))["traces"]["events"]
+            timelines[workers] = build_timelines(events)
+        assert timelines["1"]
+        assert timelines["2"] == timelines["1"]
 
     def test_no_worker_count_survives_main(self, monkeypatch, capsys):
         """A --workers 2 run leaves nothing behind: a later default-argument

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from repro.core.convergent import convergent_encrypt
-from repro.farsite.file_host import FileHost
+from repro.core.fingerprint import fingerprint_of
+from repro.farsite.file_host import FileHost, ReplicaMismatchError
 
 DOCUMENT = b"shared document body " * 50
 
@@ -55,6 +56,16 @@ class TestStorage:
         host.store_replica("bob-file", encrypt_for("bob", bob, 2))
         assert "alice" in host.fetch_replica("alice-file").metadata
         assert "bob" in host.fetch_replica("bob-file").metadata
+
+    def test_expected_fingerprint_refuses_other_bytes(self, host, alice):
+        ciphertext = encrypt_for("alice", alice)
+        with pytest.raises(ReplicaMismatchError):
+            host.store_replica("f1", ciphertext, expected=fingerprint_of(b"other"))
+        assert len(host) == 0 and host.sis.blob_count() == 0
+        assert not host.store_replica(
+            "f1", ciphertext, expected=fingerprint_of(ciphertext.data)
+        )
+        assert host.fetch_replica("f1").data == ciphertext.data
 
     def test_drop_replica(self, host, alice):
         host.store_replica("f1", encrypt_for("alice", alice))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.farsite.node import FarsiteDeployment
+from repro.obs.registry import MetricsRegistry
 
 DOCUMENT = b"shared workgroup document body " * 200  # ~6 KB
 OTHER = b"another popular file, different bytes " * 150
@@ -146,7 +147,7 @@ class TestRelocationStoresBeforeDropping:
             for file_id in node.host.replica_ids()
         }
 
-        def refuse(file_id, ciphertext):
+        def refuse(file_id, ciphertext, expected=None):
             raise OSError("target disk full")
 
         for node in deployment.nodes.values():
@@ -157,3 +158,50 @@ class TestRelocationStoresBeforeDropping:
             host = deployment.nodes[identifier].host
             assert file_id in host.replica_ids()
             assert host.fetch_replica(file_id).data
+
+
+class TestRelocationRefusesForeignBytes:
+    @staticmethod
+    def _written():
+        deployment = FarsiteDeployment(machine_count=16, replication_factor=2, seed=3)
+        for name in ("ana", "ben", "cho"):
+            client = deployment.client_for(deployment.create_user(name))
+            client.write_file(f"/home/{name}/doc.txt", DOCUMENT)
+        return deployment
+
+    @staticmethod
+    def _recording_plans(deployment):
+        plans = []
+        plan = deployment.planner.plan
+        deployment.planner.plan = lambda groups: plans.append(plan(groups)) or plans[-1]
+        return plans
+
+    def test_tampered_replica_stays_where_it_was(self):
+        # A same-seed twin shows which replica the cycle's plan moves.
+        twin = self._written()
+        twin_plans = self._recording_plans(twin)
+        twin.run_dfc_cycle()
+        move = next(m for m in twin_plans[0].migrations if not m.copy)
+
+        deployment = self._written()
+        plans = self._recording_plans(deployment)
+        source = deployment.nodes[move.source_host].host
+        tampered = b"bytes that are not the group's content"
+        source.sis.write(move.file_id, tampered)
+        deployment.run_dfc_cycle()
+
+        assert move in plans[0].migrations
+        target = deployment.nodes[move.target_host].host
+        if move.file_id in target.replica_ids():
+            assert target.fetch_replica(move.file_id).data != tampered
+        assert source.fetch_replica(move.file_id).data == tampered
+        (entry,) = [
+            entry
+            for entry in map(deployment.namespace.lookup, deployment.namespace.all_paths())
+            if entry.file_id == move.file_id
+        ]
+        assert move.source_host in entry.replica_hosts
+        assert move.target_host not in entry.replica_hosts
+        registry = MetricsRegistry()
+        deployment.collect_metrics(registry)
+        assert registry.counter_value("farsite.relocation.refused") == 1

@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, labels, merges, and the session switch.
+"""The metrics registry: instruments, labels, and merges.
 
 The load-bearing property is merge exactness: the experiment runner folds
 one registry dump per sweep point and the result must equal observing
@@ -14,10 +14,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     bucket_of,
-    disable,
-    enable,
-    enabled,
-    get_registry,
 )
 
 
@@ -147,31 +143,3 @@ class TestSerializationStability:
         assert [e["name"] for e in dump["counters"]] == ["a", "z"]
         assert dump["gauges"] == []
         assert dump["histograms"] == []
-
-
-class TestSessionSwitch:
-    def teardown_method(self):
-        disable()
-
-    def test_disabled_by_default_and_null_is_free(self):
-        disable()
-        assert not enabled()
-        null = get_registry()
-        null.counter("x").inc(100)
-        null.gauge("g").set(1.0)
-        null.histogram("h").observe(5)
-        assert null.counter_value("x") == 0
-        assert len(null) == 0
-
-    def test_enable_returns_live_registry(self):
-        registry = enable()
-        assert enabled()
-        get_registry().counter("x").inc(2)
-        assert registry.counter_value("x") == 2
-        disable()
-        assert get_registry().counter_value("x") == 0
-
-    def test_enable_accepts_existing_registry(self):
-        mine = MetricsRegistry()
-        assert enable(mine) is mine
-        assert get_registry() is mine

@@ -4,15 +4,15 @@ The sampler must be a *pure deterministic predicate* (no RNG consumed, same
 verdict in every process), trace ids must be re-derivable from data the
 record already carries, timelines must merge causally across workers, the
 Chrome export must be structurally loadable by Perfetto, and the flight
-recorder must leave a readable JSONL behind even mid-run.
+recorder must leave a readable JSONL behind even mid-run.  Each engine owns
+its recorder: nothing a run reports to lives in module state, so two
+engines in one process trace independently.
 """
 
 import json
 
-import pytest
-
 from repro.core.fingerprint import synthetic_fingerprint
-from repro.obs import tracing
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import (
     FlightRecorder,
     TraceRecorder,
@@ -23,15 +23,7 @@ from repro.obs.tracing import (
     trace_id_for,
 )
 from repro.salad.records import SaladRecord
-
-
-@pytest.fixture(autouse=True)
-def _clean_tracing_state():
-    tracing.deactivate()
-    tracing.uninstall_flight_recorder()
-    yield
-    tracing.deactivate()
-    tracing.uninstall_flight_recorder()
+from repro.salad.salad import Salad, SaladConfig
 
 
 def _record(n: int, location: int = 0xABC) -> SaladRecord:
@@ -141,30 +133,65 @@ class TestRecorderEvents:
         assert recorder.take_events() == []
 
 
-class TestModuleLifecycle:
-    def test_activate_rate_zero_clears(self):
-        assert tracing.activate(1.0) is not None
-        assert tracing.ACTIVE is not None
-        assert tracing.activate(0.0) is None
-        assert tracing.ACTIVE is None
+def _insert_wave(sim, wave: int) -> int:
+    return sim.insert_records(
+        {
+            identifier: [_record(10 * wave + n, location=identifier) for n in range(3)]
+            for identifier in sim.alive_identifiers()
+        }
+    )
 
-    def test_activate_orphans_previous_events(self):
-        # Engine turnover (a sweep building several engines) must not lose
-        # the previous engine's sampled timelines.
-        tracing.activate(1.0)
-        tracing.ACTIVE.record_insert(_record(1), 0x1)
-        tracing.activate(1.0)
-        tracing.ACTIVE.record_insert(_record(2), 0x2)
-        events = tracing.take_events()
-        assert len(events) == 2
-        assert tracing.take_events() == []
 
-    def test_deactivate_discards_everything(self):
-        tracing.activate(1.0)
-        tracing.ACTIVE.record_insert(_record(1), 0x1)
-        tracing.activate(1.0)  # moves the event to the orphan buffer
-        tracing.deactivate()
-        assert tracing.take_events() == []
+def _trace_counters(sim) -> dict:
+    registry = MetricsRegistry()
+    sim.collect_metrics(registry)
+    return {
+        name: value
+        for name, value in registry.counter_totals().items()
+        if name.startswith("sim.trace.")
+    }
+
+
+class TestEngineOwnsItsRecorder:
+    def test_rate_zero_builds_no_recorder(self):
+        sim = Salad(SaladConfig(seed=3))
+        try:
+            sim.build(4)
+            _insert_wave(sim, 0)
+            assert sim.recorder is None
+            assert all(leaf.recorder is None for leaf in sim.leaves.values())
+            assert sim.take_trace_events() == []
+            assert _trace_counters(sim) == {}
+        finally:
+            sim.shutdown()
+
+    def test_two_engines_trace_independently(self):
+        # Building a second engine -- untraced, or traced at another rate --
+        # leaves the first one tracing into its own recorder.
+        first = Salad(SaladConfig(seed=11, trace_sample_rate=1.0))
+        untraced = Salad(SaladConfig(seed=12))
+        second = Salad(SaladConfig(seed=13, trace_sample_rate=0.5))
+        try:
+            for sim in (first, untraced, second):
+                sim.build(8)
+            inserted = _insert_wave(first, 0)
+            _insert_wave(untraced, 0)
+            _insert_wave(second, 0)
+            inserted += _insert_wave(first, 1)
+            counters = _trace_counters(first)
+            assert counters["sim.trace.records_sampled"] == inserted
+            assert _trace_counters(untraced) == {}
+            events = first.take_trace_events()
+            assert sum(e["kind"] == "insert" for e in events) == inserted
+            assert counters["sim.trace.events_recorded"] == len(events)
+            assert untraced.take_trace_events() == []
+            sampled = _trace_counters(second)["sim.trace.records_sampled"]
+            assert 0 < sampled < 3 * 8
+            second_events = second.take_trace_events()
+            assert sum(e["kind"] == "insert" for e in second_events) == sampled
+        finally:
+            for sim in (first, untraced, second):
+                sim.shutdown()
 
 
 class TestTimelines:
@@ -242,16 +269,14 @@ class TestFlightRecorder:
         events = [line for line in lines if line["type"] == "event"]
         assert [e["trace_id"] for e in events] == ["02", "03", "04"]
 
-    def test_module_heartbeat_is_noop_without_recorder(self):
-        tracing.heartbeat("anything", x=1)  # must not raise
-
     def test_install_routes_recorder_events_into_ring(self, tmp_path):
         path = tmp_path / "flight.jsonl"
-        tracing.install_flight_recorder(path, ring_size=8)
-        tracing.activate(1.0)
-        tracing.ACTIVE.record_insert(_record(1), 0x1)
-        tracing.heartbeat("stage")
-        tracing.uninstall_flight_recorder()
+        flight = FlightRecorder(path, ring_size=8)
+        recorder = TraceRecorder(1.0)
+        recorder.flight = flight
+        recorder.record_insert(_record(1), 0x1)
+        flight.heartbeat("stage")
+        flight.close()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert any(line.get("kind") == "insert" for line in lines)
 

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs import tracing as _tracing
 from repro.salad.leaf import SaladLeaf
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad
@@ -70,7 +69,7 @@ class ReferenceLeaf(ScanWidthLeaf):
 
     def _on_record(self, message: Message) -> None:
         record, hops = message.payload
-        tracer = _tracing.ACTIVE
+        tracer = self.recorder
         if tracer is not None and tracer.sampled(record._rid):
             tracer.record_hop(record, hops, message.sender, self.identifier)
         self._process_batch([(record, hops)])

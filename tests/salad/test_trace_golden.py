@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.core.fingerprint import Fingerprint
-from repro.obs import tracing
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import build_timelines
 from repro.salad.records import SaladRecord
@@ -27,13 +26,6 @@ CONTENT_POOL = 40
 #: Per-process telemetry, excluded from identity comparison; ``sim.trace.*``
 #: lives here by design -- a sampled run legitimately counts trace events.
 INCIDENTAL_PREFIXES = ("sim.",)
-
-
-@pytest.fixture(autouse=True)
-def _clean_tracing_state():
-    tracing.deactivate()
-    yield
-    tracing.deactivate()
 
 
 def _config(**overrides):
@@ -84,10 +76,7 @@ def _drive(sim):
 
 @pytest.fixture(scope="module")
 def untraced_single():
-    tracing.deactivate()
-    observed = _drive(Salad(_config(trace_sample_rate=0.0)))
-    tracing.deactivate()
-    return observed
+    return _drive(Salad(_config(trace_sample_rate=0.0)))
 
 
 class TestSamplingNeverPerturbs:
@@ -119,11 +108,9 @@ class TestSamplingNeverPerturbs:
 class TestCausalChains:
     @pytest.fixture(scope="class")
     def events(self):
-        tracing.deactivate()
-        _drive(Salad(_config(trace_sample_rate=1.0)))
-        events = tracing.take_events()
-        tracing.deactivate()
-        return events
+        sim = Salad(_config(trace_sample_rate=1.0))
+        _drive(sim)
+        return sim.take_trace_events()
 
     def test_every_timeline_begins_with_insert(self, events):
         timelines = build_timelines(events)
