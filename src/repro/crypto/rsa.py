@@ -115,9 +115,11 @@ class RSAKeyPair:
             idx += 1
         if idx + 1 >= len(block) or block[idx] != 1:
             raise RSAError("padding check failed: corrupt ciphertext or wrong key")
+        # A sentinel in byte 0 leaves room for one byte more than encrypt
+        # ever pads, so the length byte is bounded as well as matched.
         length = block[idx + 1]
         payload = block[idx + 2 + _PAD_NONCE_BYTES :]
-        if len(payload) != length:
+        if length > self.public.max_payload_bytes or len(payload) != length:
             raise RSAError("padding check failed: corrupt ciphertext or wrong key")
         return payload
 

@@ -57,6 +57,9 @@ from repro.salad.storage import BACKENDS, check_backend
 
 SWEEP_FIGURES = {"fig07", "fig09", "fig10", "fig11", "fig12"}
 GROWTH_FIGURES = {"fig14", "fig15"}
+#: Experiments whose results carry their engines' sampled trace events back.
+#: The others run at trace rate 0: no result would return what they sampled.
+TRACED_EXPERIMENTS = SWEEP_FIGURES | GROWTH_FIGURES | {"fig-topology", "fig-tradeoff"}
 ALL_EXPERIMENTS = [
     "dataset",
     "fig07",
@@ -125,7 +128,8 @@ def run_experiments(
     *settings* (record-store backend and directory, invariant tracing,
     causal-trace sampling) reach every engine the experiments build, pool
     processes included; every backend reports identical numbers, the
-    durable ones just bound RAM at full scale.
+    durable ones just bound RAM at full scale.  The sampling rate reaches
+    only the :data:`TRACED_EXPERIMENTS`.
     ``registry`` collects telemetry (repro.obs) from the runs that harvest
     it -- the shared sweep and growth engines, and the topology and
     tradeoff experiments -- for a ``--metrics-out`` RunReport, and
@@ -141,6 +145,7 @@ def run_experiments(
     """
     scale = get_scale(scale_name)
     outputs: Dict[str, Any] = {}
+    untraced = dataclasses.replace(settings, trace_sample_rate=0.0)
 
     sweep = None
     if SWEEP_FIGURES & set(names):
@@ -179,7 +184,7 @@ def run_experiments(
                 result = fig07_space_vs_minsize.run(scale, seed, sweep)
             elif name == "fig08":
                 result = fig08_space_vs_failure.run(
-                    scale, seed=seed, workers=workers, settings=settings
+                    scale, seed=seed, workers=workers, settings=untraced
                 )
             elif name == "fig09":
                 result = fig09_messages_vs_minsize.run(scale, seed, sweep)
@@ -191,7 +196,7 @@ def run_experiments(
                 result = fig12_dbsize_cdf.run(scale, seed, sweep)
             elif name == "fig13":
                 result = fig13_space_vs_dblimit.run(
-                    scale, seed=seed, workers=workers, settings=settings
+                    scale, seed=seed, workers=workers, settings=untraced
                 )
             elif name == "fig14":
                 result = fig14_leaftable_vs_size.run(scale, PAPER_LAMBDAS, seed, growth)
@@ -206,15 +211,15 @@ def run_experiments(
                     scale, seed=seed, replication=replication_factor, settings=settings
                 )
             elif name == "model":
-                result = model_check.run(scale, seed=seed, settings=settings)
+                result = model_check.run(scale, seed=seed, settings=untraced)
             elif name == "attack":
-                result = attack_check.run(scale, seed=seed, settings=settings)
+                result = attack_check.run(scale, seed=seed, settings=untraced)
             elif name == "ablation-blocks":
                 result = ablation_blocks.run(scale, seed=seed)
             elif name == "ablation-dim":
-                result = ablation_dimensionality.run(scale, seed=seed, settings=settings)
+                result = ablation_dimensionality.run(scale, seed=seed, settings=untraced)
             elif name == "churn":
-                result = churn.run(scale, seed=seed, settings=settings)
+                result = churn.run(scale, seed=seed, settings=untraced)
             else:
                 raise ValueError(f"unknown experiment {name!r}")
             if name in ("fig-topology", "fig-tradeoff"):
@@ -423,7 +428,11 @@ def main(argv: List[str] = None) -> int:
                 "trace_invariants": args.trace_invariants or None,
             },
             traces=(
-                {"sample_rate": trace_rate, "events": trace_events}
+                {
+                    "sample_rate": trace_rate,
+                    "experiments": [n for n in names if n in TRACED_EXPERIMENTS],
+                    "events": trace_events,
+                }
                 if trace_rate > 0.0
                 else None
             ),

@@ -361,9 +361,11 @@ def summary_table(report: dict, top_counters: int = 20) -> str:
     if traces:
         events = traces.get("events") or []
         records = len({e.get("trace_id") for e in events} - {None})
+        covered = traces.get("experiments")
         lines.append(
             f"traces: {len(events)} events across {records} sampled records"
             f"  (sample_rate={traces.get('sample_rate')})"
+            + ("" if covered is None else f"  from: {', '.join(covered) or 'none'}")
         )
     return "\n".join(lines)
 

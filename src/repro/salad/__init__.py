@@ -10,8 +10,6 @@ routed in at most D hops.
 Module map:
 
 - :mod:`repro.salad.ids` -- cell-IDs and coordinate extraction (Eqs. 6-10).
-- :mod:`repro.salad.alignment` -- cell/vector/delta-dimensional alignment
-  predicates (Eqs. 11, 12, 15).
 - :mod:`repro.salad.records` -- fingerprint records.
 - :mod:`repro.salad.database` -- per-leaf in-memory record store with the
   Fig. 13 size-limit eviction policy.
@@ -29,13 +27,6 @@ Module map:
 """
 
 from repro.salad.ids import cell_id, cell_id_width, coordinate, coordinate_width, coordinates
-from repro.salad.alignment import (
-    cell_aligned,
-    d_vector_aligned,
-    delta_dimensionally_aligned,
-    mismatching_dimensions,
-    vector_aligned,
-)
 from repro.salad.database import RecordDatabase
 from repro.salad.leaf import SaladLeaf
 from repro.salad.records import SaladRecord
@@ -58,14 +49,9 @@ __all__ = [
     "SaladConfig",
     "SaladLeaf",
     "SaladRecord",
-    "cell_aligned",
     "cell_id",
     "cell_id_width",
     "coordinate",
     "coordinate_width",
     "coordinates",
-    "d_vector_aligned",
-    "delta_dimensionally_aligned",
-    "mismatching_dimensions",
-    "vector_aligned",
 ]

@@ -24,7 +24,9 @@ with its *own* W.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Set
+from bisect import bisect
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.tracing import TraceRecorder
 from repro.salad import protocol
@@ -100,7 +102,9 @@ class SaladLeaf(SimMachine):
         self.notify_limit = notify_limit
         self._rng = rng or random.Random(identifier & 0xFFFFFFFF)
 
-        # Leaf table: identifier -> last refresh time (virtual).
+        # Leaf table: identifier -> last refresh time (virtual).  Its
+        # insertion order is the send order of refreshes, departures,
+        # LEAF_RESPONSE and the eff = 1 join fan-out.
         self.leaf_table: Dict[int, float] = {}
         # Index over the table, rebuilt on width changes and updated
         # incrementally on adds/removes:
@@ -109,13 +113,14 @@ class SaladLeaf(SimMachine):
         #   by their masked d-axis bits k = j & axis_masks(W, D)[d] (a
         #   bijective image of the d-coordinate that needs no extraction);
         #   a group is deleted when it empties.
-        # Send order: Figs. 4 and 5 fix which leaves a record or a JOIN goes
-        # to, not in what order.  Every fan-out over these sets goes out in
-        # ascending identifier order, which the member accessors
-        # (_cell_members, _vector_members_key, _axis_members) apply, so no
-        # send depends on a set's layout or its add/discard history.
-        self._cellmates: Set[int] = set()
-        self._vectors: Dict[int, Dict[int, Set[int]]] = {
+        # Every group is an ascending tuple (a 40 B header plus 8 B per
+        # member).  Figs. 4 and 5 fix which leaves a record or a JOIN goes
+        # to, not in what order; every fan-out over a group goes out in
+        # ascending identifier order, the order it is stored in, so the
+        # member accessors (_cell_members, _vector_members_key) hand out the
+        # stored tuple itself.
+        self._cellmates: Tuple[int, ...] = ()
+        self._vectors: Dict[int, Dict[int, Tuple[int, ...]]] = {
             d: {} for d in range(dimensions)
         }
         # Routing acceleration state, all derived from the current width:
@@ -129,17 +134,15 @@ class SaladLeaf(SimMachine):
         # along d iff its xor with me has no bit under the d-th of these.
         self._off_axis_masks = (0,) * dimensions
         # Width-increase lookahead: masks for width W+1 plus an incrementally
-        # maintained two-bucket partition of the leaf table by "would this
-        # entry stay vector-aligned at W+1?".  The survivor bucket is
-        # implicit (table minus dropped) and carried as a count; the dropped
-        # bucket is the explicit set a committed width increase deletes, so
-        # neither the Fig. 6 growth check nor the commit itself needs a
-        # table scan.  `survivor_scans` counts full-table partition scans:
-        # this leaf makes none; the test oracle's scan bumps it.
+        # maintained count of the entries that would stay vector-aligned at
+        # W+1, so the Fig. 6 growth check needs no table scan.  A committed
+        # increase drops the others in the rebuild pass at the new width,
+        # which touches every entry anyway.  `survivor_scans` counts
+        # full-table partition scans: this leaf makes none; the test
+        # oracle's scan bumps it.
         self._next_cell_mask = 1
         self._next_axis_masks = axis_masks(1, dimensions)
         self._next_width_survivors = 0
-        self._next_width_dropped: Set[int] = set()
         # Incrementing W adds one cell-ID bit, bit W, to one axis, W mod D
         # (Eq. 10 interleaves bits round-robin).  An entry therefore leaves
         # the table at W+1 only if it already differs from me on some other
@@ -278,7 +281,9 @@ class SaladLeaf(SimMachine):
         xor = identifier ^ self.identifier
         diff = xor & self._cell_mask
         if not diff:
-            self._cellmates.add(identifier)
+            members = self._cellmates
+            at = bisect(members, identifier)
+            self._cellmates = members[:at] + (identifier,) + members[at:]
             survives = True  # only bit W can differ at W+1: one axis at most
         else:
             axis = 0
@@ -292,66 +297,105 @@ class SaladLeaf(SimMachine):
             key = identifier & self._axis_masks[axis]
             members = groups.get(key)
             if members is None:
-                groups[key] = {identifier}
+                groups[key] = (identifier,)
             else:
-                members.add(identifier)
+                at = bisect(members, identifier)
+                groups[key] = members[:at] + (identifier,) + members[at:]
             survives = axis == self._grow_axis or not xor & self._grow_bit
         self._next_hop_cache.clear()
         if survives:
             self._next_width_survivors += 1
-        else:
-            self._next_width_dropped.add(identifier)
         return True
 
     def _index_remove(self, identifier: int) -> None:
         # The masks are those _index_add placed it with (every width change
-        # rebuilds the index), so the same arithmetic finds its one group.
-        diff = (identifier ^ self.identifier) & self._cell_mask
+        # rebuilds the index), so the same arithmetic finds its one group
+        # and whether it counted as a survivor.
+        xor = identifier ^ self.identifier
+        diff = xor & self._cell_mask
         if not diff:
-            self._cellmates.discard(identifier)
+            members = self._cellmates
+            at = members.index(identifier)
+            self._cellmates = members[:at] + members[at + 1 :]
+            survives = True
         else:
             axis = 0
             for off_axis in self._off_axis_masks:
                 if not diff & off_axis:
-                    groups = self._vectors[axis]
-                    key = identifier & self._axis_masks[axis]
-                    members = groups[key]
-                    members.discard(identifier)
-                    if not members:
-                        del groups[key]
                     break
                 axis += 1
-        # The partition classifies on entry, so removal only needs a set
-        # probe, not a fresh alignment check.
-        if identifier in self._next_width_dropped:
-            self._next_width_dropped.discard(identifier)
-        else:
+            groups = self._vectors[axis]
+            key = identifier & self._axis_masks[axis]
+            members = groups[key]
+            if len(members) == 1:
+                del groups[key]
+            else:
+                at = members.index(identifier)
+                groups[key] = members[:at] + members[at + 1 :]
+            survives = axis == self._grow_axis or not xor & self._grow_bit
+        if survives:
             self._next_width_survivors -= 1
         self._next_hop_cache.clear()
 
     def _rebuild_index(self) -> None:
-        """Re-derive every width-dependent field and re-index the table."""
+        """Re-derive every width-dependent field and re-index the table.
+
+        One pass over the table in ascending order buckets each entry by the
+        arithmetic of :meth:`_index_add`, so every group comes out sorted and
+        is frozen once.  An entry that is no longer vector-aligned -- after a
+        committed width increase, exactly those that did not survive it --
+        is deleted from the table; the others keep their table order.
+        """
         width, dimensions = self.width, self.dimensions
-        self._cell_mask = (1 << width) - 1
-        self._axis_masks = axis_masks(width, dimensions)
-        self._off_axis_masks = tuple(
-            self._cell_mask ^ mask for mask in self._axis_masks
+        self._cell_mask = cell_mask = (1 << width) - 1
+        self._axis_masks = masks = axis_masks(width, dimensions)
+        self._off_axis_masks = off_axis_masks = tuple(
+            cell_mask ^ mask for mask in masks
         )
         self._next_cell_mask = (1 << (width + 1)) - 1
         self._next_axis_masks = axis_masks(width + 1, dimensions)
-        self._grow_bit = 1 << width
-        self._grow_axis = width % dimensions
+        self._grow_bit = grow_bit = 1 << width
+        self._grow_axis = grow_axis = width % dimensions
         self._steady_lo, self._steady_hi = steady_band(
             width, dimensions, self.target_redundancy, self.damping
         )
-        self._next_width_survivors = 0
-        self._next_width_dropped = set()
         self._next_hop_cache.clear()
-        self._cellmates = set()
-        self._vectors = {d: {} for d in range(dimensions)}
-        index_add = self._index_add
-        for identifier in self.leaf_table:
-            index_add(identifier)
+        me = self.identifier
+        cellmates: List[int] = []
+        buckets: List[Dict[int, List[int]]] = [{} for _ in range(dimensions)]
+        dropped: List[int] = []
+        survivors = 0
+        for identifier in sorted(self.leaf_table):
+            xor = identifier ^ me
+            diff = xor & cell_mask
+            if not diff:
+                cellmates.append(identifier)
+                survivors += 1
+                continue
+            axis = 0
+            for off_axis in off_axis_masks:
+                if not diff & off_axis:
+                    break
+                axis += 1
+            else:
+                dropped.append(identifier)
+                continue
+            key = identifier & masks[axis]
+            members = buckets[axis].get(key)
+            if members is None:
+                buckets[axis][key] = [identifier]
+            else:
+                members.append(identifier)
+            if axis == grow_axis or not xor & grow_bit:
+                survivors += 1
+        for identifier in dropped:
+            del self.leaf_table[identifier]
+        self._cellmates = tuple(cellmates)
+        self._vectors = {
+            d: {key: tuple(members) for key, members in buckets[d].items()}
+            for d in range(dimensions)
+        }
+        self._next_width_survivors = survivors
 
     def add_leaf(self, identifier: int, recalculate: bool = True) -> bool:
         """Add a vector-aligned leaf to the table; returns True if added."""
@@ -373,11 +417,11 @@ class SaladLeaf(SimMachine):
             self._recalculate_width()
         return True
 
-    def _cell_members(self) -> List[int]:
+    def _cell_members(self) -> Tuple[int, ...]:
         """My cellmates, in send order (ascending identifier)."""
-        return sorted(self._cellmates)
+        return self._cellmates
 
-    def _vector_members(self, axis: int, coord_value: int) -> List[int]:
+    def _vector_members(self, axis: int, coord_value: int) -> Tuple[int, ...]:
         """Known leaves j with ``a_axis(I, j)`` and ``c_axis(j) == coord``.
 
         Excludes cellmates automatically when coord differs from mine, which
@@ -389,21 +433,22 @@ class SaladLeaf(SimMachine):
             axis, spread_coordinate(coord_value, self.dimensions, axis)
         )
 
-    def _vector_members_key(self, axis: int, key: int) -> List[int]:
+    def _vector_members_key(self, axis: int, key: int) -> Tuple[int, ...]:
         """Same as :meth:`_vector_members`, keyed by masked axis bits.
 
         *key* is ``j & axis_masks(W, D)[axis]`` for any identifier j whose
         axis-coordinate is wanted -- computable from an identifier with one
-        AND, no bit-extraction loop.  Members come in send order.
+        AND, no bit-extraction loop.  Members come in send order: the stored
+        group itself.
         """
         if key == self.identifier & self._axis_masks[axis]:
-            return self._cell_members()  # no vector member shares my key
-        return sorted(self._vectors[axis].get(key, ()))
+            return self._cellmates  # no vector member shares my key
+        return self._vectors[axis].get(key, ())
 
     def _axis_members(self, axis: int) -> List[int]:
         """All known leaves d-vector-aligned with me along *axis* (plus
-        cellmates), in send order."""
-        return sorted(self._cellmates.union(*self._vectors[axis].values()))
+        cellmates), in send order: a merge of the axis's ascending groups."""
+        return sorted(chain(self._cellmates, *self._vectors[axis].values()))
 
     # ------------------------------------------------------------------
     # record insertion & forwarding (Fig. 4)
@@ -667,9 +712,9 @@ class SaladLeaf(SimMachine):
     def _compute_next_hop(self, routing_id: int) -> object:
         """First-mismatching-axis targets for a cell, or _LOCAL if mine.
 
-        The tuple holds the vector's members in send order, so forwarding
-        order is identical on a cache miss and (because the cache is cleared
-        on any membership change) on every hit thereafter.
+        The cache holds the vector's group tuple itself, in send order, so
+        forwarding order is identical on a cache miss and (because the cache
+        is cleared on any membership change) on every hit thereafter.
         """
         diff = (routing_id ^ self.identifier) & self._cell_mask
         if not diff:
@@ -677,7 +722,7 @@ class SaladLeaf(SimMachine):
         masks = self._axis_masks
         for d in range(self.dimensions):
             if diff & masks[d]:
-                return tuple(self._vector_members_key(d, routing_id & masks[d]))
+                return self._vector_members_key(d, routing_id & masks[d])
         return _LOCAL  # unreachable: every cell-ID bit belongs to some axis
 
     def _store_record_traced(
@@ -940,23 +985,11 @@ class SaladLeaf(SimMachine):
             tentative_target = target_width(tentative_estimate, self.target_redundancy)
             if tentative_target < tentative_width:
                 return  # the tentative width is unstable; stay put
-            dropped = self._dropped_at_next_width()
             self.width = tentative_width
             self.width_changes += 1
-            for identifier in dropped:
-                del self.leaf_table[identifier]
-            self._rebuild_index()
+            self._rebuild_index()  # deletes the entries that did not survive
             estimate = tentative_estimate
             target = tentative_target
-
-    def _dropped_at_next_width(self) -> Set[int]:
-        """The entries a committed width increase deletes.
-
-        The partition was maintained on every add/remove, so committing
-        costs O(dropped), and the only remaining full pass is
-        _rebuild_index at the new width.
-        """
-        return self._next_width_dropped
 
     def _request_newly_aligned(self, old_width: int) -> None:
         """After a width decrease, learn the newly vector-aligned leaves.

@@ -45,6 +45,19 @@ class TestPadding:
         with pytest.raises(RSAError):
             keypair.public.encrypt(too_big)
 
+    def test_sentinel_in_the_first_byte_is_rejected(self, keypair):
+        """A block filling every byte parses to one byte over the limit."""
+        public = keypair.public
+        width = (public.modulus_bits + 7) // 8
+        length = width - 2 - 8  # sentinel, length byte, nonce
+        assert length == public.max_payload_bytes + 1
+        block = bytes([1, length]) + bytes(8) + bytes(range(length))
+        m = int.from_bytes(block, "big")
+        assert m < public.n
+        ciphertext = pow(m, public.e, public.n).to_bytes(width, "big")
+        with pytest.raises(RSAError):
+            keypair.decrypt(ciphertext)
+
     def test_ciphertext_above_modulus_rejected(self, keypair):
         n_bytes = (keypair.public.modulus_bits + 7) // 8
         bogus = (keypair.public.n + 1).to_bytes(n_bytes + 1, "big")

@@ -9,6 +9,7 @@ from repro.experiments import runner
 from repro.experiments.scales import ExperimentScale, get_scale
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.obs.tracing import build_timelines
+from repro.salad import salad as salad_module
 
 TINY = ExperimentScale(
     name="tiny",
@@ -96,10 +97,39 @@ class TestCli:
                 ]
             )
             assert code == 0
-            events = json.loads(path.read_text(encoding="utf-8"))["traces"]["events"]
-            timelines[workers] = build_timelines(events)
+            traces = json.loads(path.read_text(encoding="utf-8"))["traces"]
+            assert traces["experiments"] == ["fig07", "fig14"]
+            timelines[workers] = build_timelines(traces["events"])
         assert timelines["1"]
         assert timelines["2"] == timelines["1"]
+
+    def test_experiments_that_return_no_events_sample_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """fig08's results carry no trace events, so its engines build no
+        recorder, and the report names the experiments its traces cover."""
+        built = []
+
+        class CountingRecorder(salad_module.TraceRecorder):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(salad_module, "TraceRecorder", CountingRecorder)
+        path = tmp_path / "report.json"
+        code = runner.main(
+            [
+                "--scale", "small",
+                "--only", "fig08",
+                "--trace-sample-rate", "0.05",
+                "--metrics-out", str(path),
+            ]
+        )
+        assert code == 0
+        assert built == []
+        traces = json.loads(path.read_text(encoding="utf-8"))["traces"]
+        assert traces["experiments"] == []
+        assert traces["events"] == []
 
     def test_no_worker_count_survives_main(self, monkeypatch, capsys):
         """A --workers 2 run leaves nothing behind: a later default-argument

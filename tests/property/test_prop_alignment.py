@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.salad.alignment import (
+from tests.reference_engine import (
     delta_dimensionally_aligned,
     lowest_alignment,
     mismatching_dimensions,

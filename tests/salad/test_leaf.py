@@ -1,5 +1,7 @@
 """SaladLeaf unit behavior: leaf table, index, width recalculation."""
 
+import sys
+
 import pytest
 
 from repro.core.fingerprint import synthetic_fingerprint
@@ -11,7 +13,7 @@ from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.sim.events import EventScheduler
 from repro.sim.network import Network
-from tests.reference_engine import ScanWidthLeaf
+from tests.reference_engine import ScanWidthLeaf, mismatching_dimensions
 
 
 def make_leaf(identifier=0b0110, target_redundancy=2.0, dimensions=2, **kwargs):
@@ -104,6 +106,27 @@ class TestVectorIndex:
         assert same_column not in leaf._axis_members(1)
 
 
+class TestIndexBytes:
+    """The vector index costs bytes per entry, not an object per group."""
+
+    def test_vector_index_bytes_per_entry(self):
+        salad = Salad(SaladConfig(seed=0))
+        salad.build(512)
+        entries = held = 0
+        for leaf in salad.alive_leaves():
+            entries += len(leaf.leaf_table)
+            held += sys.getsizeof(leaf._cellmates) + sys.getsizeof(leaf._vectors)
+            for groups in leaf._vectors.values():
+                held += sys.getsizeof(groups)
+                for key, members in groups.items():
+                    # The key ints belong to the index; the member ints are
+                    # the leaf table's own.
+                    held += sys.getsizeof(key) + sys.getsizeof(members)
+        salad.shutdown()
+        assert entries > 30_000
+        assert held / entries <= 48
+
+
 class TestRefreshAndDeparture:
     def test_flush_stale_entries(self):
         leaf, network = make_leaf()
@@ -126,7 +149,7 @@ class TestWidthRecalculationCost:
         import random
 
         rng = random.Random(11)
-        # The scan oracle scans where the shipped leaf reads its drop bucket,
+        # The scan oracle scans where the shipped leaf's rebuild drops entries,
         # so its count shows how often a width check reaches a commit.
         leaf = ScanWidthLeaf(
             rng.randrange(1 << 24), Network(EventScheduler()), dimensions=2
@@ -144,8 +167,6 @@ class TestWidthRecalculationCost:
 
     def test_survivor_counter_matches_brute_force_after_churn(self):
         import random
-
-        from repro.salad.alignment import mismatching_dimensions
 
         rng = random.Random(3)
         leaf, _ = make_leaf(identifier=0x5A5A5A)

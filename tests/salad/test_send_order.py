@@ -2,12 +2,12 @@
 
 Figs. 4 and 5 fix which leaves a record or a JOIN goes to; the leaf fixes
 the order, ascending identifier, in its member accessors.  A leaf's index
-sets and groups can then be laid out any way at all without moving a
-send.  The test builds the same SALAD twice, once with every index
-pre-grown with throwaway identifiers and emptied -- the same members in
-differently laid out dicts and sets -- and compares every observable, the
-full ordered send log included.  Under set-layout order the per-join
-recipient sets already differ.
+groups can then be laid out any way at all without moving a send.  The
+test builds the same SALAD twice, once with every index pre-grown with
+throwaway identifiers and emptied -- the same members in differently laid
+out dicts -- and compares every observable, the full ordered send log
+included.  Under set-layout order the per-join recipient sets already
+differ.
 """
 
 import random
@@ -35,11 +35,11 @@ THROWAWAY_PER_GROUP = 16
 class PreGrownLeaf(SaladLeaf):
     """A leaf whose index is pre-grown with throwaway ids and emptied.
 
-    Whenever the index is (re)built, every cellmate set and every vector
-    group a width allows is created, in descending key order, grown with
-    throwaway identifiers and emptied again through the index's own
-    add/remove path.  The table is never changed; only the layout of the
-    dicts and sets holding it differs from a plain leaf's.
+    Whenever the index is (re)built, the cellmates and every vector group a
+    width allows are created, in descending key order, grown with throwaway
+    identifiers and emptied again through the index's own add/remove path.
+    The table is never changed; only the layout of the dicts holding it
+    differs from a plain leaf's.
     """
 
     def __init__(self, *args, **kwargs):

@@ -1,10 +1,11 @@
 """Golden identity of amortized width maintenance vs. the scan oracle.
 
-The leaf replaces the full leaf-table rescan at width-commit time with an
-incrementally maintained two-bucket partition (survivor count + dropped
-set, updated on every index add/remove).  The claim is *trace identity*,
-not statistical equivalence: a ``ScanWidthLeaf`` (``tests/reference_engine.py``)
-re-derives the dropped set by scanning (the seed behavior, counted by
+The leaf replaces the full leaf-table rescan of the Fig. 6 growth check
+with an incrementally maintained survivor count (updated on every index
+add/remove), and a committed increase drops the non-survivors in the
+index rebuild at the new width.  The claim is *trace identity*, not
+statistical equivalence: a ``ScanWidthLeaf`` (``tests/reference_engine.py``)
+finds the dropped entries by scanning first (the seed behavior, counted by
 ``survivor_scans``); the shipped amortized path must produce bit-identical
 stored records, duplicate matches, per-machine message totals, and telemetry
 -- the only permitted difference is the ``salad.routing.survivor_scans``
@@ -56,7 +57,7 @@ def _drive(sim):
 
     Departures shrink leaf tables, so the run commits width changes in both
     directions -- exactly the events whose dropped-set derivation differs
-    between the amortized partition and the reference rescan.
+    between the rebuild at the new width and the reference rescan.
     """
     try:
         sim.build(LEAVES)
