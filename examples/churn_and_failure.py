@@ -54,7 +54,7 @@ def main() -> None:
     print(f"  10 leaves crashed silently; {flushed} stale table entries flushed")
 
     print("\nphase 3: duplicate discovery at 50% machine downtime (Fig. 8 model)")
-    salad.network.loss_probability = 0.5
+    salad.set_loss_probability(0.5)
     survivors = salad.alive_leaves()
     groups = 40
     copies_per_group = 6

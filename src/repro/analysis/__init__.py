@@ -1,9 +1,7 @@
-"""Analysis utilities: space accounting, CDFs, and report rendering.
+"""Analysis utilities: space accounting and report rendering.
 
 - :mod:`repro.analysis.space` -- consumed/reclaimed space computation from
   SALAD match notifications (the y-axis of Figs. 7, 8, and 13).
-- :mod:`repro.analysis.cdf` -- cumulative distributions and CoV (Figs. 10,
-  12, 15).
 - :mod:`repro.analysis.reporting` -- fixed-width tables of each figure's
   series.
 """

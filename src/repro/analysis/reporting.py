@@ -25,19 +25,13 @@ def format_bytes(value: float) -> str:
     return f"{value:.1f}P"
 
 
-def format_number(value: Number, decimals: int = 1) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:,.{decimals}f}"
-
-
 def render_table(
     title: str,
     x_label: str,
     x_values: Sequence[object],
     series: Dict[str, Sequence[Number]],
     x_formatter=str,
-    value_formatter=format_number,
+    value_formatter=str,
 ) -> str:
     """Render one figure's data as a fixed-width text table."""
     for label, values in series.items():

@@ -115,10 +115,6 @@ class BlockManifest:
     block_fingerprints: Tuple[Fingerprint, ...]
     keys: Tuple[bytes, ...]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.block_fingerprints)
-
 
 def encrypt_blocks(blocks: Iterable[bytes]) -> Tuple[BlockManifest, List[EncryptedBlock]]:
     """Convergently encrypt each block (Eq. 2 applied per block)."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.crypto.hashing import CONVERGENCE_KEY_BYTES, convergence_key
 from repro.crypto.modes import bulk_encrypt_ctr, decrypt_ctr, encrypt_ctr
@@ -75,10 +75,6 @@ class ConvergentCiphertext:
 
     data: bytes
     metadata: Mapping[str, bytes]
-
-    @property
-    def readers(self) -> Iterable[str]:
-        return self.metadata.keys()
 
     def metadata_bytes(self) -> int:
         """Space consumed by per-user key metadata.
@@ -158,14 +154,8 @@ def verify_convergent(ciphertext: ConvergentCiphertext, plaintext: bytes) -> boo
     candidate plaintext can confirm a match without any key.  The security
     theorem (section 3.1) says this is the *only* leak.
     """
-    hash_key = convergence_key(plaintext, key_bytes=_infer_key_bytes(ciphertext))
+    hash_key = convergence_key(plaintext)
     return encrypt_ctr(hash_key, plaintext) == ciphertext.data
-
-
-def _infer_key_bytes(ciphertext: ConvergentCiphertext) -> int:
-    # All key sizes produce the same-length c_f, so the default suffices for
-    # verification unless a caller consistently uses another width.
-    return CONVERGENCE_KEY_BYTES
 
 
 def reencrypt_key_for(

@@ -130,11 +130,6 @@ def bulk_encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
     return out
 
 
-def bulk_decrypt_ctr(key: bytes, ciphertext: bytes, nonce: int = 0) -> bytes:
-    """CTR decryption is CTR encryption."""
-    return bulk_encrypt_ctr(key, ciphertext, nonce)
-
-
 def encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
     """Encrypt *plaintext* under *key* in CTR mode.
 

@@ -11,7 +11,6 @@ duplicate pairs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -116,16 +115,6 @@ class DfcRun:
             raise ValueError(f"failure probability must be in [0,1]: {probability}")
         self.salad.set_loss_probability(probability)
 
-    def crash_machines(self, fraction: float, rng: Optional[random.Random] = None) -> int:
-        """Ablation: permanently crash an exact fraction of machines.
-
-        Crashed machines neither insert records nor store, forward, or
-        notify; their files still count toward consumed space.  This is a
-        strictly harsher model than the paper's Fig. 8 duty-cycle failures.
-        """
-        rng = rng or random.Random(self.config.seed + 1)
-        return self.salad.crash_fraction(fraction, rng)
-
     # -- phase 3: record insertion -------------------------------------------
 
     def records_for_machine(self, machine_index: int, min_size: int = 0) -> List[SaladRecord]:
@@ -199,9 +188,6 @@ class DfcRun:
 
     def database_sizes(self) -> List[int]:
         return self.salad.database_sizes(alive_only=False)
-
-    def leaf_table_sizes(self) -> List[int]:
-        return self.salad.leaf_table_sizes(alive_only=True)
 
     def collect_metrics(self, registry) -> None:
         """Harvest this run's engine counters into *registry*.

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.analysis.cdf import Cdf, cdf_series
 from repro.analysis.reporting import render_table
 from repro.experiments.scales import ExperimentScale
 from repro.experiments.threshold_sweep import ThresholdSweepResult, run_threshold_sweep
+from repro.sim.metrics import Cdf
 
 #: The paper's measured coefficients of variation.
 PAPER_COV = {1.5: 0.64, 2.0: 0.39, 2.5: 0.39}
@@ -51,7 +51,7 @@ def run(
 ) -> Fig10Result:
     if sweep is None:
         sweep = run_threshold_sweep(scale, seed=seed)
-    samples = {f"Lambda={lam}": sweep.message_totals[lam] for lam in sweep.lambdas}
-    cdfs = cdf_series(samples)
-    cov = {lam: Cdf.from_samples(sweep.message_totals[lam]).cov for lam in sweep.lambdas}
+    by_lambda = {lam: Cdf.from_samples(sweep.message_totals[lam]) for lam in sweep.lambdas}
+    cdfs = {f"Lambda={lam}": cdf for lam, cdf in by_lambda.items()}
+    cov = {lam: cdf.cov for lam, cdf in by_lambda.items()}
     return Fig10Result(cdfs=cdfs, cov=cov)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.analysis.cdf import Cdf, cdf_series
 from repro.analysis.reporting import render_table
 from repro.experiments.scales import ExperimentScale
 from repro.experiments.threshold_sweep import ThresholdSweepResult, run_threshold_sweep
+from repro.sim.metrics import Cdf
 
 #: The paper's measured coefficients of variation.
 PAPER_COV = {1.5: 0.28, 2.0: 0.31, 2.5: 2.4e-5}
@@ -52,7 +52,7 @@ def run(
 ) -> Fig12Result:
     if sweep is None:
         sweep = run_threshold_sweep(scale, seed=seed)
-    samples = {f"Lambda={lam}": sweep.database_sizes[lam] for lam in sweep.lambdas}
-    cdfs = cdf_series(samples)
-    cov = {lam: Cdf.from_samples(sweep.database_sizes[lam]).cov for lam in sweep.lambdas}
+    by_lambda = {lam: Cdf.from_samples(sweep.database_sizes[lam]) for lam in sweep.lambdas}
+    cdfs = {f"Lambda={lam}": cdf for lam, cdf in by_lambda.items()}
+    cov = {lam: cdf.cov for lam, cdf in by_lambda.items()}
     return Fig12Result(cdfs=cdfs, cov=cov)

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.analysis.cdf import Cdf
 from repro.analysis.reporting import render_table
 from repro.experiments.growth import GrowthResult, run_growth_suite
 from repro.experiments.scales import PAPER_LAMBDAS, ExperimentScale
+from repro.sim.metrics import Cdf
 
 
 @dataclass

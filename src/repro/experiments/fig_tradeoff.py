@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.dfc_run import DfcConfig
 from repro.experiments.scales import ExperimentScale
 from repro.farsite.dfc_pipeline import DfcPipeline
+from repro.farsite.relocation import canonical_hosts
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import span
 from repro.salad.salad import RunSettings
@@ -144,13 +145,12 @@ def _tradeoff_spec(scale: ExperimentScale) -> CorpusSpec:
 
 
 def _biggest_group(pipeline: DfcPipeline) -> Tuple[List[str], List[int]]:
-    """The largest duplicate group's files and its top-R replica hosts.
+    """The largest duplicate group's files and its canonical hosts.
 
     Groups files by fingerprint over the pipeline's *current* replica map
-    (post-relocation when dedup ran); the kill target is the R hosts
-    covering the most of the group's replicas -- the same rule the planner
-    uses to choose canonical hosts, so with dedup on this is exactly the
-    canonical set.
+    (post-relocation when dedup ran); the kill target is the group's
+    canonical set by the planner's own rule (:func:`canonical_hosts`), so
+    with dedup on it is the set relocation moved the group onto.
     """
     by_fingerprint: Dict[object, List[str]] = {}
     for file_id, (fingerprint, _) in pipeline.replicas.items():
@@ -159,12 +159,8 @@ def _biggest_group(pipeline: DfcPipeline) -> Tuple[List[str], List[int]]:
     if not groups:
         return [], []
     files = max(groups, key=len)
-    coverage: Dict[int, int] = {}
-    for file_id in files:
-        for host in pipeline.replicas[file_id][1]:
-            coverage[host] = coverage.get(host, 0) + 1
-    ranked = sorted(coverage, key=lambda h: (-coverage[h], h))
-    return files, ranked[: pipeline.config.replication_factor]
+    hosts = (pipeline.replicas[file_id][1] for file_id in files)
+    return files, list(canonical_hosts(hosts, pipeline.config.replication_factor))
 
 
 def _run_point(

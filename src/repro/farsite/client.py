@@ -78,8 +78,11 @@ class FarsiteClient:
         ciphertext = convergent_encrypt(plaintext, reader_keys, rng=self._rng)
 
         if replica_hosts is None:
-            count = min(self.replication_factor, len(self.hosts))
-            replica_hosts = self._rng.sample(list(self.hosts), count)
+            # Only live hosts take replicas; with every host up this is the
+            # whole host list, drawn from as it always was.
+            live = [host_id for host_id, host in self.hosts.items() if host.alive]
+            count = min(self.replication_factor, len(live))
+            replica_hosts = self._rng.sample(live, count)
         file_id = self.namespace.new_file_id()
 
         coalesced = []

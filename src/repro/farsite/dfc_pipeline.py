@@ -19,10 +19,11 @@ reports), and equals it whenever each content's discoveries form a single
 connected component.
 
 Memory note: this pipeline materializes file bytes, so drive it with small
-corpora (the statistics-only experiments never materialize content).  With
-the in-memory SIS the resident content is one copy per *distinct* content,
-whatever the replication factor: ``load_hosts`` hands every replica of a
-content the same ``bytes`` object and the stores keep that object.  Nothing
+corpora (the statistics-only experiments never materialize content).  Each
+host's SIS keeps its blobs in RAM, and the resident content is one copy per
+*distinct* content, whatever the replication factor: ``load_hosts`` hands
+every replica of a content the same ``bytes`` object and the stores keep
+that object.  Nothing
 is cached across passes or pipelines: a pass regenerates its distinct bytes
 in well under a tenth of a second, and a cache would need a bound (a knob)
 and would outlive ``close_stores``.
@@ -31,10 +32,7 @@ and would outlive ``close_stores``.
 from __future__ import annotations
 
 import random
-import shutil
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.space import reclaimed_bytes_from_matches
@@ -47,7 +45,6 @@ from repro.farsite.placement import (
     place_replicas,
 )
 from repro.farsite.relocation import RelocationPlan, RelocationPlanner
-from repro.farsite.sis import SingleInstanceStore
 from repro.obs.spans import phase, span
 from repro.workload.content import synthetic_content
 from repro.workload.corpus import Corpus
@@ -73,10 +70,6 @@ class PipelineReport:
     #: the durability cost the fig-tradeoff frontier charts).
     min_availability: float = 1.0
     mean_availability: float = 1.0
-
-    @property
-    def consumed_bytes(self) -> int:
-        return self.total_bytes - self.physically_reclaimed
 
     @property
     def reclaimed_fraction(self) -> float:
@@ -117,39 +110,15 @@ class DfcPipeline:
         self.planner = RelocationPlanner(
             replication_factor=config.replication_factor
         )
-        self._sis_dir: Optional[Path] = None
         # Lifetime stage totals, harvested by collect_metrics().
         self._migrations = 0
         self._copies = 0
         self._shortfall = 0
         self._bytes_moved = 0
 
-    def _make_sis(self, host_id: int) -> SingleInstanceStore:
-        """One SIS per host; durable (sqlite-blob-backed) when the run's
-        record-store backend is durable, so blob bytes leave RAM too."""
-        settings = self.config.settings
-        if settings.db_backend == "memory":
-            return SingleInstanceStore()
-        if self._sis_dir is None:
-            # Its own directory, like each Salad's: two pipelines never open
-            # each other's blob files.
-            if settings.db_dir is not None:
-                Path(settings.db_dir).mkdir(parents=True, exist_ok=True)
-            self._sis_dir = Path(tempfile.mkdtemp(prefix="sis-", dir=settings.db_dir))
-        return SingleInstanceStore(db_path=self._sis_dir / f"sis-host-{host_id:040x}.sqlite")
-
     def close_stores(self) -> None:
-        """Flush and release every host's SIS and the SALAD's leaf stores.
-
-        Store directories this pipeline made (its settings name no
-        ``db_dir``) are deleted with them; a named ``db_dir`` is kept.
-        """
-        for host in self.hosts.values():
-            host.sis.close()
+        """Release the SALAD's leaf stores (the hosts' SIS blobs are in RAM)."""
         self.run.close()
-        if self._sis_dir is not None and self.config.settings.db_dir is None:
-            shutil.rmtree(self._sis_dir, ignore_errors=True)
-            self._sis_dir = None
 
     # -- phase 1: load every machine's files onto its host ---------------------
 
@@ -178,7 +147,7 @@ class DfcPipeline:
         tasks: List[Tuple[str, int, Tuple[int, int]]] = []
         for machine in self.corpus.machines:
             host_id = self.run.leaf_of_machine[machine.machine_index]
-            self.hosts[host_id] = FileHost(host_id, sis=self._make_sis(host_id))
+            self.hosts[host_id] = FileHost(host_id)
             if self._availability_override is not None:
                 self.availability[host_id] = self._availability_override[
                     machine.machine_index

@@ -21,6 +21,10 @@ class ReplicaMismatchError(ValueError):
     """Replica bytes offered for storage are not the content expected."""
 
 
+class HostDownError(KeyError):
+    """The host's machine is down: it serves and accepts no replica."""
+
+
 @dataclass
 class ReplicaInfo:
     """Metadata a host keeps per stored replica."""
@@ -31,11 +35,17 @@ class ReplicaInfo:
 
 
 class FileHost:
-    """One machine's replica store: SIS-backed encrypted blobs plus metadata."""
+    """One machine's replica store: SIS-backed encrypted blobs plus metadata.
 
-    def __init__(self, machine_identifier: int, sis: Optional[SingleInstanceStore] = None):
+    A bare host is always up; a deployment node's host follows its node's
+    liveness (:class:`repro.farsite.node.NodeHost`).
+    """
+
+    alive = True
+
+    def __init__(self, machine_identifier: int):
         self.machine_identifier = machine_identifier
-        self.sis = sis if sis is not None else SingleInstanceStore()
+        self.sis = SingleInstanceStore()
         self._replicas: Dict[str, ReplicaInfo] = {}
 
     # -- replica management --------------------------------------------------
@@ -90,19 +100,9 @@ class FileHost:
         into the SALAD)."""
         return [info.fingerprint for info in self._replicas.values()]
 
-    def replica_ids(self) -> List[str]:
-        return list(self._replicas)
-
     def replica_info(self, file_id: str) -> Optional[ReplicaInfo]:
         """Metadata for one stored replica, or None if absent."""
         return self._replicas.get(file_id)
-
-    def holds_fingerprint(self, fingerprint: Fingerprint) -> List[str]:
-        return [
-            info.file_id
-            for info in self._replicas.values()
-            if info.fingerprint == fingerprint
-        ]
 
     # -- space accounting ------------------------------------------------------
 
@@ -113,10 +113,6 @@ class FileHost:
     @property
     def physical_bytes(self) -> int:
         return self.sis.stats().physical_bytes
-
-    @property
-    def reclaimed_bytes(self) -> int:
-        return self.sis.stats().reclaimed_bytes
 
     def __len__(self) -> int:
         return len(self._replicas)

@@ -85,13 +85,6 @@ class Namespace:
         path = _normalize(path)
         self.group_for(path).set_replica_hosts(path, hosts)
 
-    def list_region(self, prefix: str) -> Tuple[str, ...]:
-        """All paths under *prefix* (prefix must stay within one region)."""
-        prefix = _normalize(prefix)
-        return tuple(
-            p for p in self.group_for(prefix).list(prefix) if p.startswith(prefix)
-        )
-
     def all_paths(self) -> List[str]:
         seen = set()
         for group in self.groups:

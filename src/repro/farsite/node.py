@@ -18,6 +18,10 @@ and drives the full Duplicate-File-Coalescing cycle:
 4. relocation co-locates the groups' replicas and updates the namespace;
 5. each host's Single-Instance Store coalesces, reclaiming the bytes.
 
+A node's file host lives and dies with the node (:class:`NodeHost`): a
+failed node serves no read and takes no replica, and a migration whose
+source or target is down waits for a later cycle.
+
 This is the end-to-end system the paper describes; the statistics-scale
 experiments in :mod:`repro.experiments` use the lighter abstract pipeline
 instead (they never materialize file bytes).
@@ -27,13 +31,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.convergent import ConvergentCiphertext
 from repro.core.fingerprint import Fingerprint
 from repro.core.keyring import User, UserDirectory
 from repro.farsite.client import FarsiteClient
 from repro.farsite.directory_group import DirectoryGroup
-from repro.farsite.file_host import FileHost, ReplicaMismatchError
+from repro.farsite.file_host import FileHost, HostDownError, ReplicaMismatchError
 from repro.farsite.namespace import Namespace
 from repro.farsite.relocation import RelocationPlan, RelocationPlanner
 from repro.salad.leaf import SaladLeaf
@@ -45,12 +50,45 @@ from repro.sim.network import Network
 GROUP_SIZE = 4
 
 
+class NodeHost(FileHost):
+    """A node's file host: it serves and accepts replicas only while the
+    node is up.  A fetch from a down host raises :class:`HostDownError`,
+    a ``KeyError`` like a missing replica, so a reader skips to the next."""
+
+    def __init__(self, node: SaladLeaf):
+        super().__init__(node.identifier)
+        self.node = node
+
+    @property
+    def alive(self) -> bool:
+        return self.node.alive
+
+    def store_replica(
+        self,
+        file_id: str,
+        ciphertext: ConvergentCiphertext,
+        expected: Optional[Fingerprint] = None,
+    ) -> bool:
+        self._require_up(file_id)
+        return super().store_replica(file_id, ciphertext, expected)
+
+    def fetch_replica(self, file_id: str) -> ConvergentCiphertext:
+        self._require_up(file_id)
+        return super().fetch_replica(file_id)
+
+    def _require_up(self, file_id: str) -> None:
+        if not self.node.alive:
+            raise HostDownError(
+                f"host {self.machine_identifier:#x} is down: no access to {file_id!r}"
+            )
+
+
 class FarsiteNode(SaladLeaf):
     """A machine that is simultaneously a SALAD leaf and a file host."""
 
     def __init__(self, identifier: int, network: Network, **salad_kwargs):
         super().__init__(identifier, network, **salad_kwargs)
-        self.host = FileHost(identifier)
+        self.host = NodeHost(self)
         self._published: set = set()
 
     def publish_fingerprints(self, min_size: int = 0) -> int:
@@ -130,6 +168,8 @@ class FarsiteDeployment:
         self.planner = RelocationPlanner(replication_factor=replication_factor)
         # Migrations whose bytes did not match the group's fingerprint.
         self.relocations_refused = 0
+        # Migrations left for a later cycle: their source or target was down.
+        self.relocations_deferred = 0
 
     # -- assembly ---------------------------------------------------------------
 
@@ -189,6 +229,11 @@ class FarsiteDeployment:
         for migration in plan.migrations:
             source = self.nodes[migration.source_host].host
             target = self.nodes[migration.target_host].host
+            # A migration with a host down waits for a later cycle, which
+            # plans it again: nothing of it is applied now.
+            if not (source.alive and target.alive):
+                self.relocations_deferred += 1
+                continue
             ciphertext = source.fetch_replica(migration.file_id)
             # Store before drop: a target that refuses bytes that are not
             # the group's content leaves the source's replica and the
@@ -222,6 +267,7 @@ class FarsiteDeployment:
     def collect_metrics(self, registry):
         """Harvest the deployment's relocation counters and its SALAD."""
         registry.counter("farsite.relocation.refused").inc(self.relocations_refused)
+        registry.counter("farsite.relocation.deferred").inc(self.relocations_deferred)
         return self.salad.collect_metrics(registry)
 
     def run_dfc_cycle(self, min_size: int = 0) -> DfcCycleReport:

@@ -71,22 +71,6 @@ class Placement:
     assignment: Dict[str, Tuple[int, ...]]
     availability: Dict[int, float]
 
-    def file_availabilities(self) -> Dict[str, float]:
-        return {
-            fid: file_availability(hosts, self.availability)
-            for fid, hosts in self.assignment.items()
-        }
-
-    @property
-    def min_availability(self) -> float:
-        avail = self.file_availabilities()
-        return min(avail.values()) if avail else 1.0
-
-    @property
-    def mean_availability(self) -> float:
-        avail = self.file_availabilities()
-        return sum(avail.values()) / len(avail) if avail else 1.0
-
 
 def place_replicas(
     problem: PlacementProblem,

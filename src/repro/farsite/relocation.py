@@ -14,7 +14,7 @@ then relocate every other replica of the group onto the canonical set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.fingerprint import Fingerprint
 
@@ -65,6 +65,23 @@ class RelocationPlan:
         return sum(m.fingerprint.size for m in self.migrations)
 
 
+def canonical_hosts(
+    replica_hosts: Iterable[Sequence[int]], replication_factor: int
+) -> Tuple[int, ...]:
+    """The canonical set of a duplicate group: its R best-covered hosts.
+
+    *replica_hosts* holds each file's replica hosts.  Hosts rank by how
+    many of the group's replicas they hold, ties to the lower identifier,
+    so co-locating the group there moves the fewest replicas.
+    """
+    coverage: Dict[int, int] = {}
+    for hosts in replica_hosts:
+        for host in hosts:
+            coverage[host] = coverage.get(host, 0) + 1
+    ranked = sorted(coverage, key=lambda h: (-coverage[h], h))
+    return tuple(ranked[:replication_factor])
+
+
 class RelocationPlanner:
     """Plans co-location of identical files' replicas."""
 
@@ -86,18 +103,10 @@ class RelocationPlanner:
         migrations: List[Migration] = []
         shortfalls: Dict[Fingerprint, int] = {}
         for fingerprint, files in groups.items():
-            # Count existing replicas per host; the R best-covered hosts
-            # become canonical (fewest replica moves).
-            coverage: Dict[int, int] = {}
-            for hosts in files.values():
-                for host in hosts:
-                    coverage[host] = coverage.get(host, 0) + 1
-            ranked = sorted(coverage, key=lambda h: (-coverage[h], h))
-            hosts_needed = min(self.replication_factor, len(ranked))
-            chosen = tuple(ranked[:hosts_needed])
+            chosen = canonical_hosts(files.values(), self.replication_factor)
             canonical[fingerprint] = chosen
-            if hosts_needed < self.replication_factor:
-                shortfalls[fingerprint] = self.replication_factor - hosts_needed
+            if len(chosen) < self.replication_factor:
+                shortfalls[fingerprint] = self.replication_factor - len(chosen)
 
             for file_id, hosts in files.items():
                 hosts = list(hosts)

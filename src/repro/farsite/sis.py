@@ -2,8 +2,8 @@
 
 Coalesces identical files "while maintaining the semantics of separate
 files": logically distinct files whose contents are identical share one
-backing blob; writing through any link breaks the sharing (copy-on-write),
-leaving every other link untouched.
+backing blob; storing new bytes under any link breaks the sharing
+(copy-on-write), leaving every other link untouched.
 
 In Farsite the stored contents are *convergently encrypted* ciphertexts, so
 identical plaintexts -- even encrypted under different users' keys -- arrive
@@ -17,20 +17,17 @@ O(1); nothing is hashed, and the store never coalesces on a digest, its own
 or anyone else's, so two files share a blob only if their bytes are equal.
 Each blob is named by a host-local integer key.
 
-Link metadata -- link name -> key, each blob's link count, and the signature
-index -- lives in RAM.  Blob bytes live in a pluggable backend: the default
-keeps them in RAM; passing ``db_path`` stores them in a single-file sqlite3
-database keyed by the local key, so a DFC pipeline pass over a large corpus
-holds only link metadata in memory -- the same RAM-bounding move the SALAD
-record stores make in :mod:`repro.salad.storage`.
+Everything lives in RAM: blob bytes keyed by the local key, and the link
+metadata -- link name -> key, each blob's link count, and the signature
+index.  The DFC pipeline materializes bytes only for small corpora, and a
+replica of a content is the same ``bytes`` object on every host, so a
+durable blob backend would bound nothing.
 """
 
 from __future__ import annotations
 
-import os
-import sqlite3
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Leading bytes a signature keeps beside the length.
 _SIGNATURE_PREFIX = 32
@@ -43,73 +40,6 @@ def _signature(data: bytes) -> Tuple[int, bytes]:
 
 class NoSuchFileError(KeyError):
     """The named link does not exist in this store."""
-
-
-class _MemoryBlobs:
-    """The default blob backend: everything in RAM."""
-
-    def __init__(self) -> None:
-        self._data: Dict[int, bytes] = {}
-
-    def get(self, key: int) -> bytes:
-        return self._data[key]
-
-    def put(self, key: int, data: bytes) -> None:
-        self._data[key] = data
-
-    def pop(self, key: int) -> bytes:
-        return self._data.pop(key)
-
-    def sizes(self) -> Iterable[Tuple[int, int]]:
-        return ((key, len(data)) for key, data in self._data.items())
-
-    def close(self) -> None:
-        pass
-
-
-class _SqliteBlobs:
-    """Blob backend over a single-file sqlite3 database.
-
-    One row per blob: ``(key, data, size)``.  The size column lets space
-    accounting avoid loading blob bytes.  Links live in RAM, so a store
-    reopened on an existing file could reach none of its rows: it starts
-    empty.
-    """
-
-    def __init__(self, path: os.PathLike):
-        self._conn = sqlite3.connect(os.fspath(path))
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("DROP TABLE IF EXISTS blobs")
-        self._conn.execute(
-            "CREATE TABLE blobs ("
-            " key INTEGER PRIMARY KEY,"
-            " data BLOB NOT NULL,"
-            " size INTEGER NOT NULL"
-            ")"
-        )
-        self._conn.commit()
-
-    def get(self, key: int) -> bytes:
-        return self._conn.execute("SELECT data FROM blobs WHERE key = ?", (key,)).fetchone()[0]
-
-    def put(self, key: int, data: bytes) -> None:
-        self._conn.execute(
-            "INSERT INTO blobs (key, data, size) VALUES (?, ?, ?)",
-            (key, data, len(data)),
-        )
-
-    def pop(self, key: int) -> bytes:
-        data = self.get(key)
-        self._conn.execute("DELETE FROM blobs WHERE key = ?", (key,))
-        return data
-
-    def sizes(self) -> Iterable[Tuple[int, int]]:
-        return self._conn.execute("SELECT key, size FROM blobs")
-
-    def close(self) -> None:
-        self._conn.commit()
-        self._conn.close()
 
 
 @dataclass
@@ -125,15 +55,10 @@ class SisStats:
 
 
 class SingleInstanceStore:
-    """A coalescing store with separate-file (link) semantics.
+    """A coalescing store with separate-file (link) semantics."""
 
-    With ``db_path`` set, blob bytes live in sqlite instead of RAM; link
-    metadata and the signature index stay in memory either way.  Observable
-    behavior is identical across backends.
-    """
-
-    def __init__(self, db_path: Optional[os.PathLike] = None) -> None:
-        self._blobs = _SqliteBlobs(db_path) if db_path is not None else _MemoryBlobs()
+    def __init__(self) -> None:
+        self._blobs: Dict[int, bytes] = {}  # blob key -> bytes
         self._links: Dict[str, int] = {}  # link name -> blob key
         self._refs: Dict[int, int] = {}  # blob key -> link count
         self._index: Dict[Tuple[int, bytes], List[int]] = {}  # signature -> blob keys
@@ -155,13 +80,13 @@ class SingleInstanceStore:
         for key in self._index.get(signature, ()):
             # bytes == bytes answers at once for the same object, which is
             # what every replica of a content usually is.
-            if self._blobs.get(key) == data:
+            if self._blobs[key] == data:
                 self._refs[key] += 1
                 self._links[name] = key
                 return True
         key = self._next_key
         self._next_key = key + 1
-        self._blobs.put(key, data)
+        self._blobs[key] = data
         self._refs[key] = 1
         self._index.setdefault(signature, []).append(key)
         self._links[name] = key
@@ -169,13 +94,7 @@ class SingleInstanceStore:
 
     def read(self, name: str) -> bytes:
         """Read through a link; separate-file semantics, shared storage."""
-        return self._blobs.get(self._key_of(name))
-
-    def write(self, name: str, data: bytes) -> None:
-        """Copy-on-write: writing one link never disturbs its sharers."""
-        if name not in self._links:
-            raise NoSuchFileError(name)
-        self.store(name, data)
+        return self._blobs[self._key_of(name)]
 
     def delete(self, name: str) -> None:
         if name not in self._links:
@@ -213,20 +132,12 @@ class SingleInstanceStore:
     def __len__(self) -> int:
         return len(self._links)
 
-    def link_count(self, name: str) -> int:
-        """How many links share this file's blob (1 = not coalesced)."""
-        return self._refs[self._key_of(name)]
-
     def blob_count(self) -> int:
         return len(self._refs)
 
     def stats(self) -> SisStats:
         logical = physical = 0
-        for key, size in self._blobs.sizes():
-            physical += size
-            logical += size * self._refs[key]
+        for key, data in self._blobs.items():
+            physical += len(data)
+            logical += len(data) * self._refs[key]
         return SisStats(logical_bytes=logical, physical_bytes=physical)
-
-    def close(self) -> None:
-        """Release the blob backend (durable stores flush to disk)."""
-        self._blobs.close()

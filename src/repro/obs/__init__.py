@@ -20,7 +20,7 @@ from repro.obs.report import (
     validate_run_report,
     write_run_report,
 )
-from repro.obs.spans import Span, current_span, phase, span, take_phases
+from repro.obs.spans import Span, phase, span, take_phases
 from repro.obs.tracing import (
     FlightRecorder,
     TraceRecorder,
@@ -43,7 +43,6 @@ __all__ = [
     "validate_run_report",
     "write_run_report",
     "Span",
-    "current_span",
     "phase",
     "span",
     "take_phases",

@@ -39,7 +39,7 @@ catalog.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: A label set normalized into a registry key: sorted ``(key, value)`` pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -107,25 +107,11 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
-    def observe(self, value: float) -> None:
-        bucket = bucket_of(value)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
-    def observe_count(self, value: float, n: int) -> None:
+    def observe(self, value: float, n: int = 1) -> None:
         """Record ``n`` identical observations of ``value`` in O(1).
 
-        Equivalent to calling :meth:`observe` ``n`` times; lets hot paths
-        keep a plain ``value -> count`` dict and fold it in at harvest.
+        Lets hot paths keep a plain ``value -> count`` dict and fold it in
+        at harvest.
         """
         if n <= 0:
             return
@@ -137,10 +123,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def merge_from(self, other: "Histogram") -> None:
         for bucket, n in other.buckets.items():
@@ -190,10 +172,6 @@ class MetricsRegistry:
         """The counter's total, or 0 if it was never created."""
         instrument = self._counters.get((name, _label_key(labels)))
         return instrument.value if instrument is not None else 0
-
-    def gauge_value(self, name: str, **labels: str) -> Optional[float]:
-        instrument = self._gauges.get((name, _label_key(labels)))
-        return instrument.value if instrument is not None else None
 
     def counter_totals(self) -> Dict[str, int]:
         """Every counter's total keyed ``name`` or ``name{k=v,...}``.

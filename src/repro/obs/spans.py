@@ -33,7 +33,6 @@ class Span:
         "seconds",
         "start",
         "ops",
-        "notes",
         "children",
     )
 
@@ -45,15 +44,11 @@ class Span:
         #: perf_counter origins differ across processes.
         self.start = 0.0
         self.ops = ops
-        self.notes: Dict[str, Any] = {}
         self.children: List["Span"] = []
 
     def set_ops(self, ops: int) -> None:
         """Set the operation count after the fact (e.g. once it is known)."""
         self.ops = ops
-
-    def note(self, key: str, value: Any) -> None:
-        self.notes[key] = value
 
     @property
     def ops_per_second(self) -> Optional[float]:
@@ -68,8 +63,6 @@ class Span:
             rate = self.ops_per_second
             if rate is not None:
                 out["ops_per_second"] = rate
-        if self.notes:
-            out["notes"] = dict(self.notes)
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
@@ -114,10 +107,6 @@ def span(name: str, ops: Optional[int] = None) -> Iterator[Span]:
 def phase(name: str, ops: Optional[int] = None):
     """A top-level named unit of a run; alias of :func:`span` by convention."""
     return span(name, ops=ops)
-
-
-def current_span() -> Optional[Span]:
-    return _stack[-1] if _stack else None
 
 
 def _sort_tree(nodes: List[Span]) -> List[Span]:

@@ -20,7 +20,6 @@ import random
 from typing import List, Optional
 
 from repro.salad.ids import (
-    cell_id,
     compose_cell_id,
     coordinate,
     coordinate_width,
@@ -101,12 +100,3 @@ def measure_record_redundancy(salad, records) -> float:
         )
         total += stored_on
     return total / len(records)
-
-
-def cell_population(salad, identifier: int, width: int) -> int:
-    """How many alive leaves are cell-aligned with *identifier* at *width*."""
-    return sum(
-        1
-        for leaf in salad.alive_leaves()
-        if cell_id(leaf.identifier, width) == cell_id(identifier, width)
-    )

@@ -1033,9 +1033,6 @@ class SaladLeaf(SimMachine):
     # introspection
     # ------------------------------------------------------------------
 
-    def stored_record_count(self) -> int:
-        return len(self.database)
-
     def __repr__(self) -> str:
         return (
             f"<SaladLeaf {self.identifier:#x} W={self.width} "

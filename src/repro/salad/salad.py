@@ -75,7 +75,6 @@ class SaladConfig:
     #: None = Fig. 4 literal pairwise notification (O(copies^2) per group);
     #: an integer caps match notifications per inserted record (O(copies)).
     notify_limit: Optional[int] = None
-    bootstrap_count: int = 1  # extant leaves contacted per join
     latency: float = 1.0
     #: Network topology (:class:`repro.sim.topology.Topology`) replacing the
     #: flat constant-latency fabric: per-pair rack/lan/wan delays, per-class
@@ -120,8 +119,6 @@ class SaladConfig:
             raise ValueError(
                 f"target redundancy must be >= 1: {self.target_redundancy}"
             )
-        if self.bootstrap_count < 1:
-            raise ValueError(f"bootstrap count must be >= 1: {self.bootstrap_count}")
 
 
 @dataclass(frozen=True)
@@ -306,16 +303,15 @@ class Salad:
     ) -> SaladLeaf:
         """Create a leaf and join it to the SALAD (section 4.4).
 
-        The new leaf discovers ``bootstrap_count`` arbitrary extant leaves
-        "by some out-of-band means" and sends each a join message.  With
+        The new leaf discovers one arbitrary extant leaf "by some
+        out-of-band means" and sends it a join message.  With
         *settle* (the default), the network runs to quiescence before
         returning, matching the paper's incremental-growth experiments.
         """
         alive = self._alive_leaves_cached()
         leaf = self.create_leaf(identifier)  # invalidates the cache
         if alive:
-            count = min(self.config.bootstrap_count, len(alive))
-            bootstrap = [extant.identifier for extant in self._rng.sample(alive, count)]
+            bootstrap = [extant.identifier for extant in self._rng.sample(alive, 1)]
             leaf.initiate_join(bootstrap)
         # The pre-join snapshot plus the (alive) newcomer is the new alive
         # list, in creation order -- reinstall it instead of rescanning.
@@ -394,7 +390,7 @@ class Salad:
 
     def set_loss_probability(self, probability: float) -> None:
         """Every message is lost with this probability (Fig. 8 duty cycle)."""
-        self.network.loss_probability = probability  # validated by the network
+        self.network.set_loss_probability(probability)  # validated by the network
 
     def crash_fraction(self, fraction: float, rng: random.Random) -> int:
         """Permanently crash an exact fraction of leaves; returns the count."""

@@ -146,9 +146,9 @@ class RecordStore(abc.ABC):
         pass
 
     @property
+    @abc.abstractmethod
     def pending_records(self) -> int:
         """Stored records that would be lost if the process crashed now."""
-        return len(self)
 
 
 def _location_bytes(location: int) -> bytes:
@@ -339,19 +339,19 @@ class WalRecordStore(RecordStore):
     exceed the budget.  A CRC failure or a truncated frame (the torn tail of
     a crash) ends the log there: the file is trimmed, never treated as fatal
     (:attr:`torn_bytes_dropped`).  When the log holds more than
-    ``compact_ratio`` entries per live record (past a floor), it is rewritten
+    ``_COMPACT_RATIO`` entries per live record (past a floor), it is rewritten
     as a live snapshot in ``(sort_key, location)`` order via an atomic
     temp-file replace.
     """
 
     _COMPACT_FLOOR = 1024
+    _COMPACT_RATIO = 4.0
 
     def __init__(
         self,
         path: os.PathLike,
         capacity: Optional[int] = None,
         sync_every: int = 64,
-        compact_ratio: float = 4.0,
         budget_bytes: Optional[int] = None,
     ):
         from repro.salad.database import RecordDatabase
@@ -362,15 +362,12 @@ class WalRecordStore(RecordStore):
             raise ValueError(f"budget_bytes must not be negative: {budget_bytes}")
         if sync_every < 1:
             raise ValueError(f"sync_every must be positive: {sync_every}")
-        if compact_ratio < 1.0:
-            raise ValueError(f"compact_ratio must be at least 1: {compact_ratio}")
         self.path = Path(path)
         self.capacity = capacity
         self.budget_bytes = budget_bytes
         #: Decoded records the budget holds: the mirror's ceiling, then the LRU's.
         self._resident_limit = budget_bytes // RECORD_BYTES
         self._sync_every = sync_every
-        self._compact_ratio = compact_ratio
         #: The resident layout; None once the store pages.
         self._mem: Optional[RecordDatabase] = RecordDatabase(capacity=capacity)
         #: The paged layout, made by _start_paging.
@@ -666,7 +663,7 @@ class WalRecordStore(RecordStore):
 
     def _maybe_compact(self) -> None:
         ops = self._log_ops
-        if ops > self._COMPACT_FLOOR and ops > self._compact_ratio * max(1, len(self)):
+        if ops > self._COMPACT_FLOOR and ops > self._COMPACT_RATIO * max(1, len(self)):
             self.compact()
 
     def compact(self) -> None:

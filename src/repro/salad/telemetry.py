@@ -61,7 +61,7 @@ def harvest_salad_metrics(
         extra_records += leaf.extra_records_sent
         extra_notices += leaf.extra_notices_sent
         for size, n in leaf.batch_size_counts.items():
-            batch_hist.observe_count(size, n)
+            batch_hist.observe(size, n)
         db = leaf.database
         stored += len(db)
         evictions += db.evictions

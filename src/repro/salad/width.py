@@ -58,17 +58,6 @@ def target_width(estimated_size: float, redundancy: float) -> int:
     return int(math.floor(math.log2(ratio)))
 
 
-def fold_axis(width: int, dimensions: int) -> int:
-    """The axis along which decrementing W folds the hypercube in half.
-
-    Decrementing W removes cell-ID bit ``W - 1``, which belongs to
-    coordinate ``(W - 1) mod D`` (section 4.6).
-    """
-    if width < 1:
-        raise ValueError("cannot fold a zero-width SALAD")
-    return (width - 1) % dimensions
-
-
 def estimate_system_size(table_size_with_self: int, width: int, dimensions: int) -> float:
     """Invert Eq. 18: L = T / r, with T counting the leaf itself."""
     r = known_leaf_ratio(width, dimensions)

@@ -45,14 +45,6 @@ class EventHandle:
     def cancel(self) -> None:
         self._entry[_CANCELLED] = True
 
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CANCELLED]
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
-
 
 class _Bucket:
     """FIFO slot of one timestamp: entries plus a consumption cursor."""
@@ -141,18 +133,6 @@ class EventScheduler:
                 continue
             self._active = nxt
             self._active_time = time
-
-    def step(self) -> bool:
-        """Execute the next pending event; return False if none remain."""
-        bucket = self._front()
-        if bucket is None:
-            return False
-        entry = bucket.entries[bucket.cursor]
-        bucket.cursor += 1
-        self.now = entry[_TIME]
-        entry[_ACTION]()
-        self.events_executed += 1
-        return True
 
     def run(
         self,

@@ -2,10 +2,13 @@
 
 Fig. 8 of the paper "tested the resilience of the DFC system to machine
 failure by randomly failing the simulated machines" and plotting consumed
-space versus the machine failure probability.  :func:`fail_randomly`
-implements exactly that model: each machine independently fails with
-probability p.  :class:`ChurnSchedule` additionally drives join/leave churn
-over virtual time for the maintenance protocols (sections 4.4-4.5).
+space versus the machine failure probability.  That model is a duty cycle,
+not a crash: :meth:`repro.experiments.dfc_run.DfcRun.set_failure_probability`
+loses each message with probability p.  This module holds the crash-stop
+models: :func:`fail_exact_fraction` permanently crashes an exact fraction
+of machines (a harsher ablation), and :class:`ChurnSchedule` drives
+join/leave churn over virtual time for the maintenance protocols (sections
+4.4-4.5).
 
 :class:`CrashRecoveryHarness` extends the crash-stop model to the record
 *databases*: with the durable backend (``--db-backend wal``), killing a
@@ -24,25 +27,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.events import EventScheduler
 from repro.sim.machine import SimMachine
-
-
-def fail_randomly(
-    machines: Iterable[SimMachine],
-    probability: float,
-    rng: random.Random,
-) -> List[SimMachine]:
-    """Independently crash each machine with the given probability.
-
-    Returns the list of machines that failed.
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"failure probability must be in [0,1]: {probability}")
-    failed = []
-    for machine in machines:
-        if rng.random() < probability:
-            machine.fail()
-            failed.append(machine)
-    return failed
 
 
 def fail_exact_fraction(
@@ -164,10 +148,6 @@ class ReplicaLossReport:
     def lost_fraction(self) -> float:
         return self.files_lost / self.total_files if self.total_files else 0.0
 
-    @property
-    def matches_prediction(self) -> bool:
-        return self.files_lost == self.files_at_risk
-
 
 def measure_replica_loss(
     replica_hosts: Dict[str, Sequence[int]],
@@ -237,10 +217,6 @@ class CrashRecoveryReport:
         """
         return self.records_durable / self.records_before if self.records_before else 1.0
 
-    @property
-    def meets_prediction(self) -> bool:
-        return self.records_recovered >= self.records_durable
-
 
 class CrashRecoveryHarness:
     """Kill machines mid-run, then rejoin them from their on-disk stores.
@@ -287,8 +263,8 @@ class CrashRecoveryHarness:
     ) -> List[CrashedLeaf]:
         """Crash every host of each given replica set (deduplicated union).
 
-        The adversarial counterpart to :func:`fail_randomly`: instead of
-        independent coin flips, kill *all* R hosts holding some file's
+        The adversarial counterpart to :func:`fail_exact_fraction`: instead
+        of a uniformly random choice, kill *all* R hosts holding some file's
         replicas -- the exact correlated outage that makes dedup's
         co-location risky (one duplicate group's canonical set going down
         takes the whole group with it).  Hosts appearing in several sets

@@ -77,19 +77,6 @@ class SimMachine:
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def traffic(self):
-        """This machine's traffic counters."""
-        return self.network.traffic[self.identifier]
-
-    @property
-    def placement(self):
-        """(site, rack) under the network's topology, or None on the flat fabric."""
-        topology = self.network.topology
-        if topology is None:
-            return None
-        return topology.place(self.identifier)
-
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
         return f"<{type(self).__name__} {self.identifier:#042x} {state}>"

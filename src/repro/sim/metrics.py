@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
@@ -47,19 +47,6 @@ class Cdf:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def points(self) -> List[Tuple[float, float]]:
-        """Sorted (value, fraction of samples <= value) pairs."""
-        n = len(self.samples)
-        if n == 0:
-            return []
-        out: List[Tuple[float, float]] = []
-        for i, v in enumerate(self.samples, start=1):
-            if out and out[-1][0] == v:
-                out[-1] = (v, i / n)
-            else:
-                out.append((v, i / n))
-        return out
-
     def at(self, value: float) -> float:
         """Fraction of samples <= value."""
         lo, hi = 0, len(self.samples)
@@ -81,36 +68,5 @@ class Cdf:
         return self.samples[idx]
 
     @property
-    def mean(self) -> float:
-        return mean(self.samples)
-
-    @property
     def cov(self) -> float:
         return coefficient_of_variation(self.samples)
-
-
-def histogram(values: Iterable[float], bin_width: float) -> Dict[float, int]:
-    """Counts per bin of the given width (bin key = left edge)."""
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive: {bin_width}")
-    bins: Dict[float, int] = {}
-    for v in values:
-        edge = math.floor(v / bin_width) * bin_width
-        bins[edge] = bins.get(edge, 0) + 1
-    return dict(sorted(bins.items()))
-
-
-def geometric_thresholds(start: int, stop: int, factor: int = 8) -> List[int]:
-    """Geometric sweep values, e.g. the file-size thresholds of Figs. 7/9/11.
-
-    The paper's x-axes run 1, 8, 64, 512, 4K, 32K, 256K, 2M, ... -- a factor
-    of 8 per step.
-    """
-    if start <= 0 or factor <= 1:
-        raise ValueError("start must be positive and factor > 1")
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v *= factor
-    return out

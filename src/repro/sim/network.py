@@ -166,17 +166,12 @@ class Network:
         # implicit default partition.
         self._partition_of: Dict[int, object] = {}
         self._features_on = False
-        self.loss_probability = loss_probability  # validates; sets _features_on
+        self.set_loss_probability(loss_probability)  # validates; sets _features_on
 
     # -- fabric features -----------------------------------------------------
 
-    @property
-    def loss_probability(self) -> float:
-        """Probability that any one send is lost."""
-        return self._loss_probability
-
-    @loss_probability.setter
-    def loss_probability(self, probability: float) -> None:
+    def set_loss_probability(self, probability: float) -> None:
+        """Lose any one send with this probability."""
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"loss probability must be in [0,1]: {probability}")
         self._loss_probability = probability
@@ -207,12 +202,6 @@ class Network:
         # inherit a stale partition and drop traffic with no cut in force.
         self._partition_of.pop(identifier, None)
         self._refresh_features()
-
-    def machine(self, identifier: int) -> Optional["SimMachine"]:
-        return self._machines.get(identifier)
-
-    def machines(self) -> Dict[int, "SimMachine"]:
-        return dict(self._machines)
 
     # -- partitions ------------------------------------------------------------
 
@@ -275,10 +264,6 @@ class Network:
         else:
             self._severed.clear()
         self._refresh_features()
-
-    def severed_links(self) -> Set[str]:
-        """The currently severed link names (a copy)."""
-        return set(self._severed)
 
     # -- traffic -------------------------------------------------------------
 

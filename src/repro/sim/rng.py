@@ -35,7 +35,3 @@ class SeedSequence:
     def stream(self, name: str) -> random.Random:
         """A fresh ``random.Random`` for the named stream."""
         return random.Random(self.derive(name))
-
-    def child(self, name: str) -> "SeedSequence":
-        """A sub-sequence, for components that split further."""
-        return SeedSequence(self.derive(name))

@@ -133,18 +133,6 @@ class Topology:
             return f"lan:{site_a}", self.lan_class
         return f"rack:{site_a}.{rack_a}", self.rack_class
 
-    def delay_ticks(self, a: int, b: int) -> int:
-        """Per-pair delivery delay in quantum ticks."""
-        return self.link(a, b)[1].latency_ticks
-
-    def delay(self, a: int, b: int) -> float:
-        """Per-pair delivery delay in virtual-time units."""
-        return self.delay_ticks(a, b) * self.quantum
-
-    def classes(self) -> Dict[str, LinkClass]:
-        """All three link classes by name (rack/lan/wan)."""
-        return dict(self._classes)
-
     def link_names(self) -> List[str]:
         """Every named link in the topology (for cut validation/iteration)."""
         names: List[str] = []
@@ -287,8 +275,3 @@ def parse_topology(spec: Optional[str]) -> Optional[Topology]:
         lan_bandwidth=base.lan_class.bandwidth,
         wan_bandwidth=base.wan_class.bandwidth,
     )
-
-
-def topology_presets() -> List[str]:
-    """Names accepted by :func:`parse_topology` as presets."""
-    return sorted(_PRESETS)

@@ -17,17 +17,15 @@ engine attaches a tracer at construction and harvests per-check violation
 counts into the metrics registry (``sim.invariants.*``) at report time
 (:meth:`NetworkTracer.feed_registry`).
 
-The tracer wraps ``network.send`` by *instance-attribute* assignment.
-:meth:`detach` restores the original only while this tracer is still the
-active wrapper, so attach/detach of stacked wrappers can interleave without
-clobbering each other.
+The tracer wraps ``network.send`` by *instance-attribute* assignment for
+the life of the network.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.network import Network
 
@@ -64,21 +62,10 @@ class NetworkTracer:
         )
         self._original_send(sender, recipient, kind, payload)
 
-    def detach(self) -> None:
-        # Guarded restore: only unwind if this tracer's wrapper is still the
-        # network's current send.  If something wrapped send *after* us (a
-        # second tracer, a test double), blindly restoring would silently
-        # disconnect that outer wrapper too.
-        if self.network.send == self._traced_send:
-            self.network.send = self._original_send  # type: ignore[assignment]
-
     # -- queries -------------------------------------------------------------
 
     def by_kind(self, kind: str) -> List[TracedMessage]:
         return [m for m in self.messages if m.kind == kind]
-
-    def count_by_kind(self) -> Dict[str, int]:
-        return dict(Counter(m.kind for m in self.messages))
 
     def record_pairs(self) -> List[Tuple[TracedMessage, Any, int]]:
         """Every routed record as ``(message, record, hops)``.
@@ -108,17 +95,18 @@ class NetworkTracer:
                 )
         return violations
 
-    def check_record_progress(self, leaves: Dict[int, Any]) -> List[str]:
+    def check_record_progress(self, leaves: Dict[int, Any]) -> Optional[List[str]]:
         """With uniform widths, forwarding must increase coordinate matches.
 
         For each record message, the recipient must match the fingerprint on
         at least as many leading coordinates as the sender (strictly more
-        unless the sender generated the record); only meaningful when every
-        leaf agrees on W.
+        unless the sender generated the record).  Only meaningful when every
+        leaf agrees on W: with divergent widths progress is not guaranteed,
+        and the check returns None -- it did not run.
         """
         widths = {leaf.width for leaf in leaves.values()}
         if len(widths) != 1:
-            return []  # divergent widths: progress is not guaranteed
+            return None
         violations = []
         for message, record, hops in self.record_pairs():
             sender = leaves.get(message.sender)
@@ -166,20 +154,14 @@ class NetworkTracer:
                 )
         return violations
 
-    def check_all(self, leaves: Dict[int, Any], dimensions: int) -> List[str]:
-        return (
-            self.check_record_hop_bound(dimensions)
-            + self.check_record_progress(leaves)
-            + self.check_join_suppression()
-            + self.check_traffic_conservation()
-        )
-
     def feed_registry(self, registry, leaves: Dict[int, Any], dimensions: int) -> int:
         """Run every invariant check and record violation counts; returns total.
 
-        One labeled ``sim.invariants.violations`` counter per check (created
-        even at zero, so a report proves the check ran), plus the number of
-        messages the trace covered.
+        One labeled ``sim.invariants.violations`` counter per check that ran
+        (created even at zero, so a report proves the check ran), one
+        ``sim.invariants.skipped`` counter per check that could not run
+        (progress, when leaf widths differ), plus the number of messages the
+        trace covered.
         """
         checks = {
             "hop_bound": self.check_record_hop_bound(dimensions),
@@ -189,6 +171,9 @@ class NetworkTracer:
         }
         total = 0
         for name, violations in checks.items():
+            if violations is None:
+                registry.counter("sim.invariants.skipped", check=name).inc()
+                continue
             registry.counter("sim.invariants.violations", check=name).inc(
                 len(violations)
             )

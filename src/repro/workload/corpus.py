@@ -11,7 +11,7 @@ would produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.fingerprint import Fingerprint, synthetic_fingerprint
 
@@ -146,14 +146,3 @@ class Corpus:
                 else:
                     seen[f.content_id] = f.size
         return reclaimed
-
-    def fingerprint_to_content(self) -> Dict[Fingerprint, int]:
-        """Reverse lookup used when mapping SALAD matches back to contents."""
-        out: Dict[Fingerprint, int] = {}
-        seen: Set[int] = set()
-        for machine in self.machines:
-            for f in machine.files:
-                if f.content_id not in seen:
-                    seen.add(f.content_id)
-                    out[f.fingerprint()] = f.content_id
-        return out

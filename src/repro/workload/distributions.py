@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import List, Sequence
+from typing import List
 
 
 def lognormal_size(
@@ -65,11 +65,6 @@ class BoundedZipf:
         idx = bisect.bisect_left(self._cumulative, u)
         return self.lo + min(idx, len(self._cumulative) - 1)
 
-    def mean(self) -> float:
-        """Exact mean of the bounded distribution."""
-        num = sum(k * k**-self.alpha for k in range(self.lo, self.hi + 1))
-        return num / self._total
-
 
 def poisson_count(rng: random.Random, rate: float) -> int:
     """A Poisson-distributed count with mean *rate* (arrivals per window).
@@ -112,11 +107,3 @@ def machine_file_count(
     # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) = 1 when mu = -sigma^2/2.
     multiplier = rng.lognormvariate(-spread_sigma**2 / 2, spread_sigma)
     return max(1, int(round(mean_files * multiplier)))
-
-
-def weighted_sample_without_replacement(
-    rng: random.Random, population: Sequence[int], count: int
-) -> List[int]:
-    """Uniform sample of *count* distinct items (thin wrapper, clamped)."""
-    count = min(count, len(population))
-    return rng.sample(list(population), count)

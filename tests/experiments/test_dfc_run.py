@@ -1,5 +1,7 @@
 """The shared DFC pipeline: build/fail/insert phases and the sweep trick."""
 
+import random
+
 import pytest
 
 from repro.crypto.modes import bulk_encrypt_ctr
@@ -115,7 +117,7 @@ class TestFailureModes:
 
         crash = DfcRun(corpus, DfcConfig(target_redundancy=2.5, seed=11))
         crash.build()
-        crash.crash_machines(0.5)
+        crash.salad.crash_fraction(0.5, random.Random(crash.config.seed + 1))
         crash.insert_all()
 
         assert crash.reclaimed_fraction() <= duty.reclaimed_fraction()

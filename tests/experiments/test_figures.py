@@ -20,6 +20,7 @@ from repro.experiments import (
 from repro.experiments.growth import run_growth_suite
 from repro.experiments.scales import ExperimentScale
 from repro.experiments.threshold_sweep import run_threshold_sweep
+from repro.sim.metrics import mean
 
 TINY = ExperimentScale(
     name="tiny",
@@ -151,7 +152,8 @@ class TestFig15:
         result = fig15_leaftable_cdf.run(TINY, lambdas=LAMBDAS, growth=growth)
         for lam in LAMBDAS:
             assert (
-                result.cdfs_large[lam].mean >= result.cdfs_small[lam].mean * 0.8
+                mean(result.cdfs_large[lam].samples)
+                >= mean(result.cdfs_small[lam].samples) * 0.8
             )
         assert "Fig. 15a" in result.render() and "Fig. 15b" in result.render()
 

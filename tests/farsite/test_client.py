@@ -61,7 +61,7 @@ class TestWriteRead:
         client = client_for("alice", user_directory, deployment, seed=5)
         receipt = client.write_file("/home/alice/y", DOCUMENT, replica_hosts=[1, 2, 3])
         for host_id in (1, 2, 3):
-            assert receipt.file_id in [info for info in hosts[host_id].replica_ids()]
+            assert hosts[host_id].replica_info(receipt.file_id) is not None
 
 
 class TestCoalescing:
@@ -72,7 +72,7 @@ class TestCoalescing:
         alice.write_file("/home/alice/same", DOCUMENT, replica_hosts=[1, 2, 3])
         receipt = bob.write_file("/home/bob/same", DOCUMENT, replica_hosts=[1, 2, 3])
         assert set(receipt.coalesced_on) == {1, 2, 3}
-        assert hosts[1].reclaimed_bytes == len(DOCUMENT)
+        assert hosts[1].sis.stats().reclaimed_bytes == len(DOCUMENT)
 
 
 class TestFailureHandling:
@@ -125,7 +125,8 @@ class TestOverwrite:
         receipt = client.write_file("/v/g", b"new " * 100, replica_hosts=[2, 3, 4])
         assert client.read_file("/v/g") == b"new " * 100
         assert len(hosts[1]) == 0
-        assert [hosts[h].replica_ids() for h in (2, 3, 4)] == [[receipt.file_id]] * 3
+        assert [len(hosts[h]) for h in (2, 3, 4)] == [1] * 3
+        assert all(hosts[h].replica_info(receipt.file_id) for h in (2, 3, 4))
 
     def test_overwrite_does_not_disturb_a_sharer(self, user_directory, deployment):
         """The displaced blob is shared through the SIS by another path."""

@@ -49,12 +49,14 @@ class TestEndToEnd:
         by_fingerprint = {}
         for file_id, (fingerprint, hosts) in pipeline.replicas.items():
             by_fingerprint.setdefault(fingerprint, []).append((file_id, hosts[0]))
+        held = {}
         for fingerprint, placements in by_fingerprint.items():
-            hosts = {host for _, host in placements}
-            if len(placements) > 1 and len(hosts) == 1:
-                host = pipeline.hosts[hosts.pop()]
-                first = placements[0][0]
-                assert host.sis.link_count(first) == len(placements)
+            for _, host in placements:
+                held.setdefault(host, set()).add(fingerprint)
+        # One blob per distinct content a host holds: every co-located
+        # duplicate shares it.
+        for host, fingerprints in held.items():
+            assert pipeline.hosts[host].sis.blob_count() == len(fingerprints)
 
     def test_files_survive_relocation_intact(self, executed_pipeline):
         """Relocation must preserve every file's content exactly."""
@@ -122,17 +124,19 @@ class TestReplication:
                 (file_id, frozenset(hosts))
             )
         colocated_groups = 0
-        for placements in by_fingerprint.values():
+        held = {}
+        for fingerprint, placements in by_fingerprint.items():
             host_sets = {hosts for _, hosts in placements}
             if len(placements) > 1 and len(host_sets) == 1:
                 colocated_groups += 1
-                host_set = next(iter(host_sets))
-                first = placements[0][0]
-                for host in host_set:
-                    assert pipeline.hosts[host].sis.link_count(first) == len(
-                        placements
-                    )
+            for _, hosts in placements:
+                for host in hosts:
+                    held.setdefault(host, set()).add(fingerprint)
         assert colocated_groups > 0
+        # One blob per distinct content a host holds: every co-located
+        # duplicate shares it.
+        for host, fingerprints in held.items():
+            assert pipeline.hosts[host].sis.blob_count() == len(fingerprints)
 
     def test_availability_override_used(self):
         corpus = generate_corpus(SPEC, seed=5)
@@ -271,9 +275,7 @@ class TestLoadHostsMaterializesPerContent:
             assert sis.stats() == expected.stats()
         for file_id, (_, hosts) in pipeline.replicas.items():
             for host in hosts:
-                sis = pipeline.hosts[host].sis
-                assert sis.link_count(file_id) == reference[host].link_count(file_id)
-                assert sis.read(file_id) == reference[host].read(file_id)
+                assert pipeline.hosts[host].sis.read(file_id) == reference[host].read(file_id)
 
     def test_hosts_of_one_content_hold_one_object(self, loaded):
         """Resident content is one copy per distinct content, not one per
@@ -302,29 +304,28 @@ class TestLoadHostsMaterializesPerContent:
 
 
 class TestDurableStoreDirectories:
-    """A durable pipeline's SIS and leaf stores live where its settings say."""
+    """A durable pipeline's leaf stores live where its settings say; its
+    hosts' SIS blobs stay in RAM and leave no file."""
 
     @staticmethod
     def _loaded(settings):
         pipeline = DfcPipeline(_shared_corpus(), DfcConfig(seed=4, settings=settings))
         pipeline.load_hosts()
         leaf_dirs = {leaf.database.path.parent for leaf in pipeline.run.salad.leaves.values()}
-        return pipeline, pipeline._sis_dir, leaf_dirs
+        return pipeline, leaf_dirs
 
     def test_own_tempdirs_are_removed_by_close_stores(self):
-        pipeline, sis_dir, (leaf_dir,) = self._loaded(RunSettings(db_backend="wal"))
-        assert any(sis_dir.glob("sis-host-*.sqlite"))
+        pipeline, (leaf_dir,) = self._loaded(RunSettings(db_backend="wal"))
         assert any(leaf_dir.glob("leaf-*.wal"))
         pipeline.close_stores()
-        assert not sis_dir.exists()
         assert not leaf_dir.exists()
 
     def test_named_db_dir_is_kept(self, tmp_path):
         settings = RunSettings(db_backend="wal", db_dir=str(tmp_path))
-        pipeline, sis_dir, (leaf_dir,) = self._loaded(settings)
+        pipeline, (leaf_dir,) = self._loaded(settings)
         pipeline.close_stores()
-        assert sis_dir.parent == leaf_dir.parent == tmp_path
-        assert any(sis_dir.glob("sis-host-*.sqlite"))
+        assert leaf_dir.parent == tmp_path
+        assert [path.name for path in tmp_path.iterdir()] == [leaf_dir.name]
         assert any(leaf_dir.glob("leaf-*.wal"))
 
 

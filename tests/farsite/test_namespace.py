@@ -70,7 +70,7 @@ class TestOperations:
         ns.create("/docs/a", "f1", 1, (1,), ())
         ns.create("/docs/b", "f2", 1, (1,), ())
         ns.create("/pics/c", "f3", 1, (1,), ())
-        assert ns.list_region("/docs") == ("/docs/a", "/docs/b")
+        assert ns.group_for("/docs").list("/docs") == ("/docs/a", "/docs/b")
         assert ns.all_paths() == ["/docs/a", "/docs/b", "/pics/c"]
 
     def test_empty_group_list_rejected(self):

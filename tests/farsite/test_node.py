@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.farsite.client import NoReplicaAvailableError
+from repro.farsite.file_host import HostDownError
 from repro.farsite.node import FarsiteDeployment
 from repro.obs.registry import MetricsRegistry
 
@@ -78,7 +80,7 @@ class TestDfcCycle:
             held = sum(
                 1
                 for host_id in entry.replica_hosts
-                if entry.file_id in deployment.nodes[host_id].host.replica_ids()
+                if deployment.nodes[host_id].host.replica_info(entry.file_id) is not None
             )
             assert held == len(entry.replica_hosts)
 
@@ -134,6 +136,60 @@ class TestLiveness:
         victim.recover()
         assert salad.alive_count() == 16
 
+    def test_a_file_on_failed_nodes_cannot_be_read(self):
+        deployment = FarsiteDeployment(machine_count=16, seed=3)
+        client = deployment.client_for(deployment.create_user("ana"))
+        receipt = client.write_file("/home/ana/doc.txt", DOCUMENT)
+        assert len(receipt.replica_hosts) == 3
+        for host_id in receipt.replica_hosts:
+            deployment.nodes[host_id].fail()
+        with pytest.raises(NoReplicaAvailableError):
+            client.read_file("/home/ana/doc.txt")
+        deployment.nodes[receipt.replica_hosts[-1]].recover()
+        assert client.read_file("/home/ana/doc.txt") == DOCUMENT
+
+    def test_a_write_places_no_replica_on_a_failed_node(self):
+        deployment = FarsiteDeployment(machine_count=8, seed=3)
+        down = sorted(deployment.nodes)[:4]
+        for host_id in down:
+            deployment.nodes[host_id].fail()
+        client = deployment.client_for(deployment.create_user("ana"))
+        for index in range(12):
+            receipt = client.write_file(f"/home/ana/{index}.txt", DOCUMENT + bytes([index]))
+            assert not set(receipt.replica_hosts) & set(down)
+        assert all(len(deployment.nodes[host_id].host) == 0 for host_id in down)
+        with pytest.raises(HostDownError):
+            client.write_file("/home/ana/pinned.txt", DOCUMENT, replica_hosts=down[:1])
+
+    def test_a_migration_to_a_down_target_waits_for_its_recovery(self):
+        deployment = TestRelocationRefusesForeignBytes._written()
+        plan = deployment.planner.plan
+        taken = []
+
+        def plan_then_fail_a_target(groups):
+            # The target goes down after discovery, before the moves.
+            result = plan(groups)
+            if not taken:
+                taken.append(next(m for m in result.migrations if not m.copy))
+                deployment.nodes[taken[0].target_host].fail()
+            return result
+
+        deployment.planner.plan = plan_then_fail_a_target
+        deployment.run_dfc_cycle()
+        (move,) = taken
+        source = deployment.nodes[move.source_host].host
+        target = deployment.nodes[move.target_host]
+        assert source.replica_info(move.file_id) is not None
+        assert target.host.replica_info(move.file_id) is None
+        registry = MetricsRegistry()
+        deployment.collect_metrics(registry)
+        assert registry.counter_value("farsite.relocation.deferred") >= 1
+
+        target.recover()
+        deployment.run_dfc_cycle()
+        assert source.replica_info(move.file_id) is None
+        assert target.host.fetch_replica(move.file_id).data
+
 
 class TestRelocationStoresBeforeDropping:
     def test_a_failed_store_keeps_the_source_replica(self, monkeypatch):
@@ -141,10 +197,11 @@ class TestRelocationStoresBeforeDropping:
         for name in ("ana", "ben", "cho"):
             client = deployment.client_for(deployment.create_user(name))
             client.write_file(f"/home/{name}/doc.txt", DOCUMENT)
+        namespace = deployment.namespace
         held = {
-            (identifier, file_id)
-            for identifier, node in deployment.nodes.items()
-            for file_id in node.host.replica_ids()
+            (identifier, entry.file_id)
+            for entry in map(namespace.lookup, namespace.all_paths())
+            for identifier in entry.replica_hosts
         }
 
         def refuse(file_id, ciphertext, expected=None):
@@ -156,7 +213,7 @@ class TestRelocationStoresBeforeDropping:
             deployment.run_dfc_cycle()
         for identifier, file_id in held:
             host = deployment.nodes[identifier].host
-            assert file_id in host.replica_ids()
+            assert host.replica_info(file_id) is not None
             assert host.fetch_replica(file_id).data
 
 
@@ -187,12 +244,12 @@ class TestRelocationRefusesForeignBytes:
         plans = self._recording_plans(deployment)
         source = deployment.nodes[move.source_host].host
         tampered = b"bytes that are not the group's content"
-        source.sis.write(move.file_id, tampered)
+        source.sis.store(move.file_id, tampered)
         deployment.run_dfc_cycle()
 
         assert move in plans[0].migrations
         target = deployment.nodes[move.target_host].host
-        if move.file_id in target.replica_ids():
+        if target.replica_info(move.file_id) is not None:
             assert target.fetch_replica(move.file_id).data != tampered
         assert source.fetch_replica(move.file_id).data == tampered
         (entry,) = [

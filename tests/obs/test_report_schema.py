@@ -31,7 +31,8 @@ def _registry():
     registry.counter("salad.records.arrivals").inc(10)
     registry.counter("salad.routing.next_hop_hits", leaf="0").inc(9)
     registry.gauge("salad.config.dimensions").set(2)
-    registry.histogram("salad.routing.batch_size").observe_many([1, 2, 4])
+    for value in (1, 2, 4):
+        registry.histogram("salad.routing.batch_size").observe(value)
     return registry
 
 

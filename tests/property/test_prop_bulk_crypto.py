@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.crypto.aes import AES
 from repro.crypto.modes import (
     BLOCK_SIZE,
-    bulk_decrypt_ctr,
     bulk_encrypt_ctr,
     ctr_keystream,
     encrypt_ctr,
@@ -113,7 +112,8 @@ class TestBulkCtr:
     @settings(max_examples=40, deadline=None)
     @given(keys, payloads, nonces)
     def test_bulk_roundtrip(self, key, payload, nonce):
-        assert bulk_decrypt_ctr(key, bulk_encrypt_ctr(key, payload, nonce), nonce) == payload
+        # CTR decryption is CTR encryption.
+        assert bulk_encrypt_ctr(key, bulk_encrypt_ctr(key, payload, nonce), nonce) == payload
 
     @settings(max_examples=40, deadline=None)
     @given(keys, payloads)

@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.farsite.placement import PlacementProblem, place_replicas
+from repro.farsite.placement import PlacementProblem, file_availability, place_replicas
 
 
 @st.composite
@@ -73,5 +73,6 @@ class TestPlacementProperties:
     def test_availabilities_are_probabilities(self, case):
         problem, seed = case
         placement = place_replicas(problem, rng=random.Random(seed), swap_rounds=50)
-        for value in placement.file_availabilities().values():
+        for hosts in placement.assignment.values():
+            value = file_availability(hosts, placement.availability)
             assert 0.0 < value <= 1.0

@@ -1,9 +1,7 @@
 """Property tests: Single-Instance Store invariants under random workloads."""
 
-import itertools
-
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.farsite.sis import NoSuchFileError, SingleInstanceStore
@@ -33,7 +31,7 @@ class TestSisInvariants:
                 sis.store(name, content)
                 expected[name] = content
             elif op == "write" and name in expected:
-                sis.write(name, content)
+                sis.store(name, content)  # a rewrite of an existing link
                 expected[name] = content
             elif op == "delete" and name in expected:
                 sis.delete(name)
@@ -51,7 +49,7 @@ class TestSisInvariants:
                 if op == "store":
                     sis.store(name, CONTENTS[content_idx])
                 elif op == "write":
-                    sis.write(name, CONTENTS[content_idx])
+                    sis.store(name, CONTENTS[content_idx])
                 else:
                     sis.delete(name)
             except KeyError:
@@ -71,7 +69,7 @@ class TestSisInvariants:
                     sis.store(name, CONTENTS[content_idx])
                     expected[name] = CONTENTS[content_idx]
                 elif op == "write":
-                    sis.write(name, CONTENTS[content_idx])
+                    sis.store(name, CONTENTS[content_idx])
                     expected[name] = CONTENTS[content_idx]
                 else:
                     sis.delete(name)
@@ -95,7 +93,7 @@ MODEL_CONTENTS = [
 
 model_steps = st.lists(
     st.tuples(
-        st.sampled_from(["store", "write", "delete", "read"]),
+        st.sampled_from(["store", "delete", "read"]),
         st.integers(min_value=0, max_value=5),  # name index
         st.integers(min_value=0, max_value=len(MODEL_CONTENTS) - 1),
         st.booleans(),  # pass a distinct but equal bytes object
@@ -103,51 +101,33 @@ model_steps = st.lists(
     max_size=60,
 )
 
-#: Names each sqlite example's file within the test's tmp_path.
-_example_numbers = itertools.count()
 
-
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestSisAgainstModel:
-    """Random store/write/delete/read sequences against a dict model, on
-    both blob backends, checked after every step."""
+    """Random store/delete/read sequences against a dict model, checked
+    after every step."""
 
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=60, deadline=None)
     @given(steps=model_steps)
-    def test_matches_dict_model(self, backend, tmp_path, steps):
-        db_path = None
-        if backend == "sqlite":
-            db_path = tmp_path / f"sis-{next(_example_numbers)}.sqlite"
-        sis = SingleInstanceStore(db_path=db_path)
+    def test_matches_dict_model(self, steps):
+        sis = SingleInstanceStore()
         model = {}
-        try:
-            for op, name_idx, content_idx, fresh in steps:
-                name = f"file{name_idx}"
-                content = MODEL_CONTENTS[content_idx]
-                data = bytes(bytearray(content)) if fresh else content
-                if op == "store":
-                    others = {v for k, v in model.items() if k != name}
-                    assert sis.store(name, data) == (content in others)
-                    model[name] = content
-                elif name not in model:
-                    args = (name, data) if op == "write" else (name,)
-                    with pytest.raises(NoSuchFileError):
-                        getattr(sis, op)(*args)
-                elif op == "write":
-                    sis.write(name, data)
-                    model[name] = content
-                elif op == "delete":
-                    sis.delete(name)
-                    del model[name]
-                else:
-                    assert sis.read(name) == model[name]
-                self._check(sis, model)
-        finally:
-            sis.close()
+        for op, name_idx, content_idx, fresh in steps:
+            name = f"file{name_idx}"
+            content = MODEL_CONTENTS[content_idx]
+            data = bytes(bytearray(content)) if fresh else content
+            if op == "store":
+                others = {v for k, v in model.items() if k != name}
+                assert sis.store(name, data) == (content in others)
+                model[name] = content
+            elif name not in model:
+                with pytest.raises(NoSuchFileError):
+                    getattr(sis, op)(name)
+            elif op == "delete":
+                sis.delete(name)
+                del model[name]
+            else:
+                assert sis.read(name) == model[name]
+            self._check(sis, model)
 
     @staticmethod
     def _check(sis, model):
@@ -155,7 +135,6 @@ class TestSisAgainstModel:
         for name, content in model.items():
             assert name in sis
             assert sis.read(name) == content
-            assert sis.link_count(name) == list(model.values()).count(content)
         live = set(model.values())
         assert sis.blob_count() == len(live)
         stats = sis.stats()

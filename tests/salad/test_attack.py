@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.salad.attack import (
-    cell_population,
     craft_attack_identifiers,
     craft_vector_aligned_identifier,
     measure_record_redundancy,
@@ -62,12 +61,3 @@ class TestAttackEffect:
         salad = Salad(SaladConfig(seed=11))
         salad.build(5)
         assert measure_record_redundancy(salad, []) == 0.0
-
-    def test_cell_population_counts(self):
-        salad = Salad(SaladConfig(seed=12))
-        salad.build(20)
-        total = sum(
-            cell_population(salad, c, 2) for c in range(4)
-        )
-        # Each of the 4 width-2 cells counted once per member: sums to 20.
-        assert total == 20

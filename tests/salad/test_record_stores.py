@@ -372,7 +372,7 @@ class TestWalRecovery:
                 store.insert(rec(10 + i, content=round_, location=1))
             store.remove_location(1)
         assert store.compactions > 0
-        assert store.log_ops <= store._compact_ratio * max(1, len(store)) + 8
+        assert store.log_ops <= store._COMPACT_RATIO * max(1, len(store)) + 8
         expected = list(store.records())
         store.close()
         reopened = self._open(path)
@@ -467,7 +467,7 @@ class TestPagedWalRecovery(TestWalRecovery):
                 store.insert(rec(10 + i, content=round_, location=1))
             store.remove_location(1)
         assert store.compactions > 0 and store.page_outs == 1
-        assert store.log_ops <= store._compact_ratio * max(1, len(store)) + 8
+        assert store.log_ops <= store._COMPACT_RATIO * max(1, len(store)) + 8
         expected = list(store.records())
         # Every index entry must point at a valid post-compaction offset:
         # page everything back in through the remapped index.

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.salad.ids import coordinate_width
 from repro.salad.width import (
     attenuated_redundancy,
     estimate_system_size,
-    fold_axis,
     known_leaf_ratio,
     target_width,
 )
@@ -78,14 +78,16 @@ class TestHysteresis:
 
 class TestFoldAxis:
     def test_removed_bit_owns_fold_axis(self):
-        # Bit W-1 belongs to coordinate (W-1) mod D.
-        assert fold_axis(4, 2) == 1  # bit 3 -> axis 1
-        assert fold_axis(5, 2) == 0
-        assert fold_axis(6, 3) == 2
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            fold_axis(0, 2)
+        # Decrementing W removes bit W-1, which belongs to coordinate
+        # (W-1) mod D: that axis, and only it, loses a bit (section 4.6).
+        for width, dimensions in ((4, 2), (5, 2), (6, 3)):
+            narrowed = [
+                axis
+                for axis in range(dimensions)
+                if coordinate_width(width - 1, dimensions, axis)
+                != coordinate_width(width, dimensions, axis)
+            ]
+            assert narrowed == [(width - 1) % dimensions]
 
 
 class TestEstimate:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.sim.events import EventScheduler
-from repro.sim.failure import ChurnSchedule, fail_exact_fraction, fail_randomly
+from repro.sim.failure import ChurnSchedule, fail_exact_fraction
 from repro.sim.machine import SimMachine
 from repro.sim.network import Network
 from tests.store_modes import DURABLE, engine_budget
@@ -14,24 +14,6 @@ from tests.store_modes import DURABLE, engine_budget
 def make_machines(count):
     net = Network(EventScheduler())
     return [SimMachine(i + 1, net) for i in range(count)], net
-
-
-class TestFailRandomly:
-    def test_probability_zero_fails_none(self):
-        machines, _ = make_machines(20)
-        assert fail_randomly(machines, 0.0, random.Random(1)) == []
-        assert all(m.alive for m in machines)
-
-    def test_probability_one_fails_all(self):
-        machines, _ = make_machines(20)
-        failed = fail_randomly(machines, 1.0, random.Random(1))
-        assert len(failed) == 20
-        assert not any(m.alive for m in machines)
-
-    def test_invalid_probability(self):
-        machines, _ = make_machines(2)
-        with pytest.raises(ValueError):
-            fail_randomly(machines, 1.5, random.Random(1))
 
 
 class TestFailExactFraction:
@@ -66,7 +48,10 @@ class TestChurnSchedule:
         churn = ChurnSchedule(net.scheduler)
         churn.at(1.0, "depart", machines[0])
         net.scheduler.run()
-        assert net.machine(machines[0].identifier) is None
+        # A departed machine is deregistered: a message to it is dropped.
+        net.send(0, machines[0].identifier, "ping", None)
+        net.run()
+        assert net.messages_dropped == 1
 
     def test_unknown_action_rejected(self):
         machines, net = make_machines(1)
@@ -144,7 +129,7 @@ class TestCrashRecoveryHarness:
         assert report.records_before == sum(before.values()) > 0
         assert report.predicted_fraction == 1.0
         assert report.recovered_fraction == 1.0
-        assert report.meets_prediction
+        assert report.records_recovered >= report.records_durable
         for leaf in victims:
             assert len(leaf.database) == before[leaf.identifier]
         salad.close_databases()
@@ -176,7 +161,7 @@ class TestCrashRecoveryHarness:
         assert info.records_before == settled + 10
         report = harness.rejoin()
         assert report.records_recovered == settled
-        assert report.meets_prediction
+        assert report.records_recovered >= report.records_durable
         assert 0.0 < report.predicted_fraction < 1.0
         salad.close_databases()
 
@@ -190,7 +175,7 @@ class TestCrashRecoveryHarness:
         assert report.records_before > 0
         assert report.records_recovered == 0
         assert report.predicted_fraction == 0.0
-        assert report.meets_prediction  # 0 >= 0: memory predicts no durability
+        assert report.records_recovered >= report.records_durable  # 0 >= 0
 
     def test_rejoined_leaf_serves_inserts_again(self, tmp_path):
         from repro.sim.failure import CrashRecoveryHarness
@@ -227,7 +212,7 @@ class TestReplicaSetKill:
             assert salad.leaves[identifier].alive
         report = harness.rejoin()
         assert report.crashed_leaves == 3
-        assert report.meets_prediction
+        assert report.records_recovered >= report.records_durable
         salad.close_databases()
 
     def test_measured_loss_equals_analytic_prediction(self):
@@ -242,7 +227,6 @@ class TestReplicaSetKill:
         report = measure_replica_loss(replica_hosts, [1, 2], availability)
         assert report.files_at_risk == 1
         assert report.files_lost == 1
-        assert report.matches_prediction
         assert report.lost_fraction == pytest.approx(1 / 3)
         # P(both dead hosts down) = (1-0.5)(1-0.8) = 0.1
         assert report.loss_event_probability == pytest.approx(0.1)
@@ -275,5 +259,5 @@ class TestReplicaSetKill:
         # insert_records settled pre-crash, so everything was durable.
         assert report.predicted_fraction == 1.0
         assert report.recovered_fraction == 1.0
-        assert report.meets_prediction
+        assert report.records_recovered >= report.records_durable
         salad.close_databases()

@@ -41,10 +41,6 @@ class TestDispatch:
 
 
 class TestLifecycle:
-    def test_traffic_property(self):
-        machine, net = make_machine()
-        assert machine.traffic.total == 0
-
     def test_repr_shows_state(self):
         machine, net = make_machine()
         assert "up" in repr(machine)

@@ -1,12 +1,10 @@
-"""CDFs, coefficient of variation, histograms, threshold sweeps."""
+"""CDFs and the coefficient of variation."""
 
 import pytest
 
 from repro.sim.metrics import (
     Cdf,
     coefficient_of_variation,
-    geometric_thresholds,
-    histogram,
     mean,
 )
 
@@ -31,17 +29,15 @@ class TestCov:
 
 class TestCdf:
     def test_points_monotone_to_one(self):
-        cdf = Cdf.from_samples([3, 1, 2, 2])
-        points = cdf.points()
-        assert points[-1][1] == 1.0
-        values = [v for v, _ in points]
-        freqs = [f for _, f in points]
-        assert values == sorted(values)
+        samples = [3, 1, 2, 2]
+        cdf = Cdf.from_samples(samples)
+        freqs = [cdf.at(v) for v in sorted(samples)]
+        assert freqs[-1] == 1.0
         assert freqs == sorted(freqs)
 
     def test_duplicate_values_merge(self):
         cdf = Cdf.from_samples([2, 2, 2])
-        assert cdf.points() == [(2, 1.0)]
+        assert (cdf.at(1.9), cdf.at(2)) == (0.0, 1.0)
 
     def test_at(self):
         cdf = Cdf.from_samples([1, 2, 3, 4])
@@ -58,37 +54,12 @@ class TestCdf:
 
     def test_mean_and_cov(self):
         cdf = Cdf.from_samples([1, 3])
-        assert cdf.mean == 2
+        assert mean(cdf.samples) == 2
         assert cdf.cov == pytest.approx(0.5)
 
     def test_empty_quantile_raises(self):
         with pytest.raises(ValueError):
             Cdf.from_samples([]).quantile(0.5)
-
-
-class TestHistogram:
-    def test_bins(self):
-        assert histogram([0.1, 0.9, 1.5, 2.0], 1.0) == {0.0: 2, 1.0: 1, 2.0: 1}
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            histogram([1], 0)
-
-
-class TestGeometricThresholds:
-    def test_paper_axis(self):
-        # 1, 8, 64, ..., 2^30 -- the Figs. 7/9/11 x-axis.
-        values = geometric_thresholds(1, 2**30, 8)
-        assert values[0] == 1
-        assert values[1] == 8
-        assert values[-1] == 8**10
-        assert len(values) == 11
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            geometric_thresholds(0, 10)
-        with pytest.raises(ValueError):
-            geometric_thresholds(1, 10, 1)
 
 
 class TestMean:

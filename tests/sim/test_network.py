@@ -100,7 +100,6 @@ class TestDrops:
         net = make_net()
         a, b = Echo(1, net), Echo(2, net)
         b.depart()
-        assert net.machine(2) is None
         a.send(2, "ping")
         net.run()
         assert net.messages_dropped == 1

@@ -16,8 +16,8 @@ class TestSeedSequence:
 
     def test_child_sequences_are_namespaced(self):
         seeds = SeedSequence(7)
-        child_a = seeds.child("x")
-        child_b = seeds.child("y")
+        child_a = SeedSequence(seeds.derive("x"))
+        child_b = SeedSequence(seeds.derive("y"))
         assert child_a.stream("s").random() != child_b.stream("s").random()
 
     def test_derive_is_stable(self):

@@ -1,10 +1,12 @@
 """Message tracing and protocol-invariant checks over real SALAD runs."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.fingerprint import synthetic_fingerprint
+from repro.obs.registry import MetricsRegistry
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
 from repro.sim.tracer import NetworkTracer
@@ -29,7 +31,7 @@ def traced_salad():
 class TestTracing:
     def test_all_kinds_recorded(self, traced_salad):
         _, tracer = traced_salad
-        kinds = tracer.count_by_kind()
+        kinds = Counter(message.kind for message in tracer.messages)
         assert kinds.get("join", 0) > 0
         assert kinds.get("welcome", 0) > 0
         assert kinds.get("record", 0) > 0
@@ -37,15 +39,6 @@ class TestTracing:
     def test_trace_matches_network_totals(self, traced_salad):
         salad, tracer = traced_salad
         assert len(tracer.messages) == salad.network.messages_sent
-
-    def test_detach_stops_recording(self):
-        salad = Salad(SaladConfig(seed=52))
-        tracer = NetworkTracer(salad.network)
-        salad.build(5)
-        recorded = len(tracer.messages)
-        tracer.detach()
-        salad.add_leaf()
-        assert len(tracer.messages) == recorded
 
 
 class TestInvariants:
@@ -84,3 +77,29 @@ class TestInvariants:
         salad.insert_records(batches)
         assert tracer.check_record_progress(salad.leaves) == []
         assert tracer.check_record_hop_bound(2) == []
+
+
+class TestHarvest:
+    """feed_registry counts a check as run only when it ran."""
+
+    @staticmethod
+    def _progress_counters(salad, tracer):
+        registry = MetricsRegistry()
+        tracer.feed_registry(registry, salad.leaves, salad.config.dimensions)
+        totals = registry.counter_totals()
+        return {
+            name: totals.get(f"sim.invariants.{name}{{check=progress}}")
+            for name in ("violations", "skipped")
+        }
+
+    def test_progress_under_divergent_widths_is_reported_skipped(self, traced_salad):
+        salad, tracer = traced_salad
+        assert len(salad.width_distribution()) > 1
+        assert tracer.check_record_progress(salad.leaves) is None
+        assert self._progress_counters(salad, tracer) == {"violations": None, "skipped": 1}
+
+    def test_progress_under_uniform_widths_is_reported_run(self):
+        salad = Salad(SaladConfig(target_redundancy=2.5, dimensions=2, seed=53))
+        tracer = NetworkTracer(salad.network)
+        salad.build(1)
+        assert self._progress_counters(salad, tracer) == {"violations": 0, "skipped": None}

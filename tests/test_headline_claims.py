@@ -77,8 +77,8 @@ class TestScalable:
         small_db = sum(small.database_sizes()) / 60
         large_db = sum(large.database_sizes()) / 240
         assert large_db < 2.5 * small_db  # constant-ish, not 4x
-        small_t = sum(small.leaf_table_sizes()) / 60
-        large_t = sum(large.leaf_table_sizes()) / 240
+        small_t = sum(small.salad.leaf_table_sizes()) / 60
+        large_t = sum(large.salad.leaf_table_sizes()) / 240
         assert large_t < 3.0 * small_t  # ~2x for 4x machines
 
 

@@ -62,11 +62,6 @@ class TestCorpusStats:
         assert instances[1] == (1000, [0, 1, 2])
         assert instances[2] == (500, [0])
 
-    def test_fingerprint_to_content(self):
-        lookup = tiny_corpus().fingerprint_to_content()
-        assert lookup[synthetic_fingerprint(1000, 1)] == 1
-        assert len(lookup) == 3
-
     def test_empty_summary_fractions(self):
         empty = Corpus(machines=[MachineScan(0, [])]).summary()
         assert empty.duplicate_byte_fraction == 0.0
