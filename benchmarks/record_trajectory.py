@@ -53,17 +53,16 @@ import time
 from pathlib import Path
 
 from repro.core.fingerprint import fingerprint_of
-from repro.crypto.aes import AES
-from repro.crypto.modes import (
-    BLOCK_SIZE,
-    bulk_encrypt_ctr,
-    encrypt_ctr_scalar,
-)
+from repro.crypto.modes import BLOCK_SIZE, bulk_encrypt_ctr
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import build_run_report, print_summary, write_run_report
 from repro.obs.spans import phase
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
+
+# The from-scratch AES is a test oracle: it lives in the repository's tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.reference_aes import AES, encrypt_ctr_scalar
 
 MIB = 1 << 20
 

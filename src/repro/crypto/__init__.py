@@ -4,10 +4,9 @@ Farsite roots data privacy in symmetric-key and public-key cryptography
 (paper section 2).  This package supplies every primitive the Duplicate-File
 Coalescing subsystem needs:
 
-- :mod:`repro.crypto.aes` -- FIPS-197 AES block cipher (encryption only),
-  pure Python: the reference the CTR path is tested against.
 - :mod:`repro.crypto.modes` -- CTR mode.  CTR over file bytes runs on
-  OpenSSL's AES in the ``libcrypto`` CPython already links.
+  OpenSSL's AES in the ``libcrypto`` CPython already links; the tests check
+  it against a from-scratch FIPS-197 AES kept in ``tests/reference_aes.py``.
 - :mod:`repro.crypto.primes` -- Miller-Rabin primality and prime generation.
 - :mod:`repro.crypto.rsa` -- textbook RSA key pairs for user and machine keys.
 - :mod:`repro.crypto.hashing` -- the 20-byte "cryptographically strong hash"
@@ -16,25 +15,22 @@ Coalescing subsystem needs:
   used to test the convergent-encryption security theorem.
 """
 
-from repro.crypto.aes import AES
 from repro.crypto.hashing import (
     FINGERPRINT_HASH_BYTES,
     content_hash,
     convergence_key,
     strong_hash,
 )
-from repro.crypto.modes import ctr_keystream, decrypt_ctr, encrypt_ctr
+from repro.crypto.modes import decrypt_ctr, encrypt_ctr
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
 
 __all__ = [
-    "AES",
     "FINGERPRINT_HASH_BYTES",
     "RSAKeyPair",
     "RSAPublicKey",
     "content_hash",
     "convergence_key",
-    "ctr_keystream",
     "decrypt_ctr",
     "encrypt_ctr",
     "generate_keypair",

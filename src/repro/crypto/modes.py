@@ -13,9 +13,9 @@ CPython's ``_hashlib`` already maps into the process: one cipher context and
 one update per file, nothing kept between calls.  The library is resolved on
 the first CTR call, so a process that never encrypts never touches it.
 
-The from-scratch FIPS-197 cipher (:mod:`repro.crypto.aes`) driven one block
-at a time (:func:`ctr_keystream`, :func:`encrypt_ctr_scalar`) is the
-reference the tests check the library path against, bit for bit.
+The tests check the library path bit for bit against a from-scratch
+FIPS-197 cipher driven one block at a time, which lives in the test tree
+(``tests/reference_aes.py``) because no caller of the package runs it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 import ctypes
 from functools import lru_cache
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+#: AES's block width in bytes: the counter block is this wide.
+BLOCK_SIZE = 16
 
 #: ``EVP_EncryptUpdate`` takes an ``int`` length: a longer input goes in steps
 #: of this many bytes, the counter carrying on from one step to the next.
@@ -31,20 +32,6 @@ _STEP = 1 << 30
 
 #: OpenSSL's CTR cipher for each AES key width.
 _EVP_CTR = {16: "EVP_aes_128_ctr", 24: "EVP_aes_192_ctr", 32: "EVP_aes_256_ctr"}
-
-
-def ctr_keystream(cipher: AES, nonce: int, blocks: int) -> bytes:
-    """Return *blocks* blocks of CTR keystream starting at counter *nonce*.
-
-    Scalar reference path: one ``encrypt_block`` call per counter.  The
-    counter wraps modulo 2^128, as in standard CTR.
-    """
-    out = bytearray()
-    for counter in range(nonce, nonce + blocks):
-        out.extend(
-            cipher.encrypt_block((counter % (1 << 128)).to_bytes(BLOCK_SIZE, "big"))
-        )
-    return bytes(out)
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +84,9 @@ def bulk_encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
     """Encrypt *plaintext* in CTR mode on libcrypto's AES.
 
     The initial counter block is *nonce* mod 2^128, big-endian; the output
-    is byte-identical to :func:`encrypt_ctr_scalar`.  One cipher context and
-    one update per call (an input past :data:`_STEP` bytes takes more).
+    is byte-identical to the scalar reference in ``tests/reference_aes.py``.
+    One cipher context and one update per call (an input past :data:`_STEP`
+    bytes takes more).
     """
     if not plaintext:
         return b""
@@ -135,7 +123,7 @@ def encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
 
     The output has exactly the length of the input, so coalesced storage of a
     convergently encrypted file costs no more space than the plaintext.
-    Delegates to the bulk path; the scalar path is :func:`encrypt_ctr_scalar`.
+    Delegates to the bulk path.
     """
     return bulk_encrypt_ctr(key, plaintext, nonce)
 
@@ -143,11 +131,3 @@ def encrypt_ctr(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
 def decrypt_ctr(key: bytes, ciphertext: bytes, nonce: int = 0) -> bytes:
     """CTR decryption is CTR encryption."""
     return encrypt_ctr(key, ciphertext, nonce)
-
-
-def encrypt_ctr_scalar(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
-    """The seed repository's scalar CTR path, kept as the reference."""
-    cipher = AES(key)
-    blocks = (len(plaintext) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    stream = ctr_keystream(cipher, nonce, blocks)
-    return bytes(p ^ s for p, s in zip(plaintext, stream))

@@ -7,8 +7,8 @@ Closes the loop across all four of the paper's problems:
    :mod:`repro.workload.content`);
 2. SALAD identifies files with identical content (the :class:`DfcRun`
    phase);
-3. the relocation planner co-locates replicas of identical files on a
-   common host set;
+3. the relocation step shared with the deployment co-locates replicas of
+   identical files on a common host set (its one publisher is the owner);
 4. each host's Single-Instance Store coalesces them -- after comparing
    their bytes -- reclaiming the space.
 
@@ -32,7 +32,7 @@ and would outlive ``close_stores``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.space import reclaimed_bytes_from_matches
@@ -44,7 +44,12 @@ from repro.farsite.placement import (
     file_availability,
     place_replicas,
 )
-from repro.farsite.relocation import RelocationPlan, RelocationPlanner
+from repro.farsite.relocation import (
+    Migration,
+    RelocationPlan,
+    RelocationPlanner,
+    duplicate_groups,
+)
 from repro.obs.spans import phase, span
 from repro.workload.content import synthetic_content
 from repro.workload.corpus import Corpus
@@ -111,10 +116,8 @@ class DfcPipeline:
             replication_factor=config.replication_factor
         )
         # Lifetime stage totals, harvested by collect_metrics().
-        self._migrations = 0
-        self._copies = 0
+        self._applied: List[Migration] = []
         self._shortfall = 0
-        self._bytes_moved = 0
 
     def close_stores(self) -> None:
         """Release the SALAD's leaf stores (the hosts' SIS blobs are in RAM)."""
@@ -215,58 +218,33 @@ class DfcPipeline:
 
     # -- phase 3: relocation -----------------------------------------------------
 
-    def _duplicate_groups(self) -> Dict[Fingerprint, Dict[str, Sequence[int]]]:
-        """Groups of co-coalescible files from the SALAD's discoveries.
-
-        A file joins its fingerprint's group iff its machine appeared in at
-        least one match notification for that fingerprint; copies SALAD
-        never matched stay where they are (that is the lossiness every
-        space figure measures).  All matched copies of one fingerprint form
-        a single group -- a relocation pass holding the notifications
-        co-locates them all, so the physical reclaim can slightly *exceed*
-        the union-find prediction when discovery found two disjoint
-        components of the same content.
-        """
-        matched_machines: Dict[Fingerprint, set] = {}
-        for machine, payload in self.run.salad.collected_matches():
-            members = matched_machines.setdefault(payload.fingerprint, set())
-            members.add(machine)
-            members.add(payload.other_machine)
-        groups: Dict[Fingerprint, Dict[str, Sequence[int]]] = {}
-        for file_id, (fingerprint, hosts) in self.replicas.items():
-            members = matched_machines.get(fingerprint)
-            # Membership keys on the *publishing* machine (the one whose
-            # SALAD record could have matched), not on wherever placement
-            # happened to put the first replica.
-            if members is None or self.publishers[file_id] not in members:
-                continue
-            groups.setdefault(fingerprint, {})[file_id] = list(hosts)
-        return {fp: files for fp, files in groups.items() if len(files) > 1}
-
     def relocate(self) -> RelocationPlan:
-        """Plan and execute the migrations that co-locate duplicates."""
-        groups = self._duplicate_groups()
+        """Plan and execute the migrations that co-locate duplicates; the
+        plan returned holds the migrations applied (here, all of them)."""
+        groups = duplicate_groups(
+            self.run.salad.collected_matches(),
+            (
+                (file_id, fingerprint, hosts, (self.publishers[file_id],))
+                for file_id, (fingerprint, hosts) in self.replicas.items()
+            ),
+        )
         plan = self.planner.plan(groups)
-        group_sizes = {fp: len(files) for fp, files in groups.items()}
-        self._migrations += plan.moved_replicas
-        self._copies += plan.copied_replicas
-        self._shortfall += plan.total_shortfall(group_sizes)
-        self._bytes_moved += plan.bytes_moved()
-        for migration in plan.migrations:
-            source = self.hosts[migration.source_host]
-            target = self.hosts[migration.target_host]
-            blob = source.sis.read(migration.file_id)
-            # Store before delete: a target that fails to store leaves the
-            # source's replica in place.
-            target.sis.store(migration.file_id, blob)
-            if not migration.copy:
-                source.sis.delete(migration.file_id)
-            fingerprint, hosts = self.replicas[migration.file_id]
-            if not migration.copy:
-                hosts.remove(migration.source_host)
-            if migration.target_host not in hosts:
-                hosts.append(migration.target_host)
+        replica_hosts = {m.file_id: self.replicas[m.file_id][1] for m in plan.migrations}
+        plan = replace(plan, migrations=self.planner.apply(plan, replica_hosts, self._transfer))
+        self._applied += plan.migrations
+        self._shortfall += plan.total_shortfall({fp: len(f) for fp, f in groups.items()})
         return plan
+
+    def _transfer(self, migration: Migration) -> bool:
+        """Move a replica's blob, unverified: it is not hashed into its fingerprint."""
+        source = self.hosts[migration.source_host]
+        blob = source.sis.read(migration.file_id)
+        # Store before delete: a target that fails to store leaves the
+        # source's replica in place.
+        self.hosts[migration.target_host].sis.store(migration.file_id, blob)
+        if not migration.copy:
+            source.sis.delete(migration.file_id)
+        return True
 
     # -- phase 4: accounting -------------------------------------------------------
 
@@ -321,9 +299,10 @@ class DfcPipeline:
         """Harvest pipeline stage totals and the underlying SALAD; returns it."""
         registry.counter("dfc.pipeline.hosts").inc(len(self.hosts))
         registry.counter("dfc.pipeline.files_loaded").inc(len(self.replicas))
-        registry.counter("dfc.pipeline.migrations").inc(self._migrations)
-        registry.counter("dfc.pipeline.copies").inc(self._copies)
+        applied = RelocationPlan({}, self._applied)
+        registry.counter("dfc.pipeline.migrations").inc(applied.moved_replicas)
+        registry.counter("dfc.pipeline.copies").inc(applied.copied_replicas)
         registry.counter("dfc.pipeline.shortfall").inc(self._shortfall)
-        registry.counter("dfc.pipeline.bytes_moved").inc(self._bytes_moved)
+        registry.counter("dfc.pipeline.bytes_moved").inc(applied.bytes_moved())
         self.run.collect_metrics(registry)
         return registry

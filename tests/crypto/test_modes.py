@@ -14,14 +14,8 @@ import tracemalloc
 import pytest
 
 from repro.crypto import modes
-from repro.crypto.aes import AES
-from repro.crypto.modes import (
-    bulk_encrypt_ctr,
-    ctr_keystream,
-    decrypt_ctr,
-    encrypt_ctr,
-    encrypt_ctr_scalar,
-)
+from repro.crypto.modes import bulk_encrypt_ctr, decrypt_ctr, encrypt_ctr
+from tests.reference_aes import AES, ctr_keystream, encrypt_ctr_scalar
 
 KEY = bytes(range(16))
 

@@ -190,6 +190,31 @@ class TestLiveness:
         assert source.replica_info(move.file_id) is None
         assert target.host.fetch_replica(move.file_id).data
 
+    def test_a_cycle_reports_only_the_moves_it_made(self):
+        deployment = TestRelocationRefusesForeignBytes._written()
+        plan = deployment.planner.plan
+        planned = []
+
+        def plan_then_fail_a_target(groups):
+            result = plan(groups)
+            if not planned:
+                move = next(m for m in result.migrations if not m.copy)
+                deployment.nodes[move.target_host].fail()
+            planned.append(result)
+            return result
+
+        deployment.planner.plan = plan_then_fail_a_target
+        first = deployment.run_dfc_cycle()
+        assert planned[0].moved_replicas == 4
+        assert first.migrations == 2
+        assert first.bytes_moved == 2 * len(DOCUMENT)
+        for node in deployment.nodes.values():
+            if not node.alive:
+                node.recover()
+        second = deployment.run_dfc_cycle()
+        assert second.migrations == 2
+        assert first.migrations + second.migrations == planned[0].moved_replicas
+
 
 class TestRelocationStoresBeforeDropping:
     def test_a_failed_store_keeps_the_source_replica(self, monkeypatch):

@@ -1,7 +1,8 @@
 """Duplicate-replica relocation planning."""
 
 from repro.core.fingerprint import synthetic_fingerprint
-from repro.farsite.relocation import RelocationPlanner
+from repro.farsite.relocation import Migration, RelocationPlan, RelocationPlanner, duplicate_groups
+from repro.salad.protocol import MatchPayload
 
 
 FP = synthetic_fingerprint(10_000, 1)
@@ -62,7 +63,7 @@ class TestUnderReplication:
         # other canonical host must receive a *copy* (pre-fix: dropped).
         plan = planner.plan({FP: {"a": [1, 2], "b": [5]}})
         replica_hosts = {"a": [1, 2], "b": [5]}
-        planner.apply(plan, replica_hosts)
+        planner.apply(plan, replica_hosts, lambda migration: True)
         canonical = set(plan.canonical_hosts[FP])
         assert canonical == {1, 2}
         assert set(replica_hosts["b"]) == canonical
@@ -91,7 +92,7 @@ class TestUnderReplication:
         plan = planner.plan({FP: {k: list(v) for k, v in replica_hosts.items()}})
         # A move-style apply would hosts.remove() the copy's source -- a
         # replica the file keeps -- leaving it off its own canonical set.
-        planner.apply(plan, replica_hosts)
+        planner.apply(plan, replica_hosts, lambda migration: True)
         assert set(replica_hosts["b"]) == set(plan.canonical_hosts[FP])
         assert 1 in replica_hosts["b"]  # the copy's source replica survives
 
@@ -116,13 +117,77 @@ class TestApply:
         planner = RelocationPlanner(replication_factor=2)
         replica_hosts = {"a": [1, 2], "b": [3, 4]}
         plan = planner.plan({FP: {k: list(v) for k, v in replica_hosts.items()}})
-        planner.apply(plan, replica_hosts)
+        planner.apply(plan, replica_hosts, lambda migration: True)
         canonical = set(plan.canonical_hosts[FP])
         assert set(replica_hosts["a"]) == canonical
         assert set(replica_hosts["b"]) == canonical
+
+    def test_a_move_drops_its_source(self):
+        move = Migration("a", FP, source_host=1, target_host=3)
+        replica_hosts = {"a": [1, 2]}
+        plan = RelocationPlan(canonical_hosts={}, migrations=[move])
+        applied = RelocationPlanner().apply(plan, replica_hosts, lambda m: True)
+        assert applied == [move]
+        assert replica_hosts == {"a": [2, 3]}
+
+    def test_a_copy_keeps_its_source(self):
+        copy = Migration("a", FP, source_host=1, target_host=3, copy=True)
+        replica_hosts = {"a": [1, 2]}
+        plan = RelocationPlan(canonical_hosts={}, migrations=[copy])
+        assert RelocationPlanner().apply(plan, replica_hosts, lambda m: True) == [copy]
+        assert replica_hosts == {"a": [1, 2, 3]}
+
+    def test_a_refused_transfer_leaves_the_map_and_is_not_returned(self):
+        refused = Migration("a", FP, source_host=1, target_host=3)
+        taken = Migration("b", FP, source_host=4, target_host=3)
+        replica_hosts = {"a": [1, 2], "b": [4, 2]}
+        plan = RelocationPlan(canonical_hosts={}, migrations=[refused, taken])
+        seen = []
+
+        def transfer(migration):
+            seen.append(migration)
+            return migration is not refused
+
+        assert RelocationPlanner().apply(plan, replica_hosts, transfer) == [taken]
+        assert seen == [refused, taken]
+        assert replica_hosts == {"a": [1, 2], "b": [2, 3]}
 
     def test_invalid_replication_factor(self):
         import pytest
 
         with pytest.raises(ValueError):
             RelocationPlanner(replication_factor=0)
+
+
+def _match(machine, other, fingerprint=FP):
+    return machine, MatchPayload(fingerprint=fingerprint, other_machine=other)
+
+
+class TestDuplicateGroups:
+    def test_a_file_whose_only_publisher_got_no_match_stays_out(self):
+        groups = duplicate_groups(
+            [_match(10, 11)],
+            [("a", FP, [1], (10,)), ("b", FP, [2], (11,)), ("c", FP, [3], (12,))],
+        )
+        assert groups == {FP: {"a": [1], "b": [2]}}
+
+    def test_one_matched_replica_host_brings_its_file_in(self):
+        groups = duplicate_groups(
+            [_match(10, 7)],
+            [("a", FP, [5, 6, 7], (5, 6, 7)), ("b", FP, [10], (10,))],
+        )
+        assert groups == {FP: {"a": [5, 6, 7], "b": [10]}}
+
+    def test_a_match_counts_only_for_its_own_fingerprint(self):
+        groups = duplicate_groups(
+            [_match(10, 11)],
+            [("a", FP2, [1], (10,)), ("b", FP2, [2], (11,))],
+        )
+        assert groups == {}
+
+    def test_a_singleton_group_is_dropped(self):
+        groups = duplicate_groups(
+            [_match(10, 11), _match(20, 21, FP2)],
+            [("a", FP, [1], (10,)), ("b", FP, [2], (11,)), ("c", FP2, [3], (20,))],
+        )
+        assert groups == {FP: {"a": [1], "b": [2]}}

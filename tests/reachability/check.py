@@ -33,9 +33,6 @@ HOOK = Path(__file__).resolve().parent / "hook" / "sitecustomize.py"
 #: exempt.  Keep it short: an entry that loses its owner is deleted with
 #: the code it names.
 ALLOWLIST: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("repro.crypto.aes", "repro.crypto.modes.encrypt_ctr_scalar",
-      "repro.crypto.modes.ctr_keystream"),
-     "the from-scratch AES and scalar CTR: the test oracle for libcrypto"),
     (("repro.salad.storage._OffsetIndex", "repro.salad.storage._key64",
       "repro.salad.storage._decode_insert", "repro.salad.storage._remove_frame",
       *(f"repro.salad.storage.WalRecordStore.{name}" for name in (
@@ -53,8 +50,6 @@ ALLOWLIST: Tuple[Tuple[Tuple[str, ...], str], ...] = (
      "the exact-width T and the collision probability: ROADMAP item 9's rows"),
     (("repro.workload.generator.paper_scale_spec",),
      "the paper-scale corpus: ROADMAP item 8's ladder"),
-    (("repro.farsite.relocation.RelocationPlanner.apply",),
-     "the planner's apply loop: ROADMAP item 2's single apply loop"),
     (("repro.sim.network.Network.partition", "repro.sim.network.Network.heal_partition",
       "repro.sim.network.Network._partitioned"),
      "the partition fault model: ROADMAP item 9 drives it"),

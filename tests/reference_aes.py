@@ -1,27 +1,29 @@
-"""FIPS-197 AES block cipher, implemented from scratch in pure Python.
+"""The from-scratch FIPS-197 AES and its scalar CTR: the libcrypto oracle.
 
 Convergent encryption (paper section 3) needs a symmetric cipher ``E`` keyed
-by the hash of the plaintext.  The security proof models ``E`` as a random
-permutation family; any standard block cipher realizes it.  We implement AES
-(128/192/256-bit keys) directly from the FIPS-197 specification -- key
-expansion and the SubBytes/ShiftRows/MixColumns rounds -- as the reference the
-CTR path over file bytes is tested against.  Only the forward cipher exists:
-CTR mode, the only mode convergent encryption uses, never inverts a block.
+by the hash of the plaintext.  The shipped CTR path over file bytes
+(:func:`repro.crypto.modes.bulk_encrypt_ctr`) runs on OpenSSL's AES; this
+module is the reference it is tested against, bit for bit.  It implements
+AES (128/192/256-bit keys) directly from the FIPS-197 specification -- key
+expansion and the SubBytes/ShiftRows/MixColumns rounds.  Only the forward
+cipher exists: CTR mode, the only mode convergent encryption uses, never
+inverts a block.
 
 Two encryption paths share the key schedule:
 
 - a *scalar reference* path (:meth:`AES.encrypt_block_scalar`) that applies
   SubBytes/ShiftRows/MixColumns byte by byte, straight from the spec; and
-- a *T-table* fast path (:meth:`AES.encrypt_block`, the default) that fuses
-  the three key-agnostic round functions into four precomputed 256-entry
+- a *T-table* path (:meth:`AES.encrypt_block`, the default) that fuses the
+  three key-agnostic round functions into four precomputed 256-entry
   tables of 32-bit words, so each round costs 16 table lookups and 20 XORs
   instead of ~60 byte operations.  The tables are derived from the same
   S-box and GF(2^8) arithmetic as the scalar path, and the property suite
   (``tests/property/test_prop_bulk_crypto.py``) asserts byte-identical
   output.
 
-Verified against the FIPS-197 appendix test vectors in
-``tests/crypto/test_aes.py``.
+:func:`ctr_keystream` and :func:`encrypt_ctr_scalar` drive the cipher one
+block at a time: the CTR reference.  The cipher is verified against the
+FIPS-197 appendix test vectors in ``tests/crypto/test_aes.py``.
 """
 
 from __future__ import annotations
@@ -256,3 +258,25 @@ class AES:
             + u2.to_bytes(4, "big")
             + u3.to_bytes(4, "big")
         )
+
+
+def ctr_keystream(cipher: AES, nonce: int, blocks: int) -> bytes:
+    """Return *blocks* blocks of CTR keystream starting at counter *nonce*.
+
+    Scalar reference path: one ``encrypt_block`` call per counter.  The
+    counter wraps modulo 2^128, as in standard CTR.
+    """
+    out = bytearray()
+    for counter in range(nonce, nonce + blocks):
+        out.extend(
+            cipher.encrypt_block((counter % (1 << 128)).to_bytes(BLOCK_SIZE, "big"))
+        )
+    return bytes(out)
+
+
+def encrypt_ctr_scalar(key: bytes, plaintext: bytes, nonce: int = 0) -> bytes:
+    """The seed repository's scalar CTR path: one :func:`ctr_keystream` per call."""
+    cipher = AES(key)
+    blocks = (len(plaintext) + BLOCK_SIZE - 1) // BLOCK_SIZE
+    stream = ctr_keystream(cipher, nonce, blocks)
+    return bytes(p ^ s for p, s in zip(plaintext, stream))
